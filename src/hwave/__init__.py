@@ -24,7 +24,6 @@ from .randomized import (
     OmegaSample,
     RandomizedSystem,
     boundary_layer_probability,
-    build_cubes,
     sample_omega,
     theoretical_eta,
     verify_center_sandwich,
@@ -54,13 +53,11 @@ from .mra import (
 )
 from .wavelets import (
     WaveletBasis,
-    analyze,
     assemble_basis,
     decay_and_regularity_report,
     kernel_of_projection,
     orthonormalize_level,
     pre_wavelets,
-    synthesize,
 )
 from .analysis import (
     almost_diagonal_check,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import NetHierarchy, ReferenceOrder
+from .nets import NetHierarchy, ReferenceOrder, ancestors
 from .space import FiniteSpace, SpaceConstants, canonical_radii
 from .splines import SplineTable
 from .wavelets import WaveletBasis
@@ -387,16 +387,13 @@ def carleson_norm(space: FiniteSpace, h: NetHierarchy, order: ReferenceOrder,
     pos = _wavelet_positions(h, basis)
     if parent_maps is None:
         parent_maps = order.parents
-    n = h.level(h.k_fine).size
-    anc = {h.k_fine: np.arange(n)}
-    for k in range(h.k_fine - 1, h.k_coarse - 1, -1):
-        anc[k] = parent_maps[k - h.k_coarse][anc[k + 1]]
+    anc = ancestors(h, parent_maps)
     best = 0.0
     for ell in range(h.k_coarse, h.k_fine + 1):
         n_cells = h.level(ell).size
         acc = np.zeros(n_cells)
         mass = np.zeros(n_cells)
-        np.add.at(mass, anc[ell], space.weights)
+        np.add.at(mass, anc[ell - h.k_coarse], space.weights)
         for i in range(coeffs.size):
             k1 = int(levels[i]) + 1
             if k1 < ell:

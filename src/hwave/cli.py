@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -10,12 +9,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
-from .mra import decay_exponent_s, decay_fit
+from .mra import decay_exponent_s, decay_fit, save_gram_system, save_matrix_csv
 from .nets import build_nets, build_reference_order, save_nets, verify_nets
 from .pipeline import SUITES, PipelineConfig, build_bundle, run_pipeline
 from .randomized import boundary_layer_probability, sample_omega, save_system
 from .space import compute_constants, resolve_space, save_space
-from .splines import holder_profile
+from .splines import holder_profile, save_splines
 from .wavelets import decay_and_regularity_report, save_basis, wavelet_decay_a
 
 
@@ -112,15 +111,7 @@ def _cmd_splines(args) -> int:
     h = bundle.hierarchy
     if args.action == "build":
         if args.out:
-            out = _outdir(args)
-            with (out / "splines.tsv").open("w") as fh:
-                fh.write("level\talpha_id\tpoint_id\tvalue\n")
-                for k in range(h.k_coarse, h.k_fine + 1):
-                    lev = h.level(k)
-                    vals = bundle.splines.at(k)
-                    for a, center in enumerate(lev):
-                        for x in range(space.n):
-                            fh.write(f"{k}\t{center}\t{x}\t{vals[a, x]!r}\n")
+            save_splines(h, bundle.splines, _outdir(args) / "splines.tsv")
         print(f"splines built for levels {h.k_coarse}..{h.k_fine}")
         return 0
     if args.action == "check":
@@ -144,18 +135,7 @@ def _cmd_mra(args) -> int:
     h = bundle.hierarchy
     if args.action == "build":
         if args.out:
-            out = _outdir(args)
-            for k in range(h.k_coarse, h.k_fine + 1):
-                lev = h.level(k)
-                M = bundle.gramsys.at(k).M
-                with (out / f"gram_level_{k}.csv").open("w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["row", "col", "value"])
-                    for i in range(lev.size):
-                        for j in range(lev.size):
-                            if M[i, j] != 0.0:
-                                writer.writerow([int(lev[i]), int(lev[j]),
-                                                 repr(M[i, j])])
+            save_gram_system(h, bundle.gramsys, _outdir(args))
         print("gram system built")
         return 0
     if args.action == "riesz":
@@ -253,7 +233,7 @@ def _cmd_analyze(args) -> int:
         print(f"paraproduct unit-image error {err:.3g}, "
               f"norm {an.operator_norm(P):g}")
         if args.out:
-            _write_matrix_csv(P, _outdir(args) / "paraproduct.csv")
+            save_matrix_csv(P, _outdir(args) / "paraproduct.csv")
         return 0
     # operator
     K = an.discrete_hilbert_kernel(space.n)
@@ -262,18 +242,8 @@ def _cmd_analyze(args) -> int:
     print(f"hilbert-type kernel: operator norm {an.operator_norm(C):g}, "
           f"schur bound {max(s1, s2):g}")
     if args.out:
-        _write_matrix_csv(C, _outdir(args) / "operator_coefficients.csv")
+        save_matrix_csv(C, _outdir(args) / "operator_coefficients.csv")
     return 0
-
-
-def _write_matrix_csv(matrix: np.ndarray, path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                if matrix[i, j] != 0.0:
-                    writer.writerow([i, j, repr(matrix[i, j])])
 
 
 def _cmd_verify(args) -> int:

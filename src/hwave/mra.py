@@ -7,13 +7,15 @@ with an optional Neumann-series route kept for decay experiments.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .nets import NetHierarchy
-from .space import FiniteSpace, SpaceConstants
+from .space import FiniteSpace, SpaceConstants, minplus
 from .splines import SplineTable
 
 __all__ = [
@@ -32,6 +34,8 @@ __all__ = [
     "chain_constants",
     "separated_sum_check",
     "decay_exponent_s",
+    "save_matrix_csv",
+    "save_gram_system",
 ]
 
 
@@ -229,13 +233,6 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
     return GramSystem(k_coarse=h.k_coarse, k_fine=h.k_fine, levels=tuple(out))
 
 
-def _minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = np.empty_like(A)
-    for i in range(A.shape[0]):
-        out[i] = (A[i][:, None] + B).min(axis=0)
-    return out
-
-
 def chain_constants(space: FiniteSpace, constants: SpaceConstants,
                     n_max: int) -> np.ndarray:
     """kappa_n: worst ratio of the direct distance to the best n-chain sum.
@@ -252,7 +249,7 @@ def chain_constants(space: FiniteSpace, constants: SpaceConstants,
     best_chain = d.copy()
     for n in range(1, n_max + 1):
         if n > 1:
-            best_chain = _minplus(best_chain, d)
+            best_chain = minplus(best_chain, d)
         if iu.size:
             kappas.append(float((d[iu, ju] / best_chain[iu, ju]).max()))
         else:
@@ -302,3 +299,24 @@ def separated_sum_check(space: FiniteSpace, constants: SpaceConstants,
     values = front * sums
     arg = int(np.argmax(values))
     return SeparatedSumReport(eps=float(eps), value=float(values[arg]), argmax=arg)
+
+
+def save_matrix_csv(matrix: np.ndarray, path, labels=None) -> None:
+    """Nonzero entries as (row, col, value) CSV rows in row-major order.
+
+    ``labels`` names the rows and columns (default: their indices).
+    """
+    if labels is None:
+        labels = np.arange(matrix.shape[0])
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "col", "value"])
+        for i, j in zip(*np.nonzero(matrix)):
+            writer.writerow([int(labels[i]), int(labels[j]), repr(matrix[i, j])])
+
+
+def save_gram_system(h: NetHierarchy, gramsys: GramSystem, out) -> None:
+    """``gram_level_<k>.csv`` per level, rows and columns named by point id."""
+    for k in range(h.k_coarse, h.k_fine + 1):
+        save_matrix_csv(gramsys.at(k).M, Path(out) / f"gram_level_{k}.csv",
+                        h.level(k))

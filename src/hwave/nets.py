@@ -23,7 +23,7 @@ __all__ = [
     "build_nets",
     "verify_nets",
     "build_reference_order",
-    "reference_cubes",
+    "ancestors",
     "save_nets",
     "load_nets",
 ]
@@ -304,15 +304,16 @@ def build_reference_order(space: FiniteSpace, constants: SpaceConstants,
     )
 
 
-def reference_cubes(h: NetHierarchy, order: ReferenceOrder) -> dict:
-    """Ancestor position of every point at every level under the reference order."""
-    n = h.level(h.k_fine).size
-    anc = {h.k_fine: np.arange(n)}
-    current = anc[h.k_fine]
-    for k in range(h.k_fine - 1, h.k_coarse - 1, -1):
-        current = order.parent_at(k)[current]
-        anc[k] = current
-    return anc
+def ancestors(h: NetHierarchy, parents) -> tuple:
+    """Level-k ancestor position of every point, per level k_coarse..k_fine.
+
+    ``parents`` holds one parent map per level pair, coarsest first: a
+    reference order's or a sampled system's.
+    """
+    anc = [np.arange(h.level(h.k_fine).size)]
+    for parent in reversed(parents):
+        anc.append(parent[anc[-1]])
+    return tuple(reversed(anc))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """End-to-end orchestration: build every stage, verify, write artifacts."""
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -10,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
-from .mra import build_gram_system, neumann_inverse_and_sqrt
+from .mra import build_gram_system, neumann_inverse_and_sqrt, save_gram_system
 from .nets import (NetHierarchy, ReferenceOrder, build_nets,
                    build_reference_order, save_nets, verify_nets)
 from .randomized import (CubeMachine, sample_omega, save_system,
@@ -19,7 +18,7 @@ from .report import check_error, check_flag, format_report, write_report
 from .space import (FiniteSpace, SpaceConstants, compute_constants,
                     resolve_space, save_space)
 from .splines import (build_transitions, compute_splines_exact,
-                      compute_splines_mc, verify_spline_table)
+                      compute_splines_mc, save_splines, verify_spline_table)
 from .wavelets import (WaveletBasis, assemble_basis, kernel_of_projection,
                        save_basis)
 
@@ -274,25 +273,8 @@ def _write_artifacts(result: PipelineResult, out: Path, seed: int) -> None:
     save_nets(b.hierarchy, b.order, out / "nets.json")
     system = b.machine.system(sample_omega(b.order, seed))
     save_system(system, out / "system.json")
-    h = b.hierarchy
-    with (out / "splines.tsv").open("w") as fh:
-        fh.write("level\talpha_id\tpoint_id\tvalue\n")
-        for k in range(h.k_coarse, h.k_fine + 1):
-            lev = h.level(k)
-            vals = b.splines.at(k)
-            for a, center in enumerate(lev):
-                for x in range(b.space.n):
-                    fh.write(f"{k}\t{center}\t{x}\t{vals[a, x]!r}\n")
-    for k in range(h.k_coarse, h.k_fine + 1):
-        lev = h.level(k)
-        with (out / f"gram_level_{k}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "value"])
-            M = b.gramsys.at(k).M
-            for i in range(lev.size):
-                for j in range(lev.size):
-                    if M[i, j] != 0.0:
-                        writer.writerow([int(lev[i]), int(lev[j]), repr(M[i, j])])
+    save_splines(b.hierarchy, b.splines, out / "splines.tsv")
+    save_gram_system(b.hierarchy, b.gramsys, out)
     save_basis(b.basis, out / "basis.json")
     write_report(result.checks, out / "report.json")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nets import GeometryViolation, NetHierarchy, ReferenceOrder
+from .nets import GeometryViolation, NetHierarchy, ReferenceOrder, ancestors
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -25,9 +25,6 @@ __all__ = [
     "BoundaryEstimate",
     "sample_omega",
     "sample_omega_batch",
-    "new_points",
-    "new_order",
-    "build_cubes",
     "verify_system",
     "verify_center_sandwich",
     "boundary_layer_probability",
@@ -96,16 +93,6 @@ def _new_points_level(h: NetHierarchy, order: ReferenceOrder, k: int,
     return z
 
 
-def new_points(h: NetHierarchy, order: ReferenceOrder, omega: OmegaSample) -> tuple:
-    """z assignment per level; identical to the reference points at k_fine."""
-    zs = []
-    for k in range(h.k_coarse, h.k_fine):
-        ell_k, m_k = omega.coord(k)
-        zs.append(_new_points_level(h, order, k, ell_k, m_k))
-    zs.append(h.level(h.k_fine).copy())
-    return tuple(zs)
-
-
 def _check_z_separation(space, constants, h, k, z_points):
     if z_points.size < 2:
         return
@@ -136,18 +123,6 @@ def _new_order_level(space: FiniteSpace, constants: SpaceConstants,
     return np.where(counts == 1, np.argmax(close, axis=1), fallback)
 
 
-def new_order(space, constants, h, order, omega, z=None) -> tuple:
-    """Omega-parent maps for all consecutive level pairs."""
-    if z is None:
-        z = new_points(h, order, omega)
-    parents = []
-    for k in range(h.k_coarse, h.k_fine):
-        zk = z[k - h.k_coarse]
-        _check_z_separation(space, constants, h, k, zk)
-        parents.append(_new_order_level(space, constants, h, order, k, zk))
-    return tuple(parents)
-
-
 @dataclass(frozen=True)
 class RandomizedSystem:
     k_coarse: int
@@ -168,31 +143,6 @@ class RandomizedSystem:
 
     def cube_members(self, k: int, alpha: int) -> np.ndarray:
         return np.nonzero(self.cubes_at(k) == alpha)[0]
-
-
-def _ancestors_from_parents(h: NetHierarchy, parents: tuple) -> tuple:
-    n = h.level(h.k_fine).size
-    anc = [np.arange(n)]
-    for i in range(len(parents) - 1, -1, -1):
-        anc.append(parents[i][anc[-1]])
-    anc.reverse()
-    return tuple(anc)
-
-
-def build_cubes(space, constants, h, order, omega, check: bool = True) -> RandomizedSystem:
-    """Assemble the full randomized system for one omega draw."""
-    z = new_points(h, order, omega)
-    parents = new_order(space, constants, h, order, omega, z)
-    cubes = _ancestors_from_parents(h, parents)
-    system = RandomizedSystem(
-        k_coarse=h.k_coarse, k_fine=h.k_fine,
-        omega=omega, z=z, parents=parents, cubes=cubes,
-    )
-    if check:
-        report = verify_system(space, constants, h, order, system)
-        if not report.ok:
-            raise GeometryViolation("cube geometry failed: " + "; ".join(report.failures))
-    return system
 
 
 @dataclass(frozen=True)
@@ -367,14 +317,15 @@ class CubeMachine:
             self.z_tables[k] = np.asarray(z_rows)
             self.parent_tables[k] = np.asarray(p_rows, dtype=np.int32)
 
-    def outcome_index(self, ell: int, m: int) -> int:
+    def outcome_index(self, ell, m):
+        """Table row of the coordinate (ell, m); elementwise on arrays."""
         return ell * self.order.M + (m - 1)
 
     def sample_outcomes(self, seed: int, nsamples: int) -> np.ndarray:
-        ell, m = sample_omega_batch(self.order, seed, nsamples)
-        return ell * self.order.M + (m - 1)
+        return self.outcome_index(*sample_omega_batch(self.order, seed, nsamples))
 
     def system(self, omega: OmegaSample) -> RandomizedSystem:
+        """The sampled system of one omega draw, read off the outcome tables."""
         z = []
         parents = []
         for k in range(self.h.k_coarse, self.h.k_fine):
@@ -382,14 +333,11 @@ class CubeMachine:
             z.append(self.z_tables[k][idx])
             parents.append(self.parent_tables[k][idx])
         z.append(self.h.level(self.h.k_fine).copy())
-        cubes = _ancestors_from_parents(self.h, tuple(parents))
         return RandomizedSystem(
             k_coarse=self.h.k_coarse, k_fine=self.h.k_fine,
-            omega=omega, z=tuple(z), parents=tuple(parents), cubes=cubes,
+            omega=omega, z=tuple(z), parents=tuple(parents),
+            cubes=ancestors(self.h, parents),
         )
-
-    def sample_system(self, seed: int) -> RandomizedSystem:
-        return self.system(sample_omega(self.order, seed))
 
     def ancestors_batch(self, outcomes: np.ndarray, k: int) -> np.ndarray:
         """Level-k ancestor positions of every point, one row per sample."""

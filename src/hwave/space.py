@@ -17,9 +17,8 @@ __all__ = [
     "FiniteSpace",
     "SpaceConstants",
     "ValidationError",
-    "ball",
-    "volume",
     "canonical_radii",
+    "minplus",
     "compute_constants",
     "generate_space",
     "resolve_space",
@@ -153,14 +152,6 @@ class FiniteSpace:
         )
 
 
-def ball(space: FiniteSpace, x: int, r: float) -> np.ndarray:
-    return space.ball(x, r)
-
-
-def volume(space: FiniteSpace, x: int, r: float) -> float:
-    return space.volume(x, r)
-
-
 def canonical_radii(space: FiniteSpace) -> np.ndarray:
     """Sorted distinct positive distances plus one value beyond the diameter.
 
@@ -203,25 +194,30 @@ class SpaceConstants:
         return self._cmu_cache[key]
 
 
+def minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Min-plus product: out[i, j] = min over k of A[i, k] + B[k, j]."""
+    out = np.empty_like(A)
+    for i in range(A.shape[0]):
+        out[i] = (A[i][:, None] + B).min(axis=0)
+    return out
+
+
 def _quasi_triangle_constant(space: FiniteSpace):
-    n = space.n
-    if n < 3:
+    if space.n < 3:
         return 1.0, None
     d = space.dist
-    best = 1.0
-    witness = None
-    for z in range(n):
-        sums = d[:, z][:, None] + d[z, :][None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(sums > 0, d / sums, 0.0)
-        ratios[z, :] = 0.0
-        ratios[:, z] = 0.0
-        np.fill_diagonal(ratios, 0.0)
-        idx = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if ratios[idx] > best:
-            best = float(ratios[idx])
-            witness = (int(idx[0]), int(idx[1]), z)
-    return best, witness
+    # +inf on the diagonal keeps z off x and y: detour[x, y] is the shortest
+    # two-step route x -> z -> y through a third point
+    off = d.copy()
+    np.fill_diagonal(off, np.inf)
+    detour = minplus(off, off)
+    ratios = d / detour
+    x, y = np.unravel_index(np.argmax(ratios), ratios.shape)
+    best = float(ratios[x, y])
+    if best <= 1.0:
+        return 1.0, None
+    z = int(np.argmin(off[x] + off[:, y]))
+    return best, (int(x), int(y), z)
 
 
 def _cmu_exact(space: FiniteSpace, t: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "holder_profile",
     "build_bump",
     "verify_spline_table",
+    "save_splines",
 ]
 
 
@@ -273,3 +275,14 @@ def verify_spline_table(space: FiniteSpace, constants: SpaceConstants,
                 record(f"support-outer level {k}", False, f"alpha={alpha}")
         record(f"support-sandwich level {k}", True)
     return SplineVerification(checks=tuple(checks), failures=tuple(failures))
+
+
+def save_splines(h: NetHierarchy, table: SplineTable, path) -> None:
+    """One TSV row per (level, centre, point) with the spline value."""
+    with Path(path).open("w") as fh:
+        fh.write("level\talpha_id\tpoint_id\tvalue\n")
+        for k in range(h.k_coarse, h.k_fine + 1):
+            vals = table.at(k)
+            for a, center in enumerate(h.level(k)):
+                for x in range(vals.shape[1]):
+                    fh.write(f"{k}\t{center}\t{x}\t{vals[a, x]!r}\n")

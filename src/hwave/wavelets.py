@@ -26,8 +26,6 @@ __all__ = [
     "pre_wavelets",
     "orthonormalize_level",
     "assemble_basis",
-    "analyze",
-    "synthesize",
     "kernel_of_projection",
     "decay_and_regularity_report",
     "wavelet_decay_a",
@@ -120,14 +118,6 @@ class WaveletBasis:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         return self.values.T @ np.asarray(coeffs)
-
-
-def analyze(basis: WaveletBasis, f: np.ndarray) -> np.ndarray:
-    return basis.analyze(f)
-
-
-def synthesize(basis: WaveletBasis, coeffs: np.ndarray) -> np.ndarray:
-    return basis.synthesize(coeffs)
 
 
 def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: SplineTable,

@@ -235,16 +235,16 @@ def test_carleson_single_unit_coefficient(bundle_b):
     norm = an.carleson_norm(b.space, b.hierarchy, b.order, basis, coeffs)
     # oracle: walk the ancestors of the wavelet's center and take the
     # smallest cube mass
-    from hwave.nets import reference_cubes
+    from hwave.nets import ancestors
     k1 = int(basis.wavelet_levels[idx]) + 1
     pos = b.hierarchy.position(k1, int(basis.wavelet_centers[idx]))
-    anc = reference_cubes(b.hierarchy, b.order)
+    anc = ancestors(b.hierarchy, b.order.parents)
     best = math.inf
     for ell in range(b.hierarchy.k_coarse, k1 + 1):
         p = int(pos)
         for kk in range(k1 - 1, ell - 1, -1):
             p = int(b.order.parent_at(kk)[p])
-        mass = float(b.space.weights[anc[ell] == p].sum())
+        mass = float(b.space.weights[anc[ell - b.hierarchy.k_coarse] == p].sum())
         best = min(best, mass)
     assert norm == pytest.approx(best ** -0.5)
 

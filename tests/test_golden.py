@@ -1,0 +1,37 @@
+"""Pinned sha256 digests of the artifacts that do not depend on BLAS.
+
+The README promises byte-identical artifacts for identical inputs, and
+refactors keep them so.  These digests were recorded before the sampled
+system, ancestor and artifact-writer routes were merged into one each.
+"""
+import hashlib
+
+import pytest
+
+from hwave.pipeline import PipelineConfig, run_pipeline
+
+GOLDEN = {
+    ("FIX-B", 0.25): {
+        "space.json": "61a881528dd4b99186ae65e626b2fd22be7e76dcb4f3fd538055ed2d9d0876e1",
+        "constants.json": "b092fe3fafdf7edfcd60a81464bade90564cadc9699607c1e068ede27acf4c60",
+        "nets.json": "c01270f6e68b19c6df4845d2545b1ddda16680fc3103505cf84b99ab636e237b",
+        "system.json": "db1bdda3344a4610595b630e85e7aadf5eca400b7fa6302abd7dc9aabe6f0b88",
+        "splines.tsv": "93d04242b6a7e9d6a2fa2d8753c64023a63e9dbde684df2de9ed676f777f8855",
+    },
+    ("cycle(16, scale=1)", 0.2): {
+        "nets.json": "497cd7ee9bafffd8023cb8518f4cadc204e2bb0d1a40d9df9ba6848da7029e79",
+        "system.json": "40e55a205f77f7c9a17221daeee934fa5439602414e5b80a7d4cb7ef43a56960",
+    },
+}
+
+
+@pytest.mark.parametrize("space,delta", sorted(GOLDEN))
+def test_artifact_bytes_pinned(tmp_path, space, delta):
+    run_pipeline(PipelineConfig(space=space, delta=delta, out=str(tmp_path),
+                                suites=()))
+    for name, digest in GOLDEN[(space, delta)].items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, (
+            f"{name} for {space} at delta={delta} changed (sha256 {got}). "
+            "Update the digest only if the change was deliberate, and name "
+            "the changed field in CHANGES.md.")

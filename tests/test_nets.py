@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hwave.nets import (NetError, NetHierarchy, build_nets,
-                        build_reference_order, load_nets, reference_cubes,
-                        save_nets, verify_nets)
+from hwave.nets import (NetError, NetHierarchy, ancestors, build_nets,
+                        build_reference_order, load_nets, save_nets,
+                        verify_nets)
 from hwave.space import FiniteSpace, compute_constants, generate_space
 
 
@@ -131,12 +131,14 @@ def test_neighbour_distance_bound(bundle_b):
 
 def test_descendant_chains_total(bundle_b):
     h, order = bundle_b.hierarchy, bundle_b.order
-    anc = reference_cubes(h, order)
+    anc = ancestors(h, order.parents)
+    assert len(anc) == h.num_levels
     for k in range(h.k_coarse, h.k_fine + 1):
-        assert anc[k].shape == (16,)
-        assert anc[k].min() >= 0
-        assert anc[k].max() < h.level(k).size
-    assert np.all(anc[h.k_coarse] == 0)
+        cells = anc[k - h.k_coarse]
+        assert cells.shape == (16,)
+        assert cells.min() >= 0
+        assert cells.max() < h.level(k).size
+    assert np.all(anc[0] == 0)
 
 
 def test_rebuild_determinism(fix_b, constants_b):

@@ -5,8 +5,7 @@ import pytest
 
 from hwave.randomized import (OmegaSample, RandomizedSystem,
                               boundary_layer_probability, boundary_theory_bound,
-                              build_cubes, new_points, sample_omega,
-                              sample_omega_batch, theoretical_eta,
+                              sample_omega, sample_omega_batch, theoretical_eta,
                               verify_center_sandwich, verify_system)
 from hwave.space import FiniteSpace
 from hwave.pipeline import build_bundle
@@ -53,19 +52,16 @@ def test_degenerate_space_has_unique_sample():
 
 
 def test_new_points_fix_a(bundle_a):
-    h, order = bundle_a.hierarchy, bundle_a.order
+    order, machine = bundle_a.order, bundle_a.machine
     # label1 of the single coarse point is 0; secondary label 2 marks point 1
     omega = OmegaSample(k_coarse=-1, ell=np.array([0]), m=np.array([2]))
-    z = new_points(h, order, omega)
+    z = machine.system(omega).z
     assert z[0].tolist() == [1]
-    # mismatched primary label leaves the reference point in place
-    omega = OmegaSample(k_coarse=-1, ell=np.array([order.L + 0]), m=np.array([2]))
     if order.L == 0:
-        omega = OmegaSample(k_coarse=-1, ell=np.array([0]), m=np.array([2]))
-        # with L = 0 the label always matches; force the other branch via m
-        omega_miss = OmegaSample(k_coarse=-1, ell=np.array([0]), m=np.array([4]))
-        z = new_points(h, order, omega_miss)
-        assert z[0].tolist() == [3]  # label2 = 4 marks point 3
+        # with L = 0 the primary label always matches; label2 = 4 marks point 3
+        omega = OmegaSample(k_coarse=-1, ell=np.array([0]), m=np.array([4]))
+        z = machine.system(omega).z
+        assert z[0].tolist() == [3]
 
 
 def test_new_points_label_mismatch(bundle_b):
@@ -73,7 +69,7 @@ def test_new_points_label_mismatch(bundle_b):
     lab = order.label1_at(1)
     miss = int(set(range(order.L + 1)).difference(lab.tolist()).pop())
     omega = OmegaSample(k_coarse=0, ell=np.array([0, miss]), m=np.array([1, 1]))
-    z = new_points(h, order, omega)
+    z = bundle_b.machine.system(omega).z
     assert z[1].tolist() == h.level(1).tolist()
 
 
@@ -103,17 +99,6 @@ def test_cube_partition_and_tiling_100_seeds(bundle_b):
         assert centre.ok, centre.failures
 
 
-def test_build_cubes_agrees_with_machine(bundle_b):
-    sp, c = bundle_b.space, bundle_b.constants
-    h, order = bundle_b.hierarchy, bundle_b.order
-    omega = sample_omega(order, 7)
-    direct = build_cubes(sp, c, h, order, omega)
-    fast = bundle_b.machine.system(omega)
-    for k in range(h.k_coarse, h.k_fine + 1):
-        assert np.array_equal(direct.cubes_at(k), fast.cubes_at(k))
-        assert np.array_equal(direct.z_at(k), fast.z_at(k))
-
-
 def test_identity_above_capture_scale(bundle_b):
     # at the finest transition every point is within the capture radius of
     # itself only, so the sampled order coincides with the reference order
@@ -130,11 +115,11 @@ def test_corrupted_parent_map_reported(bundle_b):
     bad_parents = [p.copy() for p in system.parents]
     pos4 = np.where(h.level(2) == 4)[0][0]
     bad_parents[1][pos4] = 0  # steal the centre of cube (1, 1)
-    from hwave.randomized import _ancestors_from_parents
+    from hwave.nets import ancestors
     corrupted = RandomizedSystem(
         k_coarse=system.k_coarse, k_fine=system.k_fine, omega=omega,
         z=system.z, parents=tuple(bad_parents),
-        cubes=_ancestors_from_parents(h, tuple(bad_parents)))
+        cubes=ancestors(h, bad_parents))
     rep = verify_center_sandwich(sp, c, h, corrupted)
     assert not rep.ok
     assert any("inner ball" in f for f in rep.failures)

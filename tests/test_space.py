@@ -88,6 +88,38 @@ def test_triple_scan_invariant(fix_b, constants_b):
         assert np.all(d[mask] <= a0 * sums[mask] + 1e-12)
 
 
+def _a0_triple_loop(d):
+    """Reference: max over z and pairs x, y outside z of d(x,y) / (d(x,z) + d(z,y))."""
+    n = d.shape[0]
+    best = 1.0
+    for z in range(n):
+        sums = d[:, z][:, None] + d[z, :][None, :]
+        mask = ~np.eye(n, dtype=bool)
+        mask[z, :] = mask[:, z] = False
+        if mask.any():
+            best = max(best, float((d[mask] / sums[mask]).max()))
+    return best
+
+
+@pytest.mark.parametrize("descriptor,power", [
+    ("power_line(9, 2)", 1.0), ("grid(5, 2, metric=l2)", 1.0),
+    ("tree(3)", 1.0), ("random_cloud(14, 2, 3)", 2.0),
+    ("random_cloud(14, 2, 5)", 1.7), ("line(3)", 1.0),
+])
+def test_quasi_triangle_constant_equals_triple_loop(descriptor, power):
+    sp = generate_space(descriptor)
+    sp = FiniteSpace(dist=sp.dist**power, weights=sp.weights)
+    c = compute_constants(sp)
+    assert c.A0 == _a0_triple_loop(sp.dist)
+    if c.A0 > 1.0:
+        x, y, z = c.a0_witness
+        assert len({x, y, z}) == 3
+        d = sp.dist
+        assert d[x, y] / (d[x, z] + d[z, y]) == c.A0
+    else:
+        assert c.a0_witness is None
+
+
 def test_cmu_against_dense_grid_oracle(fix_b, constants_b):
     # oracle: sweep a fine radius grid well past the diameter
     t = 2.0
