@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import NetHierarchy, ReferenceOrder, ancestors
-from .space import FiniteSpace, SpaceConstants, canonical_radii
+from .space import FiniteSpace, SpaceConstants, canonical_radii, distinct_balls
 from .splines import SplineTable
 from .wavelets import WaveletBasis
 
@@ -21,6 +21,7 @@ __all__ = [
     "KjSequence",
     "KernelSumReport",
     "empty_annulus_dichotomy",
+    "dichotomy_holds",
     "kj_sequence",
     "verify_sum_large_balls",
     "sum_large_balls_sup",
@@ -83,6 +84,40 @@ def empty_annulus_dichotomy(space: FiniteSpace, constants: SpaceConstants,
         )
     return DichotomyVerdict(x=x, r=float(r), R=float(R), eps=eps,
                             volume_growth=bool(growth), annulus_empty=bool(empty))
+
+
+def dichotomy_holds(space: FiniteSpace, constants: SpaceConstants,
+                    radii: np.ndarray) -> bool:
+    """Whether the dichotomy holds at every point x for all r < R in ``radii``.
+
+    Same verdict as calling ``empty_annulus_dichotomy`` on every (x, r, R),
+    with at most one call per (x, r).  The annulus of (r, R) is nonempty
+    exactly for R at or past the first radius with R / (2 A0) above the
+    nearest distance >= 2 A0 r; on that suffix the dichotomy fails for some R
+    exactly when it fails for the R of least mass, which is the one passed on.
+    """
+    a0 = constants.A0
+    n_r = radii.size
+    for x in range(space.n):
+        starts = distinct_balls(space, x, radii)
+        vol = np.repeat([space.volume(x, float(radii[k])) for k in starts],
+                        np.diff(np.append(starts, n_r)))
+        # least[s]: first index of the least mass over radii[s:]
+        rev = vol[::-1]
+        at_min = np.where(rev == np.minimum.accumulate(rev), np.arange(n_r), 0)
+        least = n_r - 1 - np.maximum.accumulate(at_min)[::-1]
+        srow = np.sort(space.dist[x])
+        inner = np.searchsorted(srow, 2.0 * a0 * radii, side="left")
+        nearest = np.append(srow, np.inf)[inner]
+        # nearest is itself a radius above r, so every R from here on is > r
+        start = np.searchsorted(radii / (2.0 * a0), nearest, side="right")
+        for i in np.flatnonzero(start < n_r):
+            try:
+                empty_annulus_dichotomy(space, constants, x, float(radii[i]),
+                                        float(radii[least[start[i]]]))
+            except AssertionError:
+                return False
+    return True
 
 
 def _largest_k_scale_geq(delta: float, r: float) -> int:
@@ -196,9 +231,10 @@ def verify_sum_large_balls(space: FiniteSpace, h: NetHierarchy, x: int, r: float
 def sum_large_balls_sup(space: FiniteSpace, h: NetHierarchy,
                         nu: float, a: float, gamma: float) -> float:
     """Worst ratio over every point and every canonical radius."""
+    radii = canonical_radii(space)
     best = 0.0
     for x in range(space.n):
-        for r in canonical_radii(space):
+        for r in radii:
             best = max(best, verify_sum_large_balls(space, h, x, float(r),
                                                     nu, a, gamma))
     return best
@@ -300,10 +336,12 @@ def bmo_norm(space: FiniteSpace, b: np.ndarray, center: str = "average") -> floa
     """
     b = np.asarray(b, dtype=float)
     w = space.weights
+    radii = canonical_radii(space)
     best = 0.0
     for x in range(space.n):
         row = space.dist[x]
-        for r in canonical_radii(space):
+        # the oscillation depends on the ball only: one radius per ball
+        for r in radii[distinct_balls(space, x, radii)]:
             mask = row < r
             wm = w[mask]
             bm = b[mask]

@@ -18,6 +18,7 @@ __all__ = [
     "SpaceConstants",
     "ValidationError",
     "canonical_radii",
+    "distinct_balls",
     "minplus",
     "compute_constants",
     "generate_space",
@@ -162,6 +163,17 @@ def canonical_radii(space: FiniteSpace) -> np.ndarray:
     pos = pos[pos > 0]
     beyond = (float(pos[-1]) if pos.size else 0.0) + 1.0
     return np.append(pos, beyond)
+
+
+def distinct_balls(space: FiniteSpace, x: int, radii: np.ndarray) -> np.ndarray:
+    """Index of the first radius of each distinct ball B(x, r), r in ``radii``.
+
+    ``radii`` is sorted ascending.  The balls are nested, so two radii give
+    the same ball exactly when the balls have the same size, and a centre has
+    at most n distinct balls.
+    """
+    sizes = np.searchsorted(np.sort(space.dist[x]), radii, side="left")
+    return np.flatnonzero(np.diff(sizes, prepend=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +455,9 @@ def _gen_two_cluster(n: int, gap: float, weights=None) -> FiniteSpace:
     if gap <= 0:
         raise ValidationError("two_cluster gap must be positive")
     h = (n + 1) // 2
+    if gap <= h - 1:
+        raise ValidationError(
+            f"two_cluster gap {gap:g} must exceed the first cluster's width {h - 1}")
     coords = np.concatenate([np.arange(h, dtype=float),
                              gap + np.arange(n - h, dtype=float)])
     return FiniteSpace(

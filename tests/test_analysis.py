@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 import hwave.analysis as an
 from hwave.pipeline import build_bundle
 from hwave.randomized import sample_omega
-from hwave.space import FiniteSpace, canonical_radii, compute_constants, generate_space
+from hwave.space import (FiniteSpace, canonical_radii, compute_constants,
+                         generate_space, resolve_space)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,126 @@ def test_dichotomy_never_fails_on_scans(fix_b, constants_b, two_cluster):
 def test_dichotomy_rejects_bad_radii(fix_a, constants_a):
     with pytest.raises(ValueError):
         an.empty_annulus_dichotomy(fix_a, constants_a, 0, 2.0, 1.0)
+
+
+# Spaces for the scan oracle; the random clouds have D = 191 canonical radii.
+SCAN_SPACES = ["FIX-A", "FIX-B", "cycle(20, weights=uniform)", "tree(4)",
+               "grid(5, 2, l2)", "two_cluster(12, 20)", "random_cloud(20, 2, 2)",
+               "random_cloud(20, 2, 4)", "random_cloud(20, 2, 5)",
+               "random_cloud(20, 2, 6)"]
+
+
+def _triples(sp, a0):
+    """For every x and canonical r: V(x, r), then V(x, R) and whether the
+    annulus 2 A0 r <= d(x, .) < R / (2 A0) is nonempty, for every R > r, with
+    the expressions of ``empty_annulus_dichotomy``."""
+    radii = canonical_radii(sp)
+    for x in range(sp.n):
+        row = sp.dist[x][:, None]
+        vol = np.array([sp.volume(x, float(r)) for r in radii])
+        for i, r in enumerate(radii):
+            annulus = (row >= 2.0 * a0 * r) & (row < radii[i + 1:] / (2.0 * a0))
+            yield vol[i], vol[i + 1:], annulus.any(axis=0)
+
+
+def _dichotomy_triple_loop(sp, c):
+    """Whether the dichotomy holds at every (x, r, R), the R loop vectorised."""
+    eps = 1.0 / c.cmu(3.0 * c.A0**2)
+    return not any((~(big >= (1.0 + eps) * v) & nonempty).any()
+                   for v, big, nonempty in _triples(sp, c.A0))
+
+
+def _least_growth(sp, c):
+    """Least V(x, R) / V(x, r) over the triples with a nonempty annulus."""
+    return min(((big[nonempty] / v).min()
+                for v, big, nonempty in _triples(sp, c.A0) if nonempty.any()),
+               default=math.inf)
+
+
+@pytest.mark.parametrize("desc", SCAN_SPACES)
+def test_dichotomy_scan_matches_triple_loop(desc):
+    sp = resolve_space(desc)
+    c = compute_constants(sp)
+    radii = canonical_radii(sp)
+    assert _dichotomy_triple_loop(sp, c)
+    assert an.dichotomy_holds(sp, c, radii)
+    # A forced C_mu(3 A0^2) shrinks the growth factor.  1.0 and 1.25 make the
+    # random clouds fail; just past the least growth ratio only the tightest
+    # triples fail, which a scan checking the wrong R would miss.
+    key = float(3.0 * c.A0**2)
+    forced = {1.0: None, 1.25: None}
+    rho = _least_growth(sp, c)
+    if math.isfinite(rho):
+        forced[1.0 / ((rho - 1.0) * (1.0 - 1e-9))] = True
+        forced[1.0 / ((rho - 1.0) * (1.0 + 1e-9))] = False
+    verdicts = []
+    for cmu, holds in forced.items():
+        cc = dataclasses.replace(c, _cmu_cache={key: cmu})
+        expected = _dichotomy_triple_loop(sp, cc)
+        assert holds is None or expected == holds
+        assert an.dichotomy_holds(sp, cc, radii) == expected
+        verdicts.append(expected)
+    if desc.startswith("random_cloud"):
+        assert not verdicts[0] and not verdicts[1]
+
+
+@pytest.mark.parametrize("cmu", [None, 1.0])
+def test_dichotomy_scan_agrees_with_calls(cmu):
+    """The vectorised oracle against one ``empty_annulus_dichotomy`` call per
+    (x, r, R), on a space small enough for every call (29 radii)."""
+    sp = generate_space("random_cloud(8, 2, 1)")
+    c = compute_constants(sp)
+    if cmu is not None:
+        c = dataclasses.replace(c, _cmu_cache={float(3.0 * c.A0**2): cmu})
+    radii = canonical_radii(sp)
+    failed = False
+    for x in range(sp.n):
+        for i, r in enumerate(radii):
+            for R in radii[i + 1:]:
+                try:
+                    an.empty_annulus_dichotomy(sp, c, x, float(r), float(R))
+                except AssertionError:
+                    failed = True
+    assert failed == (cmu is not None)
+    assert _dichotomy_triple_loop(sp, c) == (not failed)
+    assert an.dichotomy_holds(sp, c, radii) == (not failed)
+
+
+def test_dichotomy_scan_without_monotone_volumes():
+    """Pairwise summation makes some float volumes drop as the ball grows, so
+    the R of least mass is not the first R with a nonempty annulus; at this
+    C_mu only the least-mass R fails.  The weights come from a search over
+    random weights for such a case."""
+    w = np.array([9.928888400102505e-10, 9.125483298327842e-13,
+                  0.011066002094732685, 2.4539012104923163e-15,
+                  2.0229022809237174e-17, 0.0006965674826391054,
+                  8.166878554203827e-17, 2.157605806178503e-20,
+                  7.120917267407061e-06, 9.84770378426333e-07,
+                  8.417102557352974e-07, 7.882341002263482e-11])
+    sp = FiniteSpace(dist=generate_space("line(12)").dist, weights=w)
+    radii = canonical_radii(sp)
+    vol = np.array([sp.volume(0, float(r)) for r in radii])
+    assert (np.diff(vol) < 0).any()
+    c = compute_constants(sp)
+    c = dataclasses.replace(c, _cmu_cache={float(3.0 * c.A0**2): 15.886452615886332})
+    assert not _dichotomy_triple_loop(sp, c)
+    assert not an.dichotomy_holds(sp, c, radii)
+
+
+def test_dichotomy_scan_call_budget(monkeypatch):
+    sp = generate_space("random_cloud(20, 2, 1)")
+    c = compute_constants(sp)
+    radii = canonical_radii(sp)
+    calls = []
+    real = an.empty_annulus_dichotomy
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(an, "empty_annulus_dichotomy", counted)
+    assert an.dichotomy_holds(sp, c, radii)
+    assert 0 < len(calls) <= sp.n * (radii.size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +316,26 @@ def test_bmo_half_indicator_oracle(fix_b):
             best = max(best, float(np.dot(w, np.abs(vals - avg)) / w.sum()))
     assert an.bmo_norm(fix_b, b) == pytest.approx(best)
     assert best == 0.5
+
+
+@pytest.mark.parametrize("desc", ["FIX-B", "tree(4)", "random_cloud(20, 2, 1)"])
+@pytest.mark.parametrize("center", ["average", "median"])
+def test_bmo_norm_equals_scan_over_every_radius(desc, center):
+    sp = resolve_space(desc)
+    b = np.random.default_rng(21).normal(size=sp.n)
+    w = sp.weights
+    best = 0.0
+    for x in range(sp.n):
+        for r in canonical_radii(sp):
+            mask = sp.dist[x] < r
+            wm, bm = w[mask], b[mask]
+            tot = wm.sum()
+            if center == "average":
+                c = bm[0] + float(np.dot(wm, bm - bm[0]) / tot)
+            else:
+                c = an._weighted_median(bm, wm)
+            best = max(best, float(np.dot(wm, np.abs(bm - c)) / tot))
+    assert an.bmo_norm(sp, b, center) == best
 
 
 def test_bmo_average_vs_median_factor_two(fix_b):

@@ -196,6 +196,14 @@ def test_two_cluster_gap():
     assert sp.dist[0, 1] == 1.0
 
 
+def test_two_cluster_rejects_overlapping_gap():
+    with pytest.raises(ValidationError, match="gap 5 must exceed the first cluster's width 5"):
+        generate_space("two_cluster(12, 5)")
+    sp = generate_space("two_cluster(14, 9.5)")
+    assert sp.n == 14
+    assert sp.dist[6, 7] == 3.5
+
+
 def test_grid_linf_is_metric():
     sp = generate_space("grid(3, 2)")
     assert sp.n == 9
