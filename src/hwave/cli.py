@@ -58,13 +58,13 @@ def _cmd_nets(args) -> int:
     constants = compute_constants(space)
     h = build_nets(space, constants, args.delta, args.mode)
     order = build_reference_order(space, constants, h)
-    rep = verify_nets(space, constants, h)
+    verified = all(c.passed for c in verify_nets(space, constants, h))
     sizes = {k: h.level(k).size for k in range(h.k_coarse, h.k_fine + 1)}
     print(f"levels {h.k_coarse}..{h.k_fine}, sizes {sizes}, "
-          f"L={order.L} M={order.M}, verified={rep.ok}")
+          f"L={order.L} M={order.M}, verified={verified}")
     if args.out:
         save_nets(h, order, _outdir(args) / "nets.json")
-    return 0 if rep.ok else 1
+    return 0 if verified else 1
 
 
 def _cmd_cubes(args) -> int:
@@ -115,12 +115,12 @@ def _cmd_splines(args) -> int:
         print(f"splines built for levels {h.k_coarse}..{h.k_fine}")
         return 0
     if args.action == "check":
+        from .report import format_report
         from .splines import verify_spline_table
-        rep = verify_spline_table(space, bundle.constants, h,
-                                  bundle.transitions, bundle.splines)
-        for name, ok, detail in rep.checks:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name} {detail}")
-        return 0 if rep.ok else 1
+        checks = verify_spline_table(space, bundle.constants, h,
+                                     bundle.transitions, bundle.splines)
+        print(format_report(checks))
+        return 0 if all(c.passed for c in checks) else 1
     # holder
     k = args.level if args.level is not None else h.k_fine - 1
     prof = holder_profile(space, h, bundle.splines, k, bundle.eta)

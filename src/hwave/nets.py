@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .report import CheckResult, check_flag
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -125,32 +126,22 @@ def build_nets(space: FiniteSpace, constants: SpaceConstants, delta: float,
         k_fine -= 1
     levels = tuple(np.asarray(lv, dtype=int) for lv in all_levels)
     h = NetHierarchy(delta=delta, k_coarse=k_coarse, k_fine=k_fine, levels=levels)
-    report = verify_nets(space, constants, h)
-    if not report.ok:
-        raise GeometryViolation("net covering/separation failed: "
-                                + "; ".join(report.failures))
+    checks = verify_nets(space, constants, h)
+    if not all(c.passed for c in checks):
+        raise GeometryViolation("net covering/separation failed: " + "; ".join(
+            c.line() for c in checks if not c.passed))
     return h
 
 
-@dataclass(frozen=True)
-class NetVerification:
-    rows: tuple  # (k, separation_worst, covering_worst, covering_bound, ok)
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def verify_nets(space: FiniteSpace, constants: SpaceConstants,
-                h: NetHierarchy) -> NetVerification:
+                h: NetHierarchy) -> list[CheckResult]:
     """Check separation >= delta^k within levels and covering < 2 A0 delta^k."""
-    rows = []
-    failures = []
+    checks = []
+    structure = []
     a0 = constants.A0
     for k in range(h.k_coarse, h.k_fine + 1):
         lev = h.level(k)
-        sep_req = h.scale(k)
+        dk = h.scale(k)
         if lev.size > 1:
             sub = space.dist[np.ix_(lev, lev)]
             off = sub[~np.eye(lev.size, dtype=bool)]
@@ -158,22 +149,24 @@ def verify_nets(space: FiniteSpace, constants: SpaceConstants,
         else:
             sep_worst = math.inf
         cov_worst = float(space.dist[:, lev].min(axis=1).max())
-        cov_bound = 2.0 * a0 * sep_req
-        ok = sep_worst >= sep_req and cov_worst < cov_bound
-        rows.append((k, sep_worst, cov_worst, cov_bound, ok))
-        if sep_worst < sep_req:
-            failures.append(f"level {k}: separation {sep_worst} < {sep_req}")
-        if cov_worst >= cov_bound:
-            failures.append(f"level {k}: covering {cov_worst} >= {cov_bound}")
-        if k > h.k_coarse:
-            prev = h.level(k - 1)
-            if not np.all(np.isin(prev, lev)):
-                failures.append(f"level {k - 1} not nested in level {k}")
+        cov_bound = 2.0 * a0 * dk
+        checks.append(check_flag(
+            f"net-separation level {k}",
+            f"min pair distance {sep_worst:.4g} vs scale {dk:.4g}",
+            sep_worst >= dk))
+        checks.append(CheckResult(
+            f"net-covering level {k}", f"worst distance to net {cov_worst:.4g}",
+            tolerance=cov_bound, margin=cov_bound - cov_worst,
+            passed=cov_worst < cov_bound))
+        if k > h.k_coarse and not np.all(np.isin(h.level(k - 1), lev)):
+            structure.append(f"level {k - 1} not nested in level {k}")
     if not np.array_equal(h.level(h.k_fine), np.arange(space.n)):
-        failures.append("finest level does not exhaust the space")
+        structure.append("finest level does not exhaust the space")
     if h.level(h.k_coarse).size != 1:
-        failures.append("coarsest level is not a single point")
-    return NetVerification(rows=tuple(rows), failures=tuple(failures))
+        structure.append("coarsest level is not a single point")
+    detail = "; ".join(["nesting, coarse root, finest level"] + structure)
+    checks.append(check_flag("net-structure", detail, not structure))
+    return checks
 
 
 @dataclass(frozen=True)

@@ -85,42 +85,30 @@ def build_bundle(space: FiniteSpace, delta: float, mode: str = "relaxed") -> Bun
 
 
 def _suite_nets(b: Bundle):
-    rep = verify_nets(b.space, b.constants, b.hierarchy)
-    checks = []
-    for k, sep_worst, cov_worst, cov_bound, ok in rep.rows:
-        dk = b.hierarchy.scale(k)
-        checks.append(check_flag(
-            f"net-separation level {k}",
-            f"min pair distance {sep_worst:.4g} vs scale {dk:.4g}",
-            sep_worst >= dk))
-        checks.append(check_error(
-            f"net-covering level {k}",
-            f"worst distance to net {cov_worst:.4g}",
-            cov_worst, cov_bound))
-    checks.append(check_flag("net-structure", "nesting, coarse root, finest level",
-                             rep.ok))
-    return checks
+    return verify_nets(b.space, b.constants, b.hierarchy)
 
 
 def _suite_cubes(b: Bundle, seed: int):
     omega = sample_omega(b.order, seed)
     system = b.machine.system(omega)
-    rep = verify_system(b.space, b.constants, b.hierarchy, b.order, system)
+    geometry = verify_system(b.space, b.constants, b.hierarchy, b.order, system)
     centre = verify_center_sandwich(b.space, b.constants, b.hierarchy, system)
-    checks = [
-        check_flag("cube-geometry", f"seed {seed}: partition, tiling, sandwiches",
-                   rep.ok),
-        check_flag("cube-centre-sandwich", f"seed {seed}", centre.ok),
+    detail = f"seed {seed}: partition, tiling, sandwiches"
+    failed = [f"{c.name} ({c.detail})" if c.detail else c.name
+              for c in geometry if not c.passed]
+    if failed:
+        detail += "; failed: " + ", ".join(failed)
+    return [
+        check_flag("cube-geometry", detail, not failed),
+        check_flag("cube-centre-sandwich", f"seed {seed}",
+                   all(c.passed for c in centre)),
+        *centre,
     ]
-    for name, ok, detail in centre.checks:
-        checks.append(check_flag(name, detail, ok))
-    return checks
 
 
 def _suite_splines(b: Bundle, seed: int, nsamples: int):
-    rep = verify_spline_table(b.space, b.constants, b.hierarchy,
-                              b.transitions, b.splines)
-    checks = [check_flag(name, detail, ok) for name, ok, detail in rep.checks]
+    checks = verify_spline_table(b.space, b.constants, b.hierarchy,
+                                 b.transitions, b.splines)
     mc, _ = compute_splines_mc(b.machine, nsamples, seed)
     dev = max(float(np.abs(mc.at(k) - b.splines.at(k)).max())
               for k in range(b.hierarchy.k_coarse, b.hierarchy.k_fine + 1))

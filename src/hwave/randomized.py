@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .nets import GeometryViolation, NetHierarchy, ReferenceOrder, ancestors
+from .report import CheckResult, check_flag
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -145,26 +146,13 @@ class RandomizedSystem:
         return np.nonzero(self.cubes_at(k) == alpha)[0]
 
 
-@dataclass(frozen=True)
-class SystemReport:
-    checks: tuple
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_system(space, constants, h, order, system) -> SystemReport:
+def verify_system(space, constants, h, order, system) -> list[CheckResult]:
     """Every per-sample conclusion: separation, covering, tiling, sandwiches."""
     a0 = constants.A0
     checks = []
-    failures = []
 
     def record(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
-        if not ok:
-            failures.append(f"{name}: {detail}" if detail else name)
+        checks.append(check_flag(name, detail, ok))
 
     for k in range(h.k_coarse, h.k_fine + 1):
         dk = h.scale(k)
@@ -206,7 +194,6 @@ def verify_system(space, constants, h, order, system) -> SystemReport:
                 spread_c = space.dist[xc, members].max()
                 if not spread_c <= 8 * a0**5 * dk:
                     record(f"centre-outer-ball level {k}", False, f"alpha={alpha}")
-        record(f"cube-sandwich level {k}", True)
 
     for k in range(h.k_coarse, h.k_fine):
         dk = h.scale(k)
@@ -244,41 +231,38 @@ def verify_system(space, constants, h, order, system) -> SystemReport:
             r2, c2 = np.nonzero(must)
             record(f"iterated-close-implies-descendant {l}->{k}",
                    np.all(cell_anc[r2] == c2))
-    return SystemReport(checks=tuple(checks), failures=tuple(failures))
+    return checks
 
 
-def verify_center_sandwich(space, constants, h, system) -> SystemReport:
+def verify_center_sandwich(space, constants, h, system) -> list[CheckResult]:
     """Reference centers work as cube centers: inner and outer ball margins."""
     a0 = constants.A0
     checks = []
-    failures = []
     for k in range(h.k_coarse, h.k_fine + 1):
         dk = h.scale(k)
         lev = h.level(k)
         cubes_k = system.cubes_at(k)
         worst_inner = math.inf
         worst_outer = 0.0
-        ok = True
+        escapes = []
         for alpha in range(lev.size):
             members = np.nonzero(cubes_k == alpha)[0]
             xc = lev[alpha]
             inner = np.nonzero(space.dist[xc] < dk * a0**-3 / 8.0)[0]
             if not np.all(np.isin(inner, members)):
-                ok = False
-                failures.append(f"inner ball escapes cube: level {k} alpha {alpha}")
+                escapes.append(f"inner ball escapes cube alpha {alpha}")
             if members.size:
                 spread = float(space.dist[xc, members].max())
                 worst_outer = max(worst_outer, spread)
                 if spread > 8 * a0**5 * dk:
-                    ok = False
-                    failures.append(f"cube leaves outer ball: level {k} alpha {alpha}")
+                    escapes.append(f"cube leaves outer ball alpha {alpha}")
             outside = np.nonzero(cubes_k != alpha)[0]
             if outside.size:
                 worst_inner = min(worst_inner, float(space.dist[xc, outside].min()))
-        checks.append((f"centre-sandwich level {k}", ok,
-                       f"nearest-foreign {worst_inner:.3g}, outer {worst_outer:.3g} "
-                       f"vs {8 * a0**5 * dk:.3g}"))
-    return SystemReport(checks=tuple(checks), failures=tuple(failures))
+        detail = "; ".join([f"nearest-foreign {worst_inner:.3g}, outer "
+                            f"{worst_outer:.3g} vs {8 * a0**5 * dk:.3g}"] + escapes)
+        checks.append(check_flag(f"centre-sandwich level {k}", detail, not escapes))
+    return checks
 
 
 # ---------------------------------------------------------------------------

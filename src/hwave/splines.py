@@ -17,6 +17,7 @@ import numpy as np
 
 from .nets import NetHierarchy
 from .randomized import CubeMachine
+from .report import CheckResult, check_flag
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -211,28 +212,15 @@ def build_bump(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
     return Bump(values=phi, level=k, selected=touching)
 
 
-@dataclass(frozen=True)
-class SplineVerification:
-    checks: tuple
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def verify_spline_table(space: FiniteSpace, constants: SpaceConstants,
                         h: NetHierarchy, transitions: TransitionSystem,
-                        table: SplineTable, tol: float = 1e-12) -> SplineVerification:
+                        table: SplineTable, tol: float = 1e-12) -> list[CheckResult]:
     """Partition of unity, interpolation, refinement and support sandwich."""
     a0 = constants.A0
     checks = []
-    failures = []
 
     def record(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
-        if not ok:
-            failures.append(f"{name}: {detail}" if detail else name)
+        checks.append(check_flag(name, detail, ok))
 
     for k in range(h.k_coarse, h.k_fine + 1):
         values = table.at(k)
@@ -274,7 +262,7 @@ def verify_spline_table(space: FiniteSpace, constants: SpaceConstants,
             if np.any(values[alpha, ~outer] != 0.0):
                 record(f"support-outer level {k}", False, f"alpha={alpha}")
         record(f"support-sandwich level {k}", True)
-    return SplineVerification(checks=tuple(checks), failures=tuple(failures))
+    return checks
 
 
 def save_splines(h: NetHierarchy, table: SplineTable, path) -> None:

@@ -57,10 +57,9 @@ def test_criterion_03_cube_geometry_100_seeds(bundle_b):
     h, order = bundle_b.hierarchy, bundle_b.order
     for seed in range(100):
         system = bundle_b.machine.system(sample_omega(order, seed))
-        rep = verify_system(sp, c, h, order, system)
-        assert rep.ok, rep.failures
-        centre = verify_center_sandwich(sp, c, h, system)
-        assert centre.ok, centre.failures
+        failed = [r.line() for r in verify_system(sp, c, h, order, system)
+                  + verify_center_sandwich(sp, c, h, system) if not r.passed]
+        assert not failed, failed
     _report(3, "cube geometry verified on 100 seeds with zero violations")
 
 

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +61,10 @@ def test_cubes_sample_and_boundary(tmp_path, capsys):
 
 def test_splines_check_command(capsys):
     assert main(["splines", "check", "--space", "FIX-A"]) == 0
-    assert "[PASS]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[PASS]" in out
+    assert ("[PASS] partition-of-unity level -1: err 0.00e+00 "
+            "(tolerance 0, margin 0)") in out
 
 
 def test_splines_build_writes_tsv(tmp_path):
@@ -121,6 +129,37 @@ def test_run_pipeline_artifacts_and_exit_code(tmp_path, capsys):
     assert all(entry["passed"] for entry in report)
     basis = json.loads((tmp_path / "basis.json").read_text())
     assert len(basis["members"]) == 16
+
+
+def test_cube_geometry_names_its_failures(tmp_path):
+    # relaxed mode at delta = 0.5 builds a bundle whose sampled system breaks
+    # the z-centred sandwiches; the aggregate record lists what failed
+    rc = main(["run", "--space", "cycle(16, scale=1)", "--delta", "0.5",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    geometry = next(e for e in report if e["name"] == "cube-geometry")
+    assert not geometry["passed"]
+    assert geometry["detail"].startswith(
+        "seed 1: partition, tiling, sandwiches; failed: ")
+    assert "cube-inner-ball level -3 (alpha=1)" in geometry["detail"]
+    assert "iterated-close-implies-descendant 0->-3" in geometry["detail"]
+
+
+def test_fixture_script_runs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_fixture_pipeline.py"),
+         "--nsamples", "200", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for name in ("FIX-A", "FIX-B"):
+        assert re.search(rf"^{name}: (\d+)/\1 checks passed", proc.stdout,
+                         re.MULTILINE), proc.stdout
+        assert (tmp_path / name / "report.json").exists()
 
 
 def test_strict_mode_pipeline_end_to_end():

@@ -2,12 +2,15 @@
 
 The README promises byte-identical artifacts for identical inputs, and
 refactors keep them so.  These digests were recorded before the sampled
-system, ancestor and artifact-writer routes were merged into one each.
+system, ancestor and artifact-writer routes were merged into one each; the
+report digest was recorded before every verifier returned ``CheckResult``
+records.
 """
 import hashlib
 
 import pytest
 
+from hwave.cli import main
 from hwave.pipeline import PipelineConfig, run_pipeline
 
 GOLDEN = {
@@ -25,6 +28,11 @@ GOLDEN = {
 }
 
 
+# nets, cubes and splines suites on FIX-B at delta 1/4: Haar-type objects, so
+# every record is exact
+REPORT_DIGEST = "f63ebe819fa23c2d603d027d6cb2be06f1cdd03eaf9e6a7e7781d539ae71da00"
+
+
 @pytest.mark.parametrize("space,delta", sorted(GOLDEN))
 def test_artifact_bytes_pinned(tmp_path, space, delta):
     run_pipeline(PipelineConfig(space=space, delta=delta, out=str(tmp_path),
@@ -35,3 +43,30 @@ def test_artifact_bytes_pinned(tmp_path, space, delta):
             f"{name} for {space} at delta={delta} changed (sha256 {got}). "
             "Update the digest only if the change was deliberate, and name "
             "the changed field in CHANGES.md.")
+
+
+def test_report_bytes_pinned(tmp_path):
+    result = run_pipeline(PipelineConfig(space="FIX-B", delta=0.25,
+                                         out=str(tmp_path),
+                                         suites=("nets", "cubes", "splines")))
+    assert len(result.checks) == 31
+    got = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert got == REPORT_DIGEST, (
+        f"report.json for FIX-B changed (sha256 {got}). Update the digest "
+        "only if the change was deliberate, and name the changed record in "
+        "CHANGES.md.")
+
+
+def test_run_twice_byte_identical(tmp_path, capsys):
+    argv = ["run", "--space", "cycle(16, scale=1)", "--delta", "0.2"]
+    outputs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(argv + ["-o", str(out)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "report.json" in names
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hwave.nets import (NetError, NetHierarchy, ancestors, build_nets,
-                        build_reference_order, load_nets, save_nets,
-                        verify_nets)
+from hwave.nets import (GeometryViolation, NetError, NetHierarchy, ancestors,
+                        build_nets, build_reference_order, load_nets,
+                        save_nets, verify_nets)
 from hwave.space import FiniteSpace, compute_constants, generate_space
 
 
@@ -47,29 +47,50 @@ def test_strict_mode_threshold(fix_a, constants_a):
 
 
 def test_verify_nets_fix_b_margins(fix_b, constants_b, bundle_b):
-    rep = verify_nets(fix_b, constants_b, bundle_b.hierarchy)
-    assert rep.ok
+    checks = verify_nets(fix_b, constants_b, bundle_b.hierarchy)
+    assert all(c.passed for c in checks)
     # worst covering radius at level 1, via the raw distance matrix
     worst = fix_b.dist[:, [0, 4, 8, 12]].min(axis=1).max()
     assert worst == 2 / 16
-    row = next(r for r in rep.rows if r[0] == 1)
-    assert row[2] == worst < 2 * constants_b.A0 * 0.25
+    cov = next(c for c in checks if c.name == "net-covering level 1")
+    assert cov.detail == f"worst distance to net {worst:.4g}"
+    assert cov.tolerance == 2 * constants_b.A0 * 0.25
+    assert cov.margin == cov.tolerance - worst > 0
 
 
 def test_verify_nets_catches_missing_point(fix_b, constants_b, bundle_b):
     h = bundle_b.hierarchy
     broken = NetHierarchy(delta=h.delta, k_coarse=h.k_coarse, k_fine=h.k_fine,
                           levels=(h.level(0), h.level(1), h.level(2)[:-1]))
-    rep = verify_nets(fix_b, constants_b, broken)
-    assert not rep.ok
-    assert any("covering" in f or "finest" in f for f in rep.failures)
+    failed = [c for c in verify_nets(fix_b, constants_b, broken) if not c.passed]
+    assert failed
+    assert any("covering" in c.name or "finest" in c.detail for c in failed)
+
+
+def test_covering_at_the_bound_fails():
+    # z, y2, y1, x: x hangs off y1, y1 off y2, y2 off the root z.  The
+    # triangle (x, y1, z) attains A0 = 64 / (1 + 15) = 4, so the root covers
+    # x at exactly 2 A0 delta^-3 = 64.
+    dist = np.array([[0, 7, 15, 64], [7, 0, 3, 12], [15, 3, 0, 1],
+                     [64, 12, 1, 0]], dtype=float)
+    sp = FiniteSpace(dist=dist, weights=np.ones(4))
+    c = compute_constants(sp)
+    assert c.A0 == 4.0
+    h = NetHierarchy(delta=0.5, k_coarse=-3, k_fine=0,
+                     levels=tuple(np.arange(m) for m in (1, 2, 3, 4)))
+    failed = [r for r in verify_nets(sp, c, h) if not r.passed]
+    assert [r.name for r in failed] == ["net-covering level -3"]
+    assert failed[0].tolerance == 64.0 and failed[0].margin == 0.0
+    with pytest.raises(GeometryViolation,
+                       match=r"\[FAIL\] net-covering level -3: worst distance "
+                             r"to net 64 \(tolerance 64, margin 0\)"):
+        build_nets(sp, c, 0.5)
 
 
 def test_verify_nets_single_point_vacuous():
     sp = FiniteSpace(dist=np.zeros((1, 1)), weights=np.ones(1))
     c = compute_constants(sp)
-    rep = verify_nets(sp, c, build_nets(sp, c, 0.25))
-    assert rep.ok
+    assert all(r.passed for r in verify_nets(sp, c, build_nets(sp, c, 0.25)))
 
 
 def test_fix_a_reference_order(bundle_a):
@@ -181,5 +202,5 @@ def test_power_line_hierarchy_runs():
     h = build_nets(sp, c, 1 / 16)
     order = build_reference_order(sp, c, h)
     assert h.level(h.k_fine).size == 33
-    assert verify_nets(sp, c, h).ok
+    assert all(r.passed for r in verify_nets(sp, c, h))
     assert order.M >= 2

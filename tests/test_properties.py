@@ -49,8 +49,9 @@ def test_chain_identities_hold(template, n, seed, delta):
 def test_sampled_systems_verify(template, n, seed, omega_seed):
     b = _bundle(template, n, seed, 0.2)
     system = b.machine.system(sample_omega(b.order, omega_seed))
-    rep = verify_system(b.space, b.constants, b.hierarchy, b.order, system)
-    assert rep.ok, rep.failures
+    checks = verify_system(b.space, b.constants, b.hierarchy, b.order, system)
+    failed = [c.line() for c in checks if not c.passed]
+    assert not failed, failed
 
 
 @given(n=st.integers(4, 12), seed=st.integers(0, 30),

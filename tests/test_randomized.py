@@ -93,10 +93,9 @@ def test_cube_partition_and_tiling_100_seeds(bundle_b):
     h, order = bundle_b.hierarchy, bundle_b.order
     for seed in range(100):
         system = bundle_b.machine.system(sample_omega(order, seed))
-        rep = verify_system(sp, c, h, order, system)
-        assert rep.ok, rep.failures
-        centre = verify_center_sandwich(sp, c, h, system)
-        assert centre.ok, centre.failures
+        failed = [r.line() for r in verify_system(sp, c, h, order, system)
+                  + verify_center_sandwich(sp, c, h, system) if not r.passed]
+        assert not failed, failed
 
 
 def test_identity_above_capture_scale(bundle_b):
@@ -120,9 +119,9 @@ def test_corrupted_parent_map_reported(bundle_b):
         k_coarse=system.k_coarse, k_fine=system.k_fine, omega=omega,
         z=system.z, parents=tuple(bad_parents),
         cubes=ancestors(h, bad_parents))
-    rep = verify_center_sandwich(sp, c, h, corrupted)
-    assert not rep.ok
-    assert any("inner ball" in f for f in rep.failures)
+    failed = [r for r in verify_center_sandwich(sp, c, h, corrupted) if not r.passed]
+    assert failed
+    assert any("inner ball" in r.detail for r in failed)
 
 
 def test_omega_locality(bundle_b):
@@ -208,4 +207,4 @@ def test_nondegenerate_geometry_verifies(bundle_random):
     h, order = bundle_random.hierarchy, bundle_random.order
     for seed in range(25):
         system = bundle_random.machine.system(sample_omega(order, seed))
-        assert verify_system(sp, c, h, order, system).ok
+        assert all(r.passed for r in verify_system(sp, c, h, order, system))

@@ -50,9 +50,10 @@ def test_partition_of_unity(bundle_b, bundle_random):
 
 def test_verify_spline_table(bundle_a, bundle_b, bundle_random):
     for b in (bundle_a, bundle_b, bundle_random):
-        rep = verify_spline_table(b.space, b.constants, b.hierarchy,
-                                  b.transitions, b.splines)
-        assert rep.ok, rep.failures
+        checks = verify_spline_table(b.space, b.constants, b.hierarchy,
+                                     b.transitions, b.splines)
+        failed = [c.line() for c in checks if not c.passed]
+        assert not failed, failed
 
 
 def test_mc_matches_exact_fix_a(bundle_a):
