@@ -312,7 +312,8 @@ def save_matrix_csv(matrix: np.ndarray, path, labels=None) -> None:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "value"])
         for i, j in zip(*np.nonzero(matrix)):
-            writer.writerow([int(labels[i]), int(labels[j]), repr(matrix[i, j])])
+            writer.writerow([int(labels[i]), int(labels[j]),
+                             repr(float(matrix[i, j]))])
 
 
 def save_gram_system(h: NetHierarchy, gramsys: GramSystem, out) -> None:

@@ -273,4 +273,4 @@ def save_splines(h: NetHierarchy, table: SplineTable, path) -> None:
             vals = table.at(k)
             for a, center in enumerate(h.level(k)):
                 for x in range(vals.shape[1]):
-                    fh.write(f"{k}\t{center}\t{x}\t{vals[a, x]!r}\n")
+                    fh.write(f"{k}\t{center}\t{x}\t{float(vals[a, x])!r}\n")

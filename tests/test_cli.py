@@ -162,6 +162,21 @@ def test_fixture_script_runs(tmp_path):
         assert (tmp_path / name / "report.json").exists()
 
 
+def test_run_artifacts_hold_plain_floats(tmp_path):
+    assert main(["run", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
+    tables = [(tmp_path / "splines.tsv", "\t")]
+    tables += [(p, ",") for p in sorted(tmp_path.glob("gram_level_*.csv"))]
+    assert len(tables) == 4
+    for path, sep in tables:
+        header, *rows = path.read_text().splitlines()
+        assert header.split(sep)[-1] == "value"
+        assert rows
+        for row in rows:
+            float(row.split(sep)[-1])
+    for path in tmp_path.iterdir():
+        assert "np." not in path.read_text(), path.name
+
+
 def test_strict_mode_pipeline_end_to_end():
     result = run_pipeline(PipelineConfig(space="FIX-A", delta=1e-4,
                                          mode="strict", nsamples=50))

@@ -19,7 +19,8 @@ GOLDEN = {
         "constants.json": "b092fe3fafdf7edfcd60a81464bade90564cadc9699607c1e068ede27acf4c60",
         "nets.json": "c01270f6e68b19c6df4845d2545b1ddda16680fc3103505cf84b99ab636e237b",
         "system.json": "db1bdda3344a4610595b630e85e7aadf5eca400b7fa6302abd7dc9aabe6f0b88",
-        "splines.tsv": "93d04242b6a7e9d6a2fa2d8753c64023a63e9dbde684df2de9ed676f777f8855",
+        # values written as Python floats (1.0, not np.float64(1.0))
+        "splines.tsv": "abe965a81d8a83efa34e6874aa1e888f4245ff4da3468c22bddb4abdf871c054",
     },
     ("cycle(16, scale=1)", 0.2): {
         "nets.json": "497cd7ee9bafffd8023cb8518f4cadc204e2bb0d1a40d9df9ba6848da7029e79",
