@@ -234,7 +234,9 @@ def sum_large_balls_sup(space: FiniteSpace, h: NetHierarchy,
     radii = canonical_radii(space)
     best = 0.0
     for x in range(space.n):
-        for r in radii:
+        # within one ball V(x, r) is fixed and a smaller r only adds
+        # nonnegative terms: the first radius of each ball is the worst
+        for r in radii[distinct_balls(space, x, radii)]:
             best = max(best, verify_sum_large_balls(space, h, x, float(r),
                                                     nu, a, gamma))
     return best

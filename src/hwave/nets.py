@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .report import CheckResult, check_flag
+from .report import CheckResult, check_flag, write_json
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -315,7 +315,7 @@ def ancestors(h: NetHierarchy, parents) -> tuple:
 
 
 def save_nets(h: NetHierarchy, order: ReferenceOrder, path) -> None:
-    payload = {
+    write_json(path, {
         "delta": h.delta,
         "k_coarse": h.k_coarse,
         "k_fine": h.k_fine,
@@ -326,8 +326,7 @@ def save_nets(h: NetHierarchy, order: ReferenceOrder, path) -> None:
         "label2": [v.tolist() for v in order.label2],
         "L": order.L,
         "M": order.M,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    })
 
 
 def load_nets(path):

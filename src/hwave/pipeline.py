@@ -1,7 +1,6 @@
 """End-to-end orchestration: build every stage, verify, write artifacts."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,7 +13,8 @@ from .nets import (NetHierarchy, ReferenceOrder, build_nets,
                    build_reference_order, save_nets, verify_nets)
 from .randomized import (CubeMachine, sample_omega, save_system,
                          theoretical_eta, verify_center_sandwich, verify_system)
-from .report import check_error, check_flag, format_report, write_report
+from .report import (check_error, check_flag, format_report, write_json,
+                     write_report)
 from .space import (FiniteSpace, SpaceConstants, compute_constants,
                     resolve_space, save_space)
 from .splines import (build_transitions, compute_splines_exact,
@@ -241,16 +241,13 @@ def _write_artifacts(result: PipelineResult, out: Path, seed: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     b = result.bundle
     save_space(b.space, out / "space.json")
-    constants = {
+    write_json(out / "constants.json", {
         "A0": b.constants.A0,
-        "N_geo": b.constants.N_geo,
-        "N_geo_exact": b.constants.N_geo_exact,
         "diam": b.constants.diam,
         "min_sep": b.constants.min_sep if math.isfinite(b.constants.min_sep) else None,
         "cmu2": b.constants.cmu(2.0),
         "eta": b.eta if math.isfinite(b.eta) else None,
-    }
-    (out / "constants.json").write_text(json.dumps(constants, sort_keys=True) + "\n")
+    })
     save_nets(b.hierarchy, b.order, out / "nets.json")
     system = b.machine.system(sample_omega(b.order, seed))
     save_system(system, out / "system.json")

@@ -8,15 +8,13 @@ relation.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .nets import GeometryViolation, NetHierarchy, ReferenceOrder, ancestors
-from .report import CheckResult, check_flag
+from .report import CheckResult, check_flag, write_json
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -387,7 +385,7 @@ def boundary_layer_probability(machine: CubeMachine, x: int, k: int, eps: float,
 
 
 def save_system(system: RandomizedSystem, path) -> None:
-    payload = {
+    write_json(path, {
         "k_coarse": system.k_coarse,
         "k_fine": system.k_fine,
         "seed": system.omega.seed,
@@ -396,5 +394,4 @@ def save_system(system: RandomizedSystem, path) -> None:
         "z": [z.tolist() for z in system.z],
         "parents": [p.tolist() for p in system.parents],
         "cubes": [c.tolist() for c in system.cubes],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    })

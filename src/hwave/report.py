@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -31,6 +32,28 @@ def check_error(name: str, detail: str, error: float, tolerance: float) -> Check
 def check_flag(name: str, detail: str, ok: bool) -> CheckResult:
     return CheckResult(name=name, detail=detail, tolerance=0.0,
                        margin=0.0 if ok else -1.0, passed=bool(ok))
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``json.dumps(payload, sort_keys=True) + "\n"`` to ``path``.
+
+    A top-level value that is an iterator is written as a list, one item
+    encoded at a time, so an n x n matrix is never held whole as Python
+    floats and as text at once.
+    """
+    with open(path, "w") as fh:
+        fh.write("{")
+        for i, key in enumerate(sorted(payload)):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            value = payload[key]
+            if isinstance(value, Iterator):
+                fh.write("[")
+                for j, item in enumerate(value):
+                    fh.write(f"{', ' if j else ''}{json.dumps(item, sort_keys=True)}")
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value, sort_keys=True))
+        fh.write("}\n")
 
 
 def write_report(checks, path) -> None:

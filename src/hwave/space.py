@@ -9,9 +9,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from .report import write_json
 
 __all__ = [
     "FiniteSpace",
@@ -180,16 +183,11 @@ def distinct_balls(space: FiniteSpace, x: int, radii: np.ndarray) -> np.ndarray:
 # Structural constants
 # ---------------------------------------------------------------------------
 
-_EXACT_PACKING_CAP = 2048
-
-
 @dataclass(frozen=True)
 class SpaceConstants:
-    """Quasi-triangle constant, geometric doubling count and measure doubling."""
+    """Quasi-triangle constant, extremes, and lazily the doubling constants."""
 
     A0: float
-    N_geo: int
-    N_geo_exact: bool
     diam: float
     min_sep: float
     a0_witness: tuple[int, int, int] | None
@@ -204,6 +202,14 @@ class SpaceConstants:
         if key not in self._cmu_cache:
             self._cmu_cache[key] = _cmu_exact(self._space, key)
         return self._cmu_cache[key]
+
+    @cached_property
+    def n_geo_lower_bound(self) -> int:
+        """Greedy packing count, a lower bound for the geometric doubling N_geo.
+
+        The construction never reads N_geo; only ``hwave space`` reports it.
+        """
+        return _greedy_doubling(self._space)
 
 
 def minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -233,13 +239,9 @@ def _quasi_triangle_constant(space: FiniteSpace):
 
 
 def _cmu_exact(space: FiniteSpace, t: float) -> float:
-    # Breakpoints of r -> mu(B(x,tr))/mu(B(x,r)) are the distances and the
-    # distances divided by t; the sup over r > 0 is attained on them.
-    pos = np.unique(space.dist)
-    pos = pos[pos > 0]
-    if pos.size == 0:
-        return 1.0
-    radii = np.unique(np.concatenate([pos, pos / t, [pos[-1] + 1.0]]))
+    # Between consecutive distances from x, mu(B(x, r)) is constant and
+    # mu(B(x, tr)) grows with r, so the sup over r > 0 is attained at a
+    # distance from x (beyond the farthest point the ratio is 1).
     best = 1.0
     w = space.weights
     for x in range(space.n):
@@ -247,10 +249,11 @@ def _cmu_exact(space: FiniteSpace, t: float) -> float:
         order = np.argsort(row, kind="stable")
         sorted_d = row[order]
         cumw = np.cumsum(w[order])
+        radii = sorted_d[1:]  # sorted_d[0] is x itself
         # mass of {d < r} via binary search on the sorted row
         vol = cumw[np.searchsorted(sorted_d, radii, side="left") - 1]
         vol_t = cumw[np.searchsorted(sorted_d, t * radii, side="left") - 1]
-        best = max(best, float((vol_t / vol).max()))
+        best = max(best, float((vol_t / vol).max(initial=1.0)))
     return best
 
 
@@ -267,97 +270,29 @@ def _greedy_packing(conflict: np.ndarray) -> int:
     return count
 
 
-def _max_independent_set(adj: list[int], verts: int, best: int) -> int:
-    """Size of the maximum independent set of the conflict graph (bitsets).
-
-    Simplicial vertices (whose live neighbourhood is a clique) are taken
-    greedily, which solves interval-type conflict graphs without branching;
-    otherwise branch on a maximum-degree vertex with an incumbent bound.
-    """
-    size = 0
-    while verts:
-        count = bin(verts).count("1")
-        if size + count <= best:
-            return 0
-        best_v = -1
-        max_deg = -1
-        min_v = -1
-        min_deg = count
-        m = verts
-        while m:
-            u = (m & -m).bit_length() - 1
-            deg = bin(adj[u] & verts).count("1")
-            if deg > max_deg:
-                max_deg = deg
-                best_v = u
-            if deg < min_deg:
-                min_deg = deg
-                min_v = u
-            m &= m - 1
-        if max_deg == 0:
-            return size + count
-        nb = adj[min_v] & verts
-        clique = True
-        mm = nb
-        while mm:
-            u = (mm & -mm).bit_length() - 1
-            if (adj[u] & nb) != (nb & ~(1 << u)):
-                clique = False
-                break
-            mm &= mm - 1
-        if clique:
-            # taking a simplicial vertex is always optimal
-            size += 1
-            verts &= ~((1 << min_v) | nb)
-            continue
-        v = best_v
-        with_v = 1 + _max_independent_set(adj, verts & ~((1 << v) | adj[v]),
-                                          best - size - 1)
-        without_v = _max_independent_set(adj, verts & ~(1 << v),
-                                         max(best - size, with_v))
-        return size + max(with_v, without_v)
-    return size
-
-
-def _geometric_doubling(space: FiniteSpace):
-    """Largest packing of any ball by points pairwise farther than half its radius."""
-    n = space.n
-    if n == 1:
-        return 1, True
-    exact = n <= _EXACT_PACKING_CAP
+def _greedy_doubling(space: FiniteSpace) -> int:
+    """Greedy packings of every ball by points pairwise farther than half its
+    radius, largest count."""
     radii = canonical_radii(space)
     best = 1
-    for x in range(n):
+    for x in range(space.n):
         row = space.dist[x]
-        sizes = np.searchsorted(np.sort(row), radii, side="left")
-        prev_size = -1
-        for r, size in zip(radii, sizes):
-            # same ball with a larger radius only strengthens the separation
-            if size == prev_size or size <= best:
-                continue
-            prev_size = int(size)
+        for r in radii[distinct_balls(space, x, radii)]:
             members = np.nonzero(row < r)[0]
-            sub = space.dist[np.ix_(members, members)]
-            conflict = sub <= r / 2.0
+            # a ball of at most ``best`` points cannot beat it
+            if members.size <= best:
+                continue
+            conflict = space.dist[np.ix_(members, members)] <= r / 2.0
             np.fill_diagonal(conflict, False)
             best = max(best, _greedy_packing(conflict))
-            if not exact or members.size <= best:
-                continue
-            adj = [int.from_bytes(
-                np.packbits(conflict[i], bitorder="little").tobytes(), "little")
-                for i in range(members.size)]
-            best = max(best, _max_independent_set(adj, (1 << members.size) - 1, best))
-    return best, exact
+    return best
 
 
 def compute_constants(space: FiniteSpace) -> SpaceConstants:
-    """Exact A0 (max over ordered triples), geometric doubling count and extremes."""
+    """Exact A0 (max over ordered triples) and the distance extremes."""
     a0, witness = _quasi_triangle_constant(space)
-    n_geo, exact = _geometric_doubling(space)
     return SpaceConstants(
         A0=a0,
-        N_geo=n_geo,
-        N_geo_exact=exact,
         diam=space.diam,
         min_sep=space.min_sep,
         a0_witness=witness,
@@ -616,12 +551,11 @@ def load_space(path) -> FiniteSpace:
 
 
 def save_space(space: FiniteSpace, path) -> None:
-    payload = {
+    write_json(path, {
         "n": space.n,
         "metric": "explicit",
-        "distances": space.dist.tolist(),
+        "distances": (row.tolist() for row in space.dist),
         "weights": space.weights.tolist(),
         "scale": 1.0,
         "name": space.name,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    })

@@ -17,6 +17,7 @@ import numpy as np
 
 from .mra import GramSystem, NotSPDError, inverse_and_sqrt
 from .nets import NetHierarchy
+from .report import write_json
 from .space import FiniteSpace, SpaceConstants
 from .splines import SplineTable
 
@@ -230,22 +231,19 @@ def decay_and_regularity_report(space: FiniteSpace, constants: SpaceConstants,
 
 
 def save_basis(basis: WaveletBasis, path) -> None:
-    members = []
-    for i in range(basis.n_members):
-        members.append({
-            "level": int(basis.levels[i]),
-            "center": int(basis.centers[i]),
-            "kind": "wavelet" if bool(basis.is_wavelet[i]) else "scaling",
-            "values": basis.values[i].tolist(),
-        })
-    payload = {
+    members = ({
+        "level": int(basis.levels[i]),
+        "center": int(basis.centers[i]),
+        "kind": "wavelet" if bool(basis.is_wavelet[i]) else "scaling",
+        "values": basis.values[i].tolist(),
+    } for i in range(basis.n_members))
+    write_json(path, {
         "n": basis.space.n,
         "delta": basis.delta,
         "k_coarse": basis.k_coarse,
         "k_fine": basis.k_fine,
         "members": members,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    })
 
 
 def load_basis(space: FiniteSpace, path) -> WaveletBasis:

@@ -245,6 +245,20 @@ def test_sum_large_balls_sup_stable(bundle_b, bundle_c32):
     assert max(s16, s32) / min(s16, s32) <= 1.3
 
 
+@pytest.mark.parametrize("desc,delta", [
+    ("FIX-A", 0.25), ("FIX-B", 0.25), ("cycle(16, scale=1)", 0.2),
+    ("tree(4)", 0.25), ("two_cluster(6, 64)", 0.25), ("grid(4, 2)", 0.25),
+    ("random_cloud(20, 2, 1)", 0.25),
+])
+@pytest.mark.parametrize("nu,a,gamma", [(1.0, 1.0, 1.0), (0.5, 2.0, 0.3)])
+def test_sum_large_balls_sup_equals_scan_over_every_radius(desc, delta, nu, a, gamma):
+    b = build_bundle(resolve_space(desc), delta)
+    full = max(an.verify_sum_large_balls(b.space, b.hierarchy, x, float(r),
+                                         nu, a, gamma)
+               for x in range(b.space.n) for r in canonical_radii(b.space))
+    assert an.sum_large_balls_sup(b.space, b.hierarchy, nu, a, gamma) == full
+
+
 def test_sum_large_balls_bounded_despite_gap(plateau_bundle):
     b = plateau_bundle
     sup = an.sum_large_balls_sup(b.space, b.hierarchy, 1.0, 1.0, 1.0)

@@ -16,7 +16,7 @@ def test_space_command(capsys):
     assert main(["space", "--space", "FIX-B"]) == 0
     out = capsys.readouterr().out
     assert "n=16" in out
-    assert "A0=1" in out
+    assert "A0=1 N_geo>=4 (greedy packing) Cmu(2)=3" in out
 
 
 def test_nets_command_writes_file(tmp_path, capsys):
@@ -25,6 +25,21 @@ def test_nets_command_writes_file(tmp_path, capsys):
     data = json.loads((tmp_path / "nets.json").read_text())
     assert data["k_fine"] == 2
     assert data["levels"][1] == [0, 4, 8, 12]
+
+
+def test_nets_command_verifies_once(monkeypatch, capsys):
+    import hwave.nets
+    calls = []
+    verify = hwave.nets.verify_nets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+    monkeypatch.setattr(hwave.nets, "verify_nets", counted)
+    assert main(["nets", "--space", "FIX-B"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "levels 0..2, sizes {0: 1, 1: 4, 2: 16}, L=2 M=5, verified=True\n")
 
 
 def test_strict_mode_rejected_at_quarter(capsys):
@@ -129,6 +144,21 @@ def test_run_pipeline_artifacts_and_exit_code(tmp_path, capsys):
     assert all(entry["passed"] for entry in report)
     basis = json.loads((tmp_path / "basis.json").read_text())
     assert len(basis["members"]) == 16
+
+
+def test_run_path_never_packs(monkeypatch, tmp_path):
+    # N_geo is reported by ``hwave space`` only: no build, suite or artifact
+    # of a run may start the packing search
+    import hwave.space
+
+    def refuse(conflict):
+        raise AssertionError("packing search on the run path")
+    monkeypatch.setattr(hwave.space, "_greedy_packing", refuse)
+    result = run_pipeline(PipelineConfig(space="FIX-B", nsamples=200,
+                                         out=str(tmp_path)))
+    assert result.ok
+    constants = json.loads((tmp_path / "constants.json").read_text())
+    assert sorted(constants) == ["A0", "cmu2", "diam", "eta", "min_sep"]
 
 
 def test_cube_geometry_names_its_failures(tmp_path):

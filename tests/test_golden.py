@@ -4,9 +4,11 @@ The README promises byte-identical artifacts for identical inputs, and
 refactors keep them so.  These digests were recorded before the sampled
 system, ancestor and artifact-writer routes were merged into one each; the
 report digest was recorded before every verifier returned ``CheckResult``
-records.
+records.  The constants digest was recorded when ``N_geo`` and
+``N_geo_exact`` left ``constants.json``.
 """
 import hashlib
+import json
 
 import pytest
 
@@ -16,7 +18,8 @@ from hwave.pipeline import PipelineConfig, run_pipeline
 GOLDEN = {
     ("FIX-B", 0.25): {
         "space.json": "61a881528dd4b99186ae65e626b2fd22be7e76dcb4f3fd538055ed2d9d0876e1",
-        "constants.json": "b092fe3fafdf7edfcd60a81464bade90564cadc9699607c1e068ede27acf4c60",
+        # without N_geo and N_geo_exact, which no stage of a run reads
+        "constants.json": "edb54e655af3ad45d711b1f3339246b4a5d3a917570d5b81306b30661e7d7b1c",
         "nets.json": "c01270f6e68b19c6df4845d2545b1ddda16680fc3103505cf84b99ab636e237b",
         "system.json": "db1bdda3344a4610595b630e85e7aadf5eca400b7fa6302abd7dc9aabe6f0b88",
         # values written as Python floats (1.0, not np.float64(1.0))
@@ -71,3 +74,21 @@ def test_run_twice_byte_identical(tmp_path, capsys):
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("space,delta", [("FIX-B", "0.25"),
+                                         ("cycle(16, scale=1)", "0.2")])
+def test_json_artifacts_are_canonical(tmp_path, capsys, space, delta):
+    # every JSON artifact reads back and re-dumps to its own bytes, so the
+    # writers cannot drift from one canonical form
+    assert main(["run", "--space", space, "--delta", delta,
+                 "-o", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in paths] == ["basis.json", "constants.json",
+                                       "nets.json", "report.json",
+                                       "space.json", "system.json"]
+    for path in paths:
+        text = path.read_text()
+        indent = 1 if path.name == "report.json" else None
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=indent) + "\n", path.name

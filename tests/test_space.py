@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -135,6 +136,76 @@ def test_cmu_against_dense_grid_oracle(fix_b, constants_b):
     assert constants_b.cmu(2.0) == 3.0
 
 
+def _cmu_global_breakpoints(space, t):
+    # every centre scanned over the global list of distances and distances / t
+    pos = np.unique(space.dist)
+    pos = pos[pos > 0]
+    if pos.size == 0:
+        return 1.0
+    radii = np.unique(np.concatenate([pos, pos / t, [pos[-1] + 1.0]]))
+    best = 1.0
+    for x in range(space.n):
+        row = space.dist[x]
+        order = np.argsort(row, kind="stable")
+        sorted_d = row[order]
+        cumw = np.cumsum(space.weights[order])
+        vol = cumw[np.searchsorted(sorted_d, radii, side="left") - 1]
+        vol_t = cumw[np.searchsorted(sorted_d, t * radii, side="left") - 1]
+        best = max(best, float((vol_t / vol).max()))
+    return best
+
+
+@pytest.mark.parametrize("descriptor", [
+    "FIX-A", "FIX-B", "cycle(16, scale=1)", "tree(4)", "grid(5, 2, metric=l2)",
+    "power_line(9, 2)", "two_cluster(12, 20)", "line(1)",
+    "random_cloud(20, 2, 1)", "random_cloud(30, 3, 7, weights=uniform)",
+])
+@pytest.mark.parametrize("t", [2.0, 3.0, 6.75])
+def test_cmu_per_centre_equals_global_breakpoints(descriptor, t):
+    sp = resolve_space(descriptor)
+    assert compute_constants(sp).cmu(t) == _cmu_global_breakpoints(sp, t)
+
+
+def _max_packing(space):
+    """Largest set of points of one ball B(x, r), r a canonical radius,
+    pairwise farther than r / 2 apart, by trying every subset."""
+    d = space.dist
+    best = 1
+    for x in range(space.n):
+        for r in canonical_radii(space):
+            members = np.nonzero(d[x] < r)[0]
+            for size in range(members.size, best, -1):
+                if any(all(d[a, b] > r / 2 for a, b in itertools.combinations(sub, 2))
+                       for sub in itertools.combinations(members, size)):
+                    best = size
+                    break
+    return best
+
+
+# (greedy count, maximum packing) wherever the greedy pass falls short
+GREEDY_SHORTFALLS = {
+    "random_cloud(8, 2, 4)": (4, 5),
+    "random_cloud(8, 2, 6)": (3, 4),
+    "random_cloud(10, 2, 5)": (5, 7),
+    "random_cloud(10, 2, 6)": (5, 6),
+}
+
+
+@pytest.mark.parametrize("descriptor", [
+    "FIX-A", "line(10)", "cycle(10)", "cycle(9, scale=1)", "tree(2)",
+    "grid(3, 2)", "grid(3, 2, metric=l2)", "two_cluster(8, 10)",
+    "power_line(6, 2)", "line(1)", "random_cloud(4, 2, 1)",
+    "random_cloud(5, 2, 4)", "random_cloud(7, 2, 5)",
+    *(f"random_cloud({n}, 2, {s})" for n in (8, 10) for s in range(1, 7)),
+])
+def test_greedy_n_geo_is_a_lower_bound(descriptor):
+    sp = resolve_space(descriptor)
+    greedy = compute_constants(sp).n_geo_lower_bound
+    exact = _max_packing(sp)
+    assert greedy <= exact
+    assert GREEDY_SHORTFALLS.get(descriptor, (exact, exact)) == (greedy, exact)
+
+
 def test_cmu_monotone_in_t(constants_b):
     values = [constants_b.cmu(t) for t in (1.0, 1.5, 2.0, 3.0, 4.0)]
     assert values == sorted(values)
@@ -170,7 +241,7 @@ def test_volume_monotone_and_positive(fix_b):
 def test_single_point_space():
     sp = FiniteSpace(dist=np.zeros((1, 1)), weights=np.array([2.5]))
     c = compute_constants(sp)
-    assert (c.A0, c.N_geo) == (1.0, 1)
+    assert (c.A0, c.n_geo_lower_bound) == (1.0, 1)
     assert sp.ball(0, 0.5).tolist() == [0]
 
 
@@ -278,7 +349,7 @@ def test_random_cloud_constants_are_consistent(seed, n):
         mask = ~np.eye(n, dtype=bool)
         mask[z, :] = mask[:, z] = False
         assert np.all(d[mask] <= c.A0 * sums[mask] * (1 + 1e-12))
-    assert c.N_geo >= 1
+    assert c.n_geo_lower_bound >= 1
     assert c.cmu(2.0) >= 1.0
 
 
