@@ -61,7 +61,6 @@ from .wavelets import (
 )
 from .analysis import (
     almost_diagonal_check,
-    ball_average_drift_check,
     bmo_carleson_roundtrip,
     bmo_from_carleson,
     bmo_norm,

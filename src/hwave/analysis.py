@@ -29,7 +29,6 @@ __all__ = [
     "modulated_kernel",
     "volume_matrix",
     "bmo_norm",
-    "ball_average_drift_check",
     "carleson_norm",
     "bmo_to_coefficients",
     "bmo_from_carleson",
@@ -93,20 +92,14 @@ def dichotomy_holds(space: FiniteSpace, constants: SpaceConstants,
     Same verdict as calling ``empty_annulus_dichotomy`` on every (x, r, R),
     with at most one call per (x, r).  The annulus of (r, R) is nonempty
     exactly for R at or past the first radius with R / (2 A0) above the
-    nearest distance >= 2 A0 r; on that suffix the dichotomy fails for some R
-    exactly when it fails for the R of least mass, which is the one passed on.
+    nearest distance >= 2 A0 r.  On that suffix the mass V(x, R), a running
+    sum of positive weights, never decreases, so the dichotomy fails for some
+    R exactly when it fails for the first R, which is the one passed on.
     """
     a0 = constants.A0
     n_r = radii.size
     for x in range(space.n):
-        starts = distinct_balls(space, x, radii)
-        vol = np.repeat([space.volume(x, float(radii[k])) for k in starts],
-                        np.diff(np.append(starts, n_r)))
-        # least[s]: first index of the least mass over radii[s:]
-        rev = vol[::-1]
-        at_min = np.where(rev == np.minimum.accumulate(rev), np.arange(n_r), 0)
-        least = n_r - 1 - np.maximum.accumulate(at_min)[::-1]
-        srow = np.sort(space.dist[x])
+        srow = space.balls.dist[x]
         inner = np.searchsorted(srow, 2.0 * a0 * radii, side="left")
         nearest = np.append(srow, np.inf)[inner]
         # nearest is itself a radius above r, so every R from here on is > r
@@ -114,7 +107,7 @@ def dichotomy_holds(space: FiniteSpace, constants: SpaceConstants,
         for i in np.flatnonzero(start < n_r):
             try:
                 empty_annulus_dichotomy(space, constants, x, float(radii[i]),
-                                        float(radii[least[start[i]]]))
+                                        float(radii[start[i]]))
             except AssertionError:
                 return False
     return True
@@ -248,19 +241,10 @@ def sum_large_balls_sup(space: FiniteSpace, h: NetHierarchy,
 
 
 def volume_matrix(space: FiniteSpace) -> np.ndarray:
-    """V[x, y] = mu(B(x, d(x, y))); the diagonal is left at zero."""
-    n = space.n
-    out = np.zeros((n, n))
-    w = space.weights
-    for x in range(n):
-        row = space.dist[x]
-        order = np.argsort(row, kind="stable")
-        cumw = np.cumsum(w[order])
-        idx = np.searchsorted(row[order], row, side="left")
-        vals = np.where(idx > 0, cumw[np.maximum(idx - 1, 0)], 0.0)
-        out[x] = vals
-        out[x, x] = 0.0
-    return out
+    """V[x, y] = mu(B(x, d(x, y))); the diagonal holds the empty ball, 0."""
+    tab = space.balls
+    return np.array([tab.mass[x, tab.size(x, space.dist[x])]
+                     for x in range(space.n)])
 
 
 @dataclass(frozen=True)
@@ -357,49 +341,6 @@ def bmo_norm(space: FiniteSpace, b: np.ndarray, center: str = "average") -> floa
                 raise ValueError("center must be 'average' or 'median'")
             best = max(best, float(np.dot(wm, np.abs(bm - c)) / tot))
     return best
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    constant: float
-    witness: tuple | None
-
-
-def ball_average_drift_check(space: FiniteSpace, b: np.ndarray) -> DriftReport:
-    """Empirical constant in the two-ball average comparison.
-
-    |b_B1 - b_B2| <= C ||b||_BMO (1 + log((r1 + r2 + d)/min(r1, r2))) over all
-    pairs of canonical balls; returns the smallest admissible C.
-    """
-    b = np.asarray(b, dtype=float)
-    norm = bmo_norm(space, b)
-    if norm == 0.0:
-        return DriftReport(constant=0.0, witness=None)
-    radii = canonical_radii(space)
-    w = space.weights
-    centers = []
-    avgs = []
-    for x in range(space.n):
-        row = space.dist[x]
-        for r in radii:
-            mask = row < r
-            avgs.append(float(np.dot(w[mask], b[mask]) / w[mask].sum()))
-            centers.append((x, float(r)))
-    avgs = np.asarray(avgs)
-    best = 0.0
-    witness = None
-    for i, (x1, r1) in enumerate(centers):
-        for j in range(i + 1, len(centers)):
-            x2, r2 = centers[j]
-            drift = abs(avgs[i] - avgs[j])
-            if drift == 0.0:
-                continue
-            factor = 1.0 + math.log((r1 + r2 + space.dist[x1, x2]) / min(r1, r2))
-            ratio = drift / (norm * factor)
-            if ratio > best:
-                best = ratio
-                witness = (centers[i], centers[j])
-    return DriftReport(constant=best, witness=witness)
 
 
 def _wavelet_positions(h: NetHierarchy, basis: WaveletBasis) -> np.ndarray:
@@ -557,12 +498,8 @@ def _almost_diagonal_bound(space: FiniteSpace, basis: WaveletBasis,
     kmin = np.minimum(levels[:, None], levels[None, :])
     gap = delta ** (np.abs(levels[:, None] - levels[None, :]) * eps)
     sep = (1.0 + delta ** (-kmin) * d_centers) ** -eps
-    vrel = np.array([
-        [space.volume(int(centers[i]), float(d_centers[i, j]))
-         if d_centers[i, j] > 0 else 0.0
-         for j in range(centers.size)]
-        for i in range(centers.size)
-    ])
+    # wavelet centres are distinct points; d = 0 would give the empty ball, 0
+    vrel = volume_matrix(space)[np.ix_(centers, centers)]
     denom = bvol[:, None] + bvol[None, :] + vrel
     return gap * sep * np.sqrt(np.outer(bvol, bvol)) / denom
 

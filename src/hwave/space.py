@@ -17,6 +17,7 @@ import numpy as np
 from .report import write_json
 
 __all__ = [
+    "BallTable",
     "FiniteSpace",
     "SpaceConstants",
     "ValidationError",
@@ -40,6 +41,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+@dataclass(frozen=True)
+class BallTable:
+    """Every ball of a space, centre by centre.
+
+    ``dist[x]`` holds the distances from x in ascending order and
+    ``mass[x, k]`` the weight of the k points nearest x, summed in that order
+    from ``mass[x, 0] = 0``.  B(x, r) holds the ``size(x, r)`` points nearest
+    x, so mu(B(x, r)) = ``mass[x, size(x, r)]``, which never decreases in r.
+    """
+
+    dist: np.ndarray
+    mass: np.ndarray
+
+    def size(self, x: int, r):
+        """Number of points of B(x, r), for one radius or an array of them."""
+        return np.searchsorted(self.dist[x], r, side="left")
 
 
 @dataclass(frozen=True)
@@ -115,10 +134,19 @@ class FiniteSpace:
             raise ValueError("ball radius must be positive")
         return np.nonzero(self.dist[x] < r)[0]
 
+    @cached_property
+    def balls(self) -> BallTable:
+        """The ball table, from one stable sort of each row of ``dist``."""
+        order = np.argsort(self.dist, axis=1, kind="stable")
+        mass = np.zeros((self.n, self.n + 1))
+        np.cumsum(self.weights[order], axis=1, out=mass[:, 1:])
+        return BallTable(dist=_freeze(np.take_along_axis(self.dist, order, axis=1)),
+                         mass=_freeze(mass))
+
     def volume(self, x: int, r: float) -> float:
         if r <= 0:
             raise ValueError("ball radius must be positive")
-        return float(self.weights[self.dist[x] < r].sum())
+        return float(self.balls.mass[x, self.balls.size(x, r)])
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """Weighted inner product <f, g> = sum f(x) g(x) mu({x})."""
@@ -175,7 +203,7 @@ def distinct_balls(space: FiniteSpace, x: int, radii: np.ndarray) -> np.ndarray:
     the same ball exactly when the balls have the same size, and a centre has
     at most n distinct balls.
     """
-    sizes = np.searchsorted(np.sort(space.dist[x]), radii, side="left")
+    sizes = space.balls.size(x, radii)
     return np.flatnonzero(np.diff(sizes, prepend=-1))
 
 
@@ -243,16 +271,11 @@ def _cmu_exact(space: FiniteSpace, t: float) -> float:
     # mu(B(x, tr)) grows with r, so the sup over r > 0 is attained at a
     # distance from x (beyond the farthest point the ratio is 1).
     best = 1.0
-    w = space.weights
+    tab = space.balls
     for x in range(space.n):
-        row = space.dist[x]
-        order = np.argsort(row, kind="stable")
-        sorted_d = row[order]
-        cumw = np.cumsum(w[order])
-        radii = sorted_d[1:]  # sorted_d[0] is x itself
-        # mass of {d < r} via binary search on the sorted row
-        vol = cumw[np.searchsorted(sorted_d, radii, side="left") - 1]
-        vol_t = cumw[np.searchsorted(sorted_d, t * radii, side="left") - 1]
+        radii = tab.dist[x, 1:]  # tab.dist[x, 0] is x itself
+        vol = tab.mass[x, tab.size(x, radii)]
+        vol_t = tab.mass[x, tab.size(x, t * radii)]
         best = max(best, float((vol_t / vol).max(initial=1.0)))
     return best
 
@@ -272,7 +295,11 @@ def _greedy_packing(conflict: np.ndarray) -> int:
 
 def _greedy_doubling(space: FiniteSpace) -> int:
     """Greedy packings of every ball by points pairwise farther than half its
-    radius, largest count."""
+    smallest radius, largest count.
+
+    B(x, r) is also the ball of every radius just above its largest member
+    distance d, so its packings are the sets pairwise farther than d / 2.
+    """
     radii = canonical_radii(space)
     best = 1
     for x in range(space.n):
@@ -282,7 +309,8 @@ def _greedy_doubling(space: FiniteSpace) -> int:
             # a ball of at most ``best`` points cannot beat it
             if members.size <= best:
                 continue
-            conflict = space.dist[np.ix_(members, members)] <= r / 2.0
+            half = space.balls.dist[x, members.size - 1] / 2.0
+            conflict = space.dist[np.ix_(members, members)] <= half
             np.fill_diagonal(conflict, False)
             best = max(best, _greedy_packing(conflict))
     return best

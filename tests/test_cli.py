@@ -17,6 +17,10 @@ def test_space_command(capsys):
     out = capsys.readouterr().out
     assert "n=16" in out
     assert "A0=1 N_geo>=4 (greedy packing) Cmu(2)=3" in out
+    # B(1, 1.5) = {0, 1, 2}: every pair is farther apart than 1 / 2, half
+    # the largest member distance
+    assert main(["space", "--space", "FIX-A"]) == 0
+    assert "N_geo>=3 (greedy packing)" in capsys.readouterr().out
 
 
 def test_nets_command_writes_file(tmp_path, capsys):
@@ -176,20 +180,40 @@ def test_cube_geometry_names_its_failures(tmp_path):
     assert "iterated-close-implies-descendant 0->-3" in geometry["detail"]
 
 
-def test_fixture_script_runs(tmp_path):
+def _run_script(name, *args):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_fixture_pipeline.py"),
-         "--nsamples", "200", "--out", str(tmp_path)],
+        [sys.executable, str(root / "scripts" / name), *map(str, args)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def test_fixture_script_runs(tmp_path):
+    out = _run_script("run_fixture_pipeline.py", "--nsamples", 200,
+                      "--out", tmp_path)
     for name in ("FIX-A", "FIX-B"):
-        assert re.search(rf"^{name}: (\d+)/\1 checks passed", proc.stdout,
-                         re.MULTILINE), proc.stdout
+        assert re.search(rf"^{name}: (\d+)/\1 checks passed", out,
+                         re.MULTILINE), out
         assert (tmp_path / name / "report.json").exists()
+
+
+def test_decay_study_script_runs():
+    out = _run_script("decay_study.py", "--sizes", 16, "--window", 32)
+    assert "cycle(16) level 0: gamma=" in out
+    assert "cycle(16) wavelet-gram-inverse level 0: gamma=" in out
+
+
+def test_boundary_layer_study_script_runs(tmp_path):
+    _run_script("boundary_layer_study.py", "--nsamples", 200, "--out", tmp_path)
+    tables = sorted(tmp_path.glob("boundary_*.tsv"))
+    assert len(tables) == 2
+    for path in tables:
+        rows = path.read_text().splitlines()
+        assert rows[0].startswith("x\teps\testimate") and len(rows) > 1
 
 
 def test_run_artifacts_hold_plain_floats(tmp_path):
