@@ -90,24 +90,28 @@ def dichotomy_holds(space: FiniteSpace, constants: SpaceConstants,
     """Whether the dichotomy holds at every point x for all r < R in ``radii``.
 
     Same verdict as calling ``empty_annulus_dichotomy`` on every (x, r, R),
-    with at most one call per (x, r).  The annulus of (r, R) is nonempty
-    exactly for R at or past the first radius with R / (2 A0) above the
-    nearest distance >= 2 A0 r.  On that suffix the mass V(x, R), a running
-    sum of positive weights, never decreases, so the dichotomy fails for some
-    R exactly when it fails for the first R, which is the one passed on.
+    with one call per distinct ball B(x, r): within one ball V(x, r) is
+    constant and the annulus only shrinks as r grows, so its first radius
+    decides.  The annulus of (r, R) is nonempty exactly for R at or past the
+    first radius with R / (2 A0) above the nearest distance >= 2 A0 r.  On
+    that suffix the mass V(x, R), a running sum of positive weights, never
+    decreases, so the dichotomy fails for some R exactly when it fails for
+    the first R, which is the one passed on.
     """
     a0 = constants.A0
     n_r = radii.size
     for x in range(space.n):
         srow = space.balls.dist[x]
-        inner = np.searchsorted(srow, 2.0 * a0 * radii, side="left")
+        starts = distinct_balls(space, x, radii)
+        inner = np.searchsorted(srow, 2.0 * a0 * radii[starts], side="left")
         nearest = np.append(srow, np.inf)[inner]
         # nearest is itself a radius above r, so every R from here on is > r
-        start = np.searchsorted(radii / (2.0 * a0), nearest, side="right")
-        for i in np.flatnonzero(start < n_r):
+        first_R = np.searchsorted(radii / (2.0 * a0), nearest, side="right")
+        keep = first_R < n_r
+        for i, j in zip(starts[keep], first_R[keep]):
             try:
                 empty_annulus_dichotomy(space, constants, x, float(radii[i]),
-                                        float(radii[start[i]]))
+                                        float(radii[j]))
             except AssertionError:
                 return False
     return True

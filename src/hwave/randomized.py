@@ -321,15 +321,41 @@ class CubeMachine:
             cubes=ancestors(self.h, parents),
         )
 
-    def ancestors_batch(self, outcomes: np.ndarray, k: int) -> np.ndarray:
-        """Level-k ancestor positions of every point, one row per sample."""
+    def draw_classes(self, outcomes: np.ndarray, k: int):
+        """Walk a batch of draws once, from level k_fine down to level k.
+
+        Yields ``(level, anc, counts, inverse)``, finest level first.  Draws
+        that read the same outcomes at levels ``level`` .. k_fine - 1 form one
+        class: ``anc[c]`` holds the level-``level`` ancestor of every point
+        under class c, ``counts[c]`` its number of draws, ``inverse[s]`` the
+        class of draw s.  One gather per level, over classes, not draws.
+        """
+        h = self.h
         nsamples = outcomes.shape[1]
-        n = self.h.level(self.h.k_fine).size
-        anc = np.broadcast_to(np.arange(n, dtype=np.int32), (nsamples, n)).copy()
-        for kk in range(self.h.k_fine - 1, k - 1, -1):
+        n = h.level(h.k_fine).size
+        anc = np.arange(n, dtype=np.int32)[None, :]
+        counts = np.array([nsamples])
+        inverse = np.zeros(nsamples, dtype=np.intp)
+        yield h.k_fine, anc, counts, inverse
+        for kk in range(h.k_fine - 1, k - 1, -1):
             table = self.parent_tables[kk]
-            anc = table[outcomes[kk - self.h.k_coarse][:, None], anc]
-        return anc
+            key = inverse * self.n_outcomes + outcomes[kk - h.k_coarse]
+            keys, inverse, counts = np.unique(key, return_inverse=True,
+                                              return_counts=True)
+            prev, out = np.divmod(keys, self.n_outcomes)
+            anc = table[out[:, None], anc[prev]]
+            yield kk, anc, counts, inverse
+
+    def _classes_at(self, outcomes: np.ndarray, k: int):
+        for _, anc, counts, inverse in self.draw_classes(outcomes, k):
+            pass
+        return anc, counts, inverse
+
+    def ancestors_batch(self, outcomes: np.ndarray, k: int) -> np.ndarray:
+        """Level-k ancestor positions of every point, one row per sample:
+        the per-draw view of ``draw_classes``."""
+        anc, _, inverse = self._classes_at(outcomes, k)
+        return anc[inverse]
 
 
 @dataclass(frozen=True)
@@ -364,19 +390,23 @@ def boundary_theory_bound(constants: SpaceConstants, eta: float, eps: float) -> 
 
 def boundary_layer_probability(machine: CubeMachine, x: int, k: int, eps: float,
                                nsamples: int, seed: int) -> BoundaryEstimate:
-    """Monte Carlo frequency of x landing in an eps-boundary layer at level k."""
+    """Monte Carlo frequency of x landing in an eps-boundary layer at level k.
+
+    The hit is decided once per draw class (``CubeMachine.draw_classes``),
+    and the frequency counts the draws of the classes that hit.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if nsamples < 1:
         raise ValueError("nsamples must be >= 1")
     outcomes = machine.sample_outcomes(seed, nsamples)
-    anc = machine.ancestors_batch(outcomes, k)
+    anc, counts, _ = machine._classes_at(outcomes, k)
     member = anc == anc[:, x][:, None]
     dx = machine.space.dist[x]
     masked = np.where(member, math.inf, dx[None, :])
     dist_to_complement = masked.min(axis=1)
     hits = dist_to_complement < eps * machine.h.scale(k)
-    p = float(hits.mean())
+    p = float(counts[hits].sum() / nsamples)
     stderr = math.sqrt(p * (1.0 - p) / nsamples)
     eta = theoretical_eta(machine.order, machine.h.delta)
     bound = boundary_theory_bound(machine.constants, eta, eps)

@@ -94,25 +94,30 @@ def compute_splines_exact(h: NetHierarchy, transitions: TransitionSystem) -> Spl
 
 
 def compute_splines_mc(machine: CubeMachine, nsamples: int, seed: int):
-    """Empirical cube-membership frequencies plus per-entry binomial stderr."""
+    """Empirical cube-membership frequencies plus per-entry binomial stderr.
+
+    One walk over the draw classes (``CubeMachine.draw_classes``); per level,
+    one bincount of the (cell, point) pairs weighted by class size gives the
+    exact whole-number counts, divided once by ``nsamples``.
+    """
     if nsamples < 1:
         raise ValueError("nsamples must be >= 1")
     h = machine.h
     n = h.level(h.k_fine).size
     outcomes = machine.sample_outcomes(seed, nsamples)
+    cols = np.arange(n)
     freq = []
     errs = []
-    for k in range(h.k_coarse, h.k_fine + 1):
-        anc = machine.ancestors_batch(outcomes, k)
+    for k, anc, counts, _ in machine.draw_classes(outcomes, h.k_coarse):
         n_cells = h.level(k).size
-        table = np.zeros((n_cells, n))
-        for alpha in range(n_cells):
-            table[alpha] = (anc == alpha).mean(axis=0)
+        draws = np.bincount((anc * n + cols).ravel(),
+                            weights=np.repeat(counts, n), minlength=n_cells * n)
+        table = draws.reshape(n_cells, n) / nsamples
         freq.append(table)
         errs.append(np.sqrt(table * (1.0 - table) / nsamples))
     return (
-        SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(freq)),
-        SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(errs)),
+        SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(freq[::-1])),
+        SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(errs[::-1])),
     )
 
 

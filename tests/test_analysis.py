@@ -8,7 +8,7 @@ import hwave.analysis as an
 from hwave.pipeline import build_bundle
 from hwave.randomized import sample_omega
 from hwave.space import (FiniteSpace, canonical_radii, compute_constants,
-                         generate_space, resolve_space)
+                         distinct_balls, generate_space, resolve_space)
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +170,11 @@ def test_dichotomy_scan_call_budget(monkeypatch):
 
     monkeypatch.setattr(an, "empty_annulus_dichotomy", counted)
     assert an.dichotomy_holds(sp, c, radii)
-    assert 0 < len(calls) <= sp.n * (radii.size - 1)
+    # one call per distinct ball, at its first radius
+    firsts = {(x, float(r)) for x in range(sp.n)
+              for r in radii[distinct_balls(sp, x, radii)]}
+    assert {(x, r) for _, _, x, r, _ in calls} <= firsts
+    assert 0 < len(calls) <= len(firsts) <= sp.n ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,165 @@
+"""The Monte Carlo readers against per-draw oracles.
+
+``CubeMachine.draw_classes`` walks a batch of draws once, grouped by the
+outcomes they read.  The oracles below are the direct computations: every
+draw walked on its own from the finest level, and one frequency per cell.
+The draws are the same, so the counts are the same and the results must be
+equal bit for bit, not merely close.
+"""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from hwave.pipeline import _suite_splines, build_bundle
+from hwave.randomized import boundary_layer_probability
+from hwave.space import FIXTURES, generate_space
+from hwave.splines import SplineTable, compute_splines_mc
+
+SPACES = [
+    (FIXTURES["FIX-A"], 0.25),
+    (FIXTURES["FIX-B"], 0.25),
+    ("cycle(16, scale=1)", 0.2),
+    ("cycle(64, scale=1)", 0.2),
+    ("random_cloud(20, 2, 1)", 0.25),
+    ("grid(6, 2)", 0.25),
+]
+
+
+@pytest.fixture(scope="module", params=SPACES, ids=[d for d, _ in SPACES])
+def bundle(request):
+    desc, delta = request.param
+    return build_bundle(generate_space(desc), delta)
+
+
+@pytest.fixture(scope="module")
+def bundle_c16():
+    return build_bundle(generate_space("cycle(16, scale=1)"), 0.2)
+
+
+def _ancestors_per_draw(machine, outcomes, k):
+    """Level-k ancestors of every point, each draw walked from the finest level."""
+    h = machine.h
+    nsamples = outcomes.shape[1]
+    n = h.level(h.k_fine).size
+    anc = np.broadcast_to(np.arange(n, dtype=np.int32), (nsamples, n)).copy()
+    for kk in range(h.k_fine - 1, k - 1, -1):
+        anc = machine.parent_tables[kk][outcomes[kk - h.k_coarse][:, None], anc]
+    return anc
+
+
+def _splines_per_cell(machine, nsamples, seed):
+    """Membership frequency of every cell, one mean over the draws per cell."""
+    h = machine.h
+    n = h.level(h.k_fine).size
+    outcomes = machine.sample_outcomes(seed, nsamples)
+    freq, errs = [], []
+    for k in range(h.k_coarse, h.k_fine + 1):
+        anc = _ancestors_per_draw(machine, outcomes, k)
+        table = np.zeros((h.level(k).size, n))
+        for alpha in range(table.shape[0]):
+            table[alpha] = (anc == alpha).mean(axis=0)
+        freq.append(table)
+        errs.append(np.sqrt(table * (1.0 - table) / nsamples))
+    return freq, errs
+
+
+def _boundary_per_draw(machine, x, k, eps, nsamples, seed):
+    """Share of draws whose level-k cube of x has a foreign point within eps delta^k."""
+    anc = _ancestors_per_draw(machine, machine.sample_outcomes(seed, nsamples), k)
+    member = anc == anc[:, x][:, None]
+    masked = np.where(member, math.inf, machine.space.dist[x][None, :])
+    return float((masked.min(axis=1) < eps * machine.h.scale(k)).mean())
+
+
+@pytest.mark.parametrize("nsamples", [1, 7, 1000])
+def test_splines_mc_equals_per_cell_oracle(bundle, nsamples):
+    h = bundle.hierarchy
+    mc, err = compute_splines_mc(bundle.machine, nsamples, seed=5)
+    freq, errs = _splines_per_cell(bundle.machine, nsamples, seed=5)
+    for i, k in enumerate(range(h.k_coarse, h.k_fine + 1)):
+        assert np.array_equal(mc.at(k), freq[i]), k
+        assert np.array_equal(err.at(k), errs[i]), k
+
+
+def test_ancestors_batch_equals_per_draw_walk(bundle):
+    h, machine = bundle.hierarchy, bundle.machine
+    outcomes = machine.sample_outcomes(3, 500)
+    for k in range(h.k_coarse, h.k_fine + 1):
+        got = machine.ancestors_batch(outcomes, k)
+        want = _ancestors_per_draw(machine, outcomes, k)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), k
+
+
+def test_boundary_layer_equals_per_draw_oracle(bundle):
+    h, machine = bundle.hierarchy, bundle.machine
+    n = bundle.space.n
+    estimates = []
+    for k in range(h.k_coarse, h.k_fine + 1):
+        for eps in (0.25, 0.5, 1.0):
+            for x in sorted({0, 3 % n, n // 2}):
+                est = boundary_layer_probability(machine, x, k, eps, 1000, 7)
+                assert est.estimate == _boundary_per_draw(machine, x, k, eps,
+                                                          1000, 7), (x, k, eps)
+                estimates.append(est.estimate)
+    if h.delta == 0.2:
+        # the genuinely random cycles: some layers are hit by some draws only
+        assert any(0.0 < p < 1.0 for p in estimates)
+
+
+def test_draw_classes_partition_the_draws(bundle):
+    h, machine = bundle.hierarchy, bundle.machine
+    nsamples = 3000
+    outcomes = machine.sample_outcomes(1, nsamples)
+    levels = []
+    for k, anc, counts, inverse in machine.draw_classes(outcomes, h.k_coarse):
+        levels.append(k)
+        read = h.k_fine - k
+        assert counts.sum() == nsamples
+        assert counts.size <= min(nsamples, machine.n_outcomes ** read)
+        assert np.array_equal(np.bincount(inverse), counts)
+        assert anc.shape == (counts.size, h.level(h.k_fine).size)
+    assert levels == list(range(h.k_fine, h.k_coarse - 1, -1))
+
+
+def test_mc_stays_a_sample(bundle_c16):
+    """Fifty draws on a genuinely random space: the tables depend on the seed
+    and differ from the exact dynamic program."""
+    h = bundle_c16.hierarchy
+    levels = range(h.k_coarse, h.k_fine + 1)
+    a, _ = compute_splines_mc(bundle_c16.machine, 50, seed=1)
+    b, _ = compute_splines_mc(bundle_c16.machine, 50, seed=2)
+    assert any(not np.array_equal(a.at(k), b.at(k)) for k in levels)
+    for mc in (a, b):
+        assert any(not np.array_equal(mc.at(k), bundle_c16.splines.at(k))
+                   for k in levels)
+
+
+def test_spline_sampling_agreement_can_fail(bundle_c16):
+    """One exact entry moved by 0.05 must fail the cross-check, and the
+    record must carry the deviation it measured."""
+    nsamples = 100_000
+
+    def agreement(b):
+        (rec,) = [c for c in _suite_splines(b, 4, nsamples)
+                  if c.name == "spline-sampling-agreement"]
+        return rec
+
+    assert agreement(bundle_c16).passed
+    h = bundle_c16.hierarchy
+    k = h.k_fine - 1
+    tables = [t.copy() for t in bundle_c16.splines.tables]
+    moved = tables[k - h.k_coarse]
+    alpha, x = np.unravel_index(np.argmax(moved * (1.0 - moved)), moved.shape)
+    moved[alpha, x] += 0.05
+    splines = SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(tables))
+    rec = agreement(dataclasses.replace(bundle_c16, splines=splines))
+    mc, _ = compute_splines_mc(bundle_c16.machine, nsamples, 4)
+    dev = max(float(np.abs(mc.at(kk) - splines.at(kk)).max())
+              for kk in range(h.k_coarse, h.k_fine + 1))
+    assert dev > 0.04
+    assert not rec.passed
+    assert rec.margin == rec.tolerance - dev < 0
+    assert f"max entry deviation {dev:.3g}" in rec.detail
