@@ -311,39 +311,47 @@ def modulated_kernel(basis: WaveletBasis, signs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    half = 0.5 * cum[-1]
-    return float(values[order][np.searchsorted(cum, half)])
-
-
 def bmo_norm(space: FiniteSpace, b: np.ndarray, center: str = "average") -> float:
-    """Exact max over balls of the mean oscillation around the ball average.
+    """Exact max over balls of the mean oscillation around a centre value c.
 
-    ``center='median'`` instead uses the exact minimizer of the L1 oscillation
-    (the weighted median); the two norms differ by at most a factor 2.
+    Centre x visits each of its distinct balls once: for each size in
+    ``balls.distinct_sizes(x)``, the first ``size`` points of
+    ``balls.order[x]``, x itself first.  Every sum runs over a ball's points
+    in that distance order, as a running sum (``np.cumsum``), and the ball's
+    mass mu(B) is the table's ``balls.mass[x, size]``.  The oscillation is
+    sum w |b - c| / mu(B).
+
+    ``center='average'`` takes c = b(x) + S / mu(B), S the running sum of
+    w (b - b(x)): shifted by the centre's own value, a constant input has
+    zero oscillation exactly.  ``center='median'`` takes the exact minimizer
+    of the L1 oscillation, the weighted median: the first value, in a stable
+    sort of the ball's values in distance order, at which the running weight
+    reaches half its total.  The two norms differ by at most a factor 2.
     """
+    if center not in ("average", "median"):
+        raise ValueError("center must be 'average' or 'median'")
     b = np.asarray(b, dtype=float)
-    w = space.weights
-    radii = canonical_radii(space)
+    tab = space.balls
+    n = space.n
     best = 0.0
-    for x in range(space.n):
-        row = space.dist[x]
-        # the oscillation depends on the ball only: one radius per ball
-        for r in radii[distinct_balls(space, x, radii)]:
-            mask = row < r
-            wm = w[mask]
-            bm = b[mask]
-            tot = wm.sum()
-            if center == "average":
-                # shifted mean: exact (zero oscillation) on constant inputs
-                c = bm[0] + float(np.dot(wm, bm - bm[0]) / tot)
-            elif center == "median":
-                c = _weighted_median(bm, wm)
-            else:
-                raise ValueError("center must be 'average' or 'median'")
-            best = max(best, float(np.dot(wm, np.abs(bm - c)) / tot))
+    for x in range(n):
+        bs = b[tab.order[x]]
+        ws = space.weights[tab.order[x]]
+        sizes = tab.distinct_sizes(x)
+        last = (np.arange(sizes.size), sizes - 1)  # each ball's last point
+        mass = tab.mass[x, sizes]
+        if center == "average":
+            c = bs[0] + np.cumsum(ws * (bs - bs[0]))[sizes - 1] / mass
+        else:
+            # points outside a ball sort last, after any value inside it
+            outside = np.arange(n) >= sizes[:, None]
+            by_value = np.argsort(np.where(outside, np.inf, bs), axis=1,
+                                  kind="stable")
+            cum = np.cumsum(ws[by_value], axis=1)
+            half = 0.5 * cum[last]
+            c = bs[by_value[last[0], np.argmax(cum >= half[:, None], axis=1)]]
+        dev = np.cumsum(ws * np.abs(bs - c[:, None]), axis=1)
+        best = max(best, float((dev[last] / mass).max()))
     return best
 
 

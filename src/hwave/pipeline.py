@@ -194,13 +194,17 @@ def _suite_analysis(b: Bundle, rng: np.random.Generator):
     checks.append(check_flag("volume-annulus-dichotomy",
                              "all points and canonical radius pairs",
                              an.dichotomy_holds(space, constants, radii)))
-    worst = 0.0
+    worst = bmo = carleson = 0.0
     for _ in range(3):
         f = rng.normal(size=space.n)
         rt = an.bmo_carleson_roundtrip(space, b.hierarchy, b.order, b.basis, f)
         worst = max(worst, rt.residual)
-    checks.append(check_error("oscillation-coefficient-roundtrip",
-                              "reconstruction modulo constants", worst, 1e-8))
+        bmo = max(bmo, rt.bmo)
+        carleson = max(carleson, rt.carleson)
+    checks.append(check_error(
+        "oscillation-coefficient-roundtrip",
+        f"reconstruction modulo constants; largest BMO norm {bmo:.3g}, "
+        f"largest Carleson norm {carleson:.3g}", worst, 1e-8))
     beta = rng.normal(size=space.n)
     P = an.paraproduct_matrix(space, b.hierarchy, b.splines, b.basis, beta)
     err = float(np.abs(P @ np.ones(space.n) - (beta - space.mean(beta))).max())

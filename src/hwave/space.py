@@ -47,18 +47,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class BallTable:
     """Every ball of a space, centre by centre.
 
-    ``dist[x]`` holds the distances from x in ascending order and
+    ``order[x]`` lists the points by distance from x (ties by index),
+    ``dist[x]`` holds their distances from x in that ascending order and
     ``mass[x, k]`` the weight of the k points nearest x, summed in that order
     from ``mass[x, 0] = 0``.  B(x, r) holds the ``size(x, r)`` points nearest
-    x, so mu(B(x, r)) = ``mass[x, size(x, r)]``, which never decreases in r.
+    x, ``order[x, :size(x, r)]``, so mu(B(x, r)) = ``mass[x, size(x, r)]``,
+    which never decreases in r.
     """
 
     dist: np.ndarray
     mass: np.ndarray
+    order: np.ndarray
 
     def size(self, x: int, r):
         """Number of points of B(x, r), for one radius or an array of them."""
         return np.searchsorted(self.dist[x], r, side="left")
+
+    def distinct_sizes(self, x: int) -> np.ndarray:
+        """Sizes of the distinct balls centred at x, ascending: a ball ends
+        where the sorted distances jump, and the last holds every point."""
+        row = self.dist[x]
+        return np.append(np.flatnonzero(np.diff(row)) + 1, row.size)
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ class FiniteSpace:
         mass = np.zeros((self.n, self.n + 1))
         np.cumsum(self.weights[order], axis=1, out=mass[:, 1:])
         return BallTable(dist=_freeze(np.take_along_axis(self.dist, order, axis=1)),
-                         mass=_freeze(mass))
+                         mass=_freeze(mass), order=_freeze(order))
 
     def volume(self, x: int, r: float) -> float:
         if r <= 0:

@@ -276,6 +276,8 @@ def save_splines(h: NetHierarchy, table: SplineTable, path) -> None:
         fh.write("level\talpha_id\tpoint_id\tvalue\n")
         for k in range(h.k_coarse, h.k_fine + 1):
             vals = table.at(k)
-            for a, center in enumerate(h.level(k)):
-                for x in range(vals.shape[1]):
-                    fh.write(f"{k}\t{center}\t{x}\t{float(vals[a, x])!r}\n")
+            points = [f"\t{x}\t" for x in range(vals.shape[1])]
+            for center, row in zip(h.level(k).tolist(), vals.tolist()):
+                head = f"{k}\t{center}"
+                fh.write("".join([f"{head}{p}{v!r}\n"
+                                  for p, v in zip(points, row)]))

@@ -371,24 +371,81 @@ def test_bmo_half_indicator_oracle(fix_b):
     assert best == 0.5
 
 
+def _weighted_median(values, weights):
+    """First value, in a stable sort, at which the running weight reaches half."""
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    return float(values[order][np.searchsorted(cum, 0.5 * cum[-1])])
+
+
+def _oscillation_distance_order(sp, b, x, r, center):
+    """Mean oscillation over B(x, r) in bmo_norm's documented arithmetic:
+    running sums over the ball's points in distance order, shifted by b(x),
+    over the table's ball mass."""
+    tab = sp.balls
+    size = int(tab.size(x, r))
+    idx = tab.order[x, :size]
+    bs, ws = b[idx], sp.weights[idx]
+    mass = tab.mass[x, size]
+    if center == "average":
+        c = bs[0] + float(np.cumsum(ws * (bs - bs[0]))[-1]) / mass
+    else:
+        c = _weighted_median(bs, ws)
+    return float(np.cumsum(ws * np.abs(bs - c))[-1]) / mass
+
+
+def _oscillation_index_order(sp, b, x, r, center):
+    """Mean oscillation over B(x, r) with dot products over the ball's points
+    in index order, shifted by the first of them."""
+    mask = sp.dist[x] < r
+    wm, bm = sp.weights[mask], b[mask]
+    tot = wm.sum()
+    if center == "average":
+        c = bm[0] + float(np.dot(wm, bm - bm[0]) / tot)
+    else:
+        c = _weighted_median(bm, wm)
+    return float(np.dot(wm, np.abs(bm - c)) / tot)
+
+
 @pytest.mark.parametrize("desc", ["FIX-B", "tree(4)", "random_cloud(20, 2, 1)"])
 @pytest.mark.parametrize("center", ["average", "median"])
 def test_bmo_norm_equals_scan_over_every_radius(desc, center):
     sp = resolve_space(desc)
     b = np.random.default_rng(21).normal(size=sp.n)
-    w = sp.weights
-    best = 0.0
-    for x in range(sp.n):
-        for r in canonical_radii(sp):
-            mask = sp.dist[x] < r
-            wm, bm = w[mask], b[mask]
-            tot = wm.sum()
-            if center == "average":
-                c = bm[0] + float(np.dot(wm, bm - bm[0]) / tot)
-            else:
-                c = an._weighted_median(bm, wm)
-            best = max(best, float(np.dot(wm, np.abs(bm - c)) / tot))
+    best = max(_oscillation_distance_order(sp, b, x, r, center)
+               for x in range(sp.n) for r in canonical_radii(sp))
     assert an.bmo_norm(sp, b, center) == best
+
+
+@pytest.mark.parametrize("desc", ["cycle(20, weights=uniform)", "wide_line",
+                                  "grid(5, 2, l2)", "random_cloud(64, 2, 1)"])
+@pytest.mark.parametrize("center", ["average", "median"])
+def test_bmo_norm_equals_per_ball_oracles(desc, center, request):
+    """Equal to the documented arithmetic over each centre's distinct balls,
+    and within 1e-12 of the index-order sums, on generic values and on
+    values with many repeats (ties for the median)."""
+    sp = request.getfixturevalue(desc) if desc == "wide_line" else resolve_space(desc)
+    radii = canonical_radii(sp)
+    balls = [(x, float(r)) for x in range(sp.n)
+             for r in radii[distinct_balls(sp, x, radii)]]
+    rng = np.random.default_rng(5)
+    for b in (rng.normal(size=sp.n), rng.integers(0, 3, size=sp.n).astype(float)):
+        got = an.bmo_norm(sp, b, center)
+        assert got == max(_oscillation_distance_order(sp, b, x, r, center)
+                          for x, r in balls)
+        index_order = max(_oscillation_index_order(sp, b, x, r, center)
+                          for x, r in balls)
+        assert got == pytest.approx(index_order, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("desc", ["FIX-B", "cycle(20, weights=uniform)", "wide_line",
+                                  "grid(5, 2, l2)", "random_cloud(64, 2, 1)"])
+def test_distinct_sizes_read_off_the_row(desc, request):
+    sp = request.getfixturevalue(desc) if desc == "wide_line" else resolve_space(desc)
+    radii = canonical_radii(sp)
+    for x in range(sp.n):
+        want = sp.balls.size(x, radii[distinct_balls(sp, x, radii)])
+        assert np.array_equal(sp.balls.distinct_sizes(x), want)
 
 
 def test_bmo_average_vs_median_factor_two(fix_b):

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hwave.analysis as an
 from hwave.cli import main
 from hwave.pipeline import PipelineConfig, run_pipeline
+from hwave.space import resolve_space
 
 
 def test_space_command(capsys):
@@ -125,6 +127,18 @@ def test_analyze_commands(capsys):
     assert main(["analyze", "carleson", "--space", "FIX-B"]) == 0
     assert main(["analyze", "paraproduct", "--space", "FIX-B"]) == 0
     assert main(["analyze", "operator", "--space", "FIX-B"]) == 0
+
+
+def test_analyze_bmo_prints_both_centred_norms(tmp_path, capsys):
+    desc = "cycle(20, weights=uniform)"
+    sp = resolve_space(desc)
+    f = np.random.default_rng(3).normal(size=sp.n)
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps(f.tolist()))
+    assert main(["analyze", "bmo", "--space", desc, "--function", str(fn)]) == 0
+    avg, med = an.bmo_norm(sp, f, "average"), an.bmo_norm(sp, f, "median")
+    assert capsys.readouterr().out == f"bmo: {avg:g} (median-centred {med:g})\n"
+    assert med <= avg <= 2 * med
 
 
 def test_verify_selected_suite(capsys):

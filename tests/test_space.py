@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -257,6 +258,20 @@ def test_volume_equals_masked_sum(descriptor):
         for r in canonical_radii(sp):
             want = _masked_volume(sp, x, r)
             assert sp.volume(x, r) == (want if exact else pytest.approx(want))
+
+
+@pytest.mark.parametrize("descriptor", ["FIX-B", "cycle(20, weights=uniform)"])
+def test_ball_table_order(descriptor):
+    sp = resolve_space(descriptor)
+    tab = sp.balls
+    with pytest.raises(ValueError):
+        tab.order[0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tab.order = tab.order.copy()
+    for x in range(sp.n):
+        assert tab.order[x, 0] == x
+        assert np.array_equal(sp.dist[x, tab.order[x]], tab.dist[x])
+        assert np.array_equal(np.cumsum(sp.weights[tab.order[x]]), tab.mass[x, 1:])
 
 
 def test_single_point_space():
