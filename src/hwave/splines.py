@@ -277,7 +277,9 @@ def save_splines(h: NetHierarchy, table: SplineTable, path) -> None:
         for k in range(h.k_coarse, h.k_fine + 1):
             vals = table.at(k)
             points = [f"\t{x}\t" for x in range(vals.shape[1])]
-            for center, row in zip(h.level(k).tolist(), vals.tolist()):
+            # one row of Python floats at a time: a whole level would add
+            # ~2 MB to the peak at n = 256
+            for center, row in zip(h.level(k).tolist(), vals):
                 head = f"{k}\t{center}"
                 fh.write("".join([f"{head}{p}{v!r}\n"
-                                  for p, v in zip(points, row)]))
+                                  for p, v in zip(points, row.tolist())]))
