@@ -323,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     _common(p)
-    p.add_argument("--nsamples", type=int, default=1000)
+    p.add_argument("--nsamples", type=int, default=PipelineConfig.nsamples)
     p.add_argument("--suite", action="append", choices=SUITES)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("run", help="full pipeline with artifacts and report")
     _common(p)
-    p.add_argument("--nsamples", type=int, default=1000)
+    p.add_argument("--nsamples", type=int, default=PipelineConfig.nsamples)
     p.set_defaults(func=_cmd_run)
 
     return parser

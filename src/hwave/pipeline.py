@@ -34,7 +34,7 @@ class PipelineConfig:
     delta: float = 0.25
     mode: str = "relaxed"
     seed: int = 1
-    nsamples: int = 1000
+    nsamples: int = 100_000
     out: str | None = None
     suites: tuple = SUITES
 

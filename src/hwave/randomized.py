@@ -58,6 +58,12 @@ def _coord_rng(seed: int, level_offset: int, which: int) -> np.random.Generator:
         np.random.SeedSequence([int(seed), int(level_offset), int(which)]))
 
 
+def _sample_level(order: ReferenceOrder, seed: int, i: int, nsamples: int):
+    """The coordinates (ell, m) of level k_coarse + i for a batch of draws."""
+    return (_coord_rng(seed, i, 0).integers(0, order.L + 1, size=nsamples),
+            _coord_rng(seed, i, 1).integers(1, order.M + 1, size=nsamples))
+
+
 def sample_omega_batch(order: ReferenceOrder, seed: int, nsamples: int):
     """Vectorized draws: arrays of shape (num_levels, nsamples)."""
     if nsamples < 1:
@@ -66,8 +72,7 @@ def sample_omega_batch(order: ReferenceOrder, seed: int, nsamples: int):
     ell = np.zeros((nlev, nsamples), dtype=np.int64)
     m = np.zeros((nlev, nsamples), dtype=np.int64)
     for i in range(nlev):
-        ell[i] = _coord_rng(seed, i, 0).integers(0, order.L + 1, size=nsamples)
-        m[i] = _coord_rng(seed, i, 1).integers(1, order.M + 1, size=nsamples)
+        ell[i], m[i] = _sample_level(order, seed, i, nsamples)
     return ell, m
 
 
@@ -304,7 +309,16 @@ class CubeMachine:
         return ell * self.order.M + (m - 1)
 
     def sample_outcomes(self, seed: int, nsamples: int) -> np.ndarray:
-        return self.outcome_index(*sample_omega_batch(self.order, seed, nsamples))
+        """Table rows of a batch of draws, shape (num_levels, nsamples), equal
+        to ``outcome_index(*sample_omega_batch(...))`` but filled one level at
+        a time."""
+        if nsamples < 1:
+            raise ValueError("nsamples must be >= 1")
+        order = self.order
+        outcomes = np.empty((order.k_fine - order.k_coarse, nsamples), dtype=np.int64)
+        for i in range(outcomes.shape[0]):
+            outcomes[i] = self.outcome_index(*_sample_level(order, seed, i, nsamples))
+        return outcomes
 
     def system(self, omega: OmegaSample) -> RandomizedSystem:
         """The sampled system of one omega draw, read off the outcome tables."""
@@ -325,10 +339,15 @@ class CubeMachine:
         """Walk a batch of draws once, from level k_fine down to level k.
 
         Yields ``(level, anc, counts, inverse)``, finest level first.  Draws
-        that read the same outcomes at levels ``level`` .. k_fine - 1 form one
-        class: ``anc[c]`` holds the level-``level`` ancestor of every point
-        under class c, ``counts[c]`` its number of draws, ``inverse[s]`` the
-        class of draw s.  One gather per level, over classes, not draws.
+        whose outcomes at levels ``level`` .. k_fine - 1 compose to the same
+        ancestor map form one class: the rows ``anc[c]`` are distinct maps,
+        each holding the level-``level`` ancestor of every point under class
+        c, ``counts[c]`` its number of draws, ``inverse[s]`` the class of draw
+        s.  Two draws with one map at a level share it at every coarser level,
+        so there are at most as many classes as outcome histories.  Per
+        level: one count of the (class, outcome) pairs, one table gather over
+        the pairs that occur, and equal rows merged in first-seen order; the
+        draws are never sorted.
         """
         h = self.h
         nsamples = outcomes.shape[1]
@@ -340,10 +359,17 @@ class CubeMachine:
         for kk in range(h.k_fine - 1, k - 1, -1):
             table = self.parent_tables[kk]
             key = inverse * self.n_outcomes + outcomes[kk - h.k_coarse]
-            keys, inverse, counts = np.unique(key, return_inverse=True,
-                                              return_counts=True)
-            prev, out = np.divmod(keys, self.n_outcomes)
-            anc = table[out[:, None], anc[prev]]
+            size = counts.size * self.n_outcomes
+            pairs = np.flatnonzero(np.bincount(key, minlength=size))
+            prev, out = np.divmod(pairs, self.n_outcomes)
+            rows = table[out[:, None], anc[prev]]
+            first = {}
+            merged = [first.setdefault(row.tobytes(), len(first)) for row in rows]
+            lookup = np.zeros(size, dtype=np.intp)
+            lookup[pairs] = merged
+            inverse = lookup[key]
+            counts = np.bincount(inverse)
+            anc = rows[np.unique(merged, return_index=True)[1]]
             yield kk, anc, counts, inverse
 
     def _classes_at(self, outcomes: np.ndarray, k: int):
@@ -353,7 +379,8 @@ class CubeMachine:
 
     def ancestors_batch(self, outcomes: np.ndarray, k: int) -> np.ndarray:
         """Level-k ancestor positions of every point, one row per sample:
-        the per-draw view of ``draw_classes``."""
+        the per-draw view ``anc[inverse]`` of ``draw_classes``, whose rows
+        are the distinct level-k maps of the batch."""
         anc, _, inverse = self._classes_at(outcomes, k)
         return anc[inverse]
 

@@ -1,19 +1,20 @@
 """The Monte Carlo readers against per-draw oracles.
 
 ``CubeMachine.draw_classes`` walks a batch of draws once, grouped by the
-outcomes they read.  The oracles below are the direct computations: every
-draw walked on its own from the finest level, and one frequency per cell.
-The draws are the same, so the counts are the same and the results must be
-equal bit for bit, not merely close.
+ancestor map they compose to.  The oracles below are the direct
+computations: every draw walked on its own from the finest level, and one
+frequency per cell.  The draws are the same, so the counts are the same and
+the results must be equal bit for bit, not merely close.
 """
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hwave.pipeline import _suite_splines, build_bundle
-from hwave.randomized import boundary_layer_probability
+from hwave.pipeline import PipelineConfig, _suite_splines, build_bundle
+from hwave.randomized import boundary_layer_probability, sample_omega_batch
 from hwave.space import FIXTURES, generate_space
 from hwave.splines import SplineTable, compute_splines_mc
 
@@ -121,7 +122,52 @@ def test_draw_classes_partition_the_draws(bundle):
         assert counts.size <= min(nsamples, machine.n_outcomes ** read)
         assert np.array_equal(np.bincount(inverse), counts)
         assert anc.shape == (counts.size, h.level(h.k_fine).size)
+        # one class per distinct map: rows pairwise distinct, as many as the
+        # per-draw walk has distinct rows
+        assert np.unique(anc, axis=0).shape[0] == counts.size
+        oracle = _ancestors_per_draw(machine, outcomes, k)
+        assert np.unique(oracle, axis=0).shape[0] == counts.size
     assert levels == list(range(h.k_fine, h.k_coarse - 1, -1))
+
+
+@pytest.mark.parametrize("desc,delta,nsamples,want", [
+    ("grid(16, 2)", 0.25, 1000, [1, 1, 1]),
+    ("cycle(64, scale=1)", 0.2, 100_000, [1, 8, 23, 1]),
+])
+def test_class_counts_pinned(desc, delta, nsamples, want):
+    """Haar-type cubes at delta 1/4 leave one map per level; on cycle(64) at
+    0.2 the 9,261 outcome histories of three levels give 23 maps."""
+    machine = build_bundle(generate_space(desc), delta).machine
+    outcomes = machine.sample_outcomes(1, nsamples)
+    got = [counts.size for _, _, counts, _ in
+           machine.draw_classes(outcomes, machine.h.k_coarse)]
+    assert got == want
+
+
+@pytest.mark.parametrize("nsamples", [1, 7, 1000])
+def test_sample_outcomes_equal_coordinate_draws(bundle, nsamples):
+    machine = bundle.machine
+    got = machine.sample_outcomes(9, nsamples)
+    want = machine.outcome_index(*sample_omega_batch(bundle.order, 9, nsamples))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("desc,delta,limit_mb", [
+    ("grid(16, 2)", 0.25, 16.0),
+    ("cycle(64, scale=1)", 0.2, 12.0),
+])
+def test_splines_mc_memory_bounded(desc, delta, limit_mb):
+    """100,000 draws: the walk holds one row per distinct map, not one per
+    outcome history (grouping by history peaked at 270 MB and 21 MB here)."""
+    machine = build_bundle(generate_space(desc), delta).machine
+    tracemalloc.start()
+    try:
+        compute_splines_mc(machine, 100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6, peak
 
 
 def test_mc_stays_a_sample(bundle_c16):
@@ -137,25 +183,32 @@ def test_mc_stays_a_sample(bundle_c16):
                    for k in levels)
 
 
+def _agreement(b, seed, nsamples):
+    (rec,) = [c for c in _suite_splines(b, seed, nsamples)
+              if c.name == "spline-sampling-agreement"]
+    return rec
+
+
+def _move_one_entry(b, by=0.05):
+    """The bundle with its most uncertain level-(k_fine - 1) entry moved."""
+    h = b.hierarchy
+    k = h.k_fine - 1
+    tables = [t.copy() for t in b.splines.tables]
+    moved = tables[k - h.k_coarse]
+    alpha, x = np.unravel_index(np.argmax(moved * (1.0 - moved)), moved.shape)
+    moved[alpha, x] += by
+    splines = SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(tables))
+    return dataclasses.replace(b, splines=splines)
+
+
 def test_spline_sampling_agreement_can_fail(bundle_c16):
     """One exact entry moved by 0.05 must fail the cross-check, and the
     record must carry the deviation it measured."""
     nsamples = 100_000
-
-    def agreement(b):
-        (rec,) = [c for c in _suite_splines(b, 4, nsamples)
-                  if c.name == "spline-sampling-agreement"]
-        return rec
-
-    assert agreement(bundle_c16).passed
-    h = bundle_c16.hierarchy
-    k = h.k_fine - 1
-    tables = [t.copy() for t in bundle_c16.splines.tables]
-    moved = tables[k - h.k_coarse]
-    alpha, x = np.unravel_index(np.argmax(moved * (1.0 - moved)), moved.shape)
-    moved[alpha, x] += 0.05
-    splines = SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(tables))
-    rec = agreement(dataclasses.replace(bundle_c16, splines=splines))
+    assert _agreement(bundle_c16, 4, nsamples).passed
+    moved = _move_one_entry(bundle_c16)
+    h, splines = moved.hierarchy, moved.splines
+    rec = _agreement(moved, 4, nsamples)
     mc, _ = compute_splines_mc(bundle_c16.machine, nsamples, 4)
     dev = max(float(np.abs(mc.at(kk) - splines.at(kk)).max())
               for kk in range(h.k_coarse, h.k_fine + 1))
@@ -163,3 +216,13 @@ def test_spline_sampling_agreement_can_fail(bundle_c16):
     assert not rec.passed
     assert rec.margin == rec.tolerance - dev < 0
     assert f"max entry deviation {dev:.3g}" in rec.detail
+
+
+def test_default_sample_size_catches_a_moved_entry(bundle_c16):
+    """At the default number of draws the tolerance is 0.01, so the run's own
+    cross-check fails an entry moved by 0.05 (1,000 draws allowed 0.079)."""
+    config = PipelineConfig(space="cycle(16, scale=1)", delta=0.2)
+    assert _agreement(bundle_c16, config.seed, config.nsamples).passed
+    rec = _agreement(_move_one_entry(bundle_c16), config.seed, config.nsamples)
+    assert not rec.passed
+    assert rec.tolerance == 0.01

@@ -33,8 +33,9 @@ GOLDEN = {
 
 
 # nets, cubes and splines suites on FIX-B at delta 1/4: Haar-type objects, so
-# every record is exact
-REPORT_DIGEST = "f63ebe819fa23c2d603d027d6cb2be06f1cdd03eaf9e6a7e7781d539ae71da00"
+# every record is exact; recorded when the default sample size went from 1,000
+# to 100,000 draws, which changes the spline-sampling-agreement record only
+REPORT_DIGEST = "b7d0dc11093dc87a96f42e79335eef20f07fec7be369ca3f72b779d168847d30"
 
 
 @pytest.mark.parametrize("space,delta", sorted(GOLDEN))
