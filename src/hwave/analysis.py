@@ -357,9 +357,11 @@ def bmo_norm(space: FiniteSpace, b: np.ndarray, center: str = "average") -> floa
 
 def _wavelet_positions(h: NetHierarchy, basis: WaveletBasis) -> np.ndarray:
     """Position of each wavelet's center inside level k+1 of the hierarchy."""
-    pos = np.zeros(int(basis.is_wavelet.sum()), dtype=int)
-    for i, (k, y) in enumerate(zip(basis.wavelet_levels, basis.wavelet_centers)):
-        pos[i] = h.position(int(k) + 1, int(y))
+    levels, centers = basis.wavelet_levels, basis.wavelet_centers
+    pos = np.zeros(levels.size, dtype=int)
+    for k in np.unique(levels).tolist():
+        at = levels == k
+        pos[at] = h.position(k + 1, centers[at])
     return pos
 
 
@@ -377,24 +379,24 @@ def carleson_norm(space: FiniteSpace, h: NetHierarchy, order: ReferenceOrder,
     levels = basis.wavelet_levels
     if coeffs.shape != levels.shape:
         raise ValueError("coefficient field must match the wavelet index set")
-    pos = _wavelet_positions(h, basis)
     if parent_maps is None:
         parent_maps = order.parents
     anc = ancestors(h, parent_maps)
+    k1 = levels.astype(int) + 1
+    squares = coeffs**2
+    # p[i]: the level-ell cell below which wavelet i sits, once k1[i] >= ell
+    p = _wavelet_positions(h, basis)
     best = 0.0
-    for ell in range(h.k_coarse, h.k_fine + 1):
+    for ell in range(h.k_fine, h.k_coarse - 1, -1):
+        if ell < h.k_fine:
+            up = k1 > ell
+            p[up] = parent_maps[ell - h.k_coarse][p[up]]
         n_cells = h.level(ell).size
-        acc = np.zeros(n_cells)
         mass = np.zeros(n_cells)
         np.add.at(mass, anc[ell - h.k_coarse], space.weights)
-        for i in range(coeffs.size):
-            k1 = int(levels[i]) + 1
-            if k1 < ell:
-                continue
-            p = int(pos[i])
-            for kk in range(k1 - 1, ell - 1, -1):
-                p = int(parent_maps[kk - h.k_coarse][p])
-            acc[p] += coeffs[i] ** 2
+        below = k1 >= ell
+        acc = np.zeros(n_cells)
+        np.add.at(acc, p[below], squares[below])  # in wavelet order
         live = acc > 0
         if live.any():
             best = max(best, float(np.sqrt(acc[live] / mass[live]).max()))

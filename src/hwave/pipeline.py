@@ -212,9 +212,8 @@ def _suite_analysis(b: Bundle, rng: np.random.Generator):
                               err, 1e-8))
     if b.basis.is_wavelet.any():
         signs = rng.choice([-1.0, 1.0], size=int(b.basis.is_wavelet.sum()))
-        W = b.basis.wavelet_values
         sq = np.sqrt(space.weights)
-        symmetrized = sq[:, None] * (W.T @ (signs[:, None] * W)) * sq[None, :]
+        symmetrized = sq[:, None] * an.modulated_kernel(b.basis, signs) * sq[None, :]
         norm = an.operator_norm(symmetrized)
         checks.append(check_error("sign-multiplier-contraction",
                                   "operator norm of a random sign flip",

@@ -145,8 +145,20 @@ class RandomizedSystem:
     def cubes_at(self, k: int) -> np.ndarray:
         return self.cubes[k - self.k_coarse]
 
-    def cube_members(self, k: int, alpha: int) -> np.ndarray:
-        return np.nonzero(self.cubes_at(k) == alpha)[0]
+
+def _membership(cubes_k: np.ndarray, n_cells: int) -> np.ndarray:
+    """(cells x n) booleans: point x lies in cell alpha of the level."""
+    return cubes_k[None, :] == np.arange(n_cells)[:, None]
+
+
+def _spreads(dist_rows: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Per cell, the largest distance from its row's centre to a member;
+    -inf for an empty cell, so that no outer-ball test fails on it."""
+    return np.where(member, dist_rows, -np.inf).max(axis=1)
+
+
+_CELL_CHECKS = ("cube-inner-ball", "cube-outer-ball",
+                "centre-inner-ball", "centre-outer-ball")
 
 
 def verify_system(space, constants, h, order, system) -> list[CheckResult]:
@@ -162,11 +174,11 @@ def verify_system(space, constants, h, order, system) -> list[CheckResult]:
         lev = h.level(k)
         zk = system.z_at(k)
         if k < h.k_fine:
+            # z must be the centre itself or one of its reference children
             nxt = h.level(k + 1)
-            allowed = [set(nxt[order.children_at(k)[a]]) | {lev[a]}
-                       for a in range(lev.size)]
-            ok = all(zk[a] in allowed[a] for a in range(lev.size))
-            record(f"z-in-children level {k}", ok)
+            at = np.minimum(np.searchsorted(nxt, zk), nxt.size - 1)
+            child = (nxt[at] == zk) & (order.parent_at(k)[at] == np.arange(lev.size))
+            record(f"z-in-children level {k}", np.all(child | (zk == lev)))
         if zk.size > 1:
             sub = space.dist[np.ix_(zk, zk)]
             worst = sub[~np.eye(zk.size, dtype=bool)].min()
@@ -179,24 +191,18 @@ def verify_system(space, constants, h, order, system) -> list[CheckResult]:
         cubes_k = system.cubes_at(k)
         record(f"cube-partition level {k}",
                cubes_k.min() >= 0 and cubes_k.max() < lev.size)
-        for alpha in range(lev.size):
-            members = np.nonzero(cubes_k == alpha)[0]
-            zc = zk[alpha]
-            xc = lev[alpha]
-            inner = np.nonzero(space.dist[zc] < dk * a0**-5 / 6.0)[0]
-            if not np.all(np.isin(inner, members)):
-                record(f"cube-inner-ball level {k}", False, f"alpha={alpha}")
-            if members.size:
-                spread = space.dist[zc, members].max()
-                if not spread < 6 * a0**4 * dk:
-                    record(f"cube-outer-ball level {k}", False, f"alpha={alpha}")
-            inner_c = np.nonzero(space.dist[xc] < dk * a0**-3 / 8.0)[0]
-            if not np.all(np.isin(inner_c, members)):
-                record(f"centre-inner-ball level {k}", False, f"alpha={alpha}")
-            if members.size:
-                spread_c = space.dist[xc, members].max()
-                if not spread_c <= 8 * a0**5 * dk:
-                    record(f"centre-outer-ball level {k}", False, f"alpha={alpha}")
+        member = _membership(cubes_k, lev.size)
+        dz = space.dist[zk]
+        dx = space.dist[lev]
+        failed = np.stack([
+            ((dz < dk * a0**-5 / 6.0) & ~member).any(axis=1),
+            ~(_spreads(dz, member) < 6 * a0**4 * dk),
+            ((dx < dk * a0**-3 / 8.0) & ~member).any(axis=1),
+            ~(_spreads(dx, member) <= 8 * a0**5 * dk),
+        ], axis=1)
+        # row-major nonzero: ascending alpha, then the order of _CELL_CHECKS
+        for alpha, kind in zip(*np.nonzero(failed)):
+            record(f"{_CELL_CHECKS[kind]} level {k}", False, f"alpha={alpha}")
 
     for k in range(h.k_coarse, h.k_fine):
         dk = h.scale(k)
@@ -244,24 +250,16 @@ def verify_center_sandwich(space, constants, h, system) -> list[CheckResult]:
     for k in range(h.k_coarse, h.k_fine + 1):
         dk = h.scale(k)
         lev = h.level(k)
-        cubes_k = system.cubes_at(k)
-        worst_inner = math.inf
-        worst_outer = 0.0
-        escapes = []
-        for alpha in range(lev.size):
-            members = np.nonzero(cubes_k == alpha)[0]
-            xc = lev[alpha]
-            inner = np.nonzero(space.dist[xc] < dk * a0**-3 / 8.0)[0]
-            if not np.all(np.isin(inner, members)):
-                escapes.append(f"inner ball escapes cube alpha {alpha}")
-            if members.size:
-                spread = float(space.dist[xc, members].max())
-                worst_outer = max(worst_outer, spread)
-                if spread > 8 * a0**5 * dk:
-                    escapes.append(f"cube leaves outer ball alpha {alpha}")
-            outside = np.nonzero(cubes_k != alpha)[0]
-            if outside.size:
-                worst_inner = min(worst_inner, float(space.dist[xc, outside].min()))
+        member = _membership(system.cubes_at(k), lev.size)
+        dx = space.dist[lev]
+        spread = _spreads(dx, member)
+        worst_outer = max(0.0, float(spread.max()))
+        worst_inner = float(np.where(member, math.inf, dx).min())
+        failed = np.stack([((dx < dk * a0**-3 / 8.0) & ~member).any(axis=1),
+                           spread > 8 * a0**5 * dk], axis=1)
+        escapes = [f"inner ball escapes cube alpha {alpha}" if kind == 0
+                   else f"cube leaves outer ball alpha {alpha}"
+                   for alpha, kind in zip(*np.nonzero(failed))]
         detail = "; ".join([f"nearest-foreign {worst_inner:.3g}, outer "
                             f"{worst_outer:.3g} vs {8 * a0**5 * dk:.3g}"] + escapes)
         checks.append(check_flag(f"centre-sandwich level {k}", detail, not escapes))

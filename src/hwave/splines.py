@@ -70,10 +70,9 @@ def transition_probabilities(machine: CubeMachine, k: int) -> np.ndarray:
     parents = machine.parent_tables[k]
     n_out, n_children = parents.shape
     n_parents = h.level(k).size
-    counts = np.zeros((n_parents, n_children))
-    for row in parents:
-        counts[row, np.arange(n_children)] += 1.0
-    return counts / n_out
+    pairs = parents.astype(np.intp) * n_children + np.arange(n_children)
+    counts = np.bincount(pairs.ravel(), minlength=n_parents * n_children)
+    return counts.reshape(n_parents, n_children) / n_out
 
 
 def build_transitions(machine: CubeMachine) -> TransitionSystem:
@@ -258,14 +257,15 @@ def verify_spline_table(space: FiniteSpace, constants: SpaceConstants,
                 record(f"transition-support level {k}",
                        float(dist_pc.max()) < reach, f"max {dist_pc.max():.3g}")
 
-        for alpha in range(lev.size):
-            xc = lev[alpha]
-            inner = space.dist[xc] < dk * a0**-3 / 8.0
-            if not np.all(values[alpha, inner] == 1.0):
-                record(f"support-inner level {k}", False, f"alpha={alpha}")
-            outer = space.dist[xc] < 8.0 * a0**5 * dk
-            if np.any(values[alpha, ~outer] != 0.0):
-                record(f"support-outer level {k}", False, f"alpha={alpha}")
+        dx = space.dist[lev]
+        failed = np.stack([
+            ((dx < dk * a0**-3 / 8.0) & ~(values == 1.0)).any(axis=1),
+            (~(dx < 8.0 * a0**5 * dk) & (values != 0.0)).any(axis=1),
+        ], axis=1)
+        # row-major nonzero: ascending alpha, inner before outer
+        for alpha, kind in zip(*np.nonzero(failed)):
+            record(f"support-{('inner', 'outer')[kind]} level {k}", False,
+                   f"alpha={alpha}")
         record(f"support-sandwich level {k}", True)
     return checks
 
