@@ -90,30 +90,52 @@ def dichotomy_holds(space: FiniteSpace, constants: SpaceConstants,
     """Whether the dichotomy holds at every point x for all r < R in ``radii``.
 
     Same verdict as calling ``empty_annulus_dichotomy`` on every (x, r, R),
-    with one call per distinct ball B(x, r): within one ball V(x, r) is
-    constant and the annulus only shrinks as r grows, so its first radius
-    decides.  The annulus of (r, R) is nonempty exactly for R at or past the
-    first radius with R / (2 A0) above the nearest distance >= 2 A0 r.  On
-    that suffix the mass V(x, R), a running sum of positive weights, never
+    decided by one call.  Within one ball V(x, r) is constant and the
+    annulus only shrinks as r grows, so the ball's first radius decides.
+    The annulus of (r, R) is nonempty exactly for R at or past the first
+    radius with R / (2 A0) above the nearest distance >= 2 A0 r.  On that
+    suffix the mass V(x, R), a running sum of positive weights, never
     decreases, so the dichotomy fails for some R exactly when it fails for
-    the first R, which is the one passed on.
+    the first R.  Every (ball, first R) pair is read off the ball table at
+    once; the one call goes to the pair of least slack
+    V(x, R) - (1 + eps) V(x, r), whose annulus is nonempty, so it raises
+    exactly when some pair fails.
     """
     a0 = constants.A0
-    n_r = radii.size
-    for x in range(space.n):
-        srow = space.balls.dist[x]
-        starts = distinct_balls(space, x, radii)
-        inner = np.searchsorted(srow, 2.0 * a0 * radii[starts], side="left")
-        nearest = np.append(srow, np.inf)[inner]
-        # nearest is itself a radius above r, so every R from here on is > r
-        first_R = np.searchsorted(radii / (2.0 * a0), nearest, side="right")
-        keep = first_R < n_r
-        for i, j in zip(starts[keep], first_R[keep]):
-            try:
-                empty_annulus_dichotomy(space, constants, x, float(radii[i]),
-                                        float(radii[j]))
-            except AssertionError:
-                return False
+    tab = space.balls
+    n, n_r = space.n, radii.size
+    xs, last = tab.ball_ends()
+    first_r = np.searchsorted(radii, tab.dist[xs, last], side="right")
+    keep = first_r < n_r
+    xs, first_r = xs[keep], first_r[keep]
+    # Integer distance ranks offset by row: the points of row x at distance
+    # below t are the keys below x * m + (number of distances below t).
+    levels = np.unique(tab.dist)
+    m = levels.size
+    keys = (np.searchsorted(levels, tab.dist) + m * np.arange(n)[:, None]).reshape(-1)
+
+    def count_below(rows, t):
+        below = np.searchsorted(levels, t, side="left")
+        return np.searchsorted(keys, m * rows + below, side="left") - n * rows
+
+    inner = count_below(xs, 2.0 * a0 * radii[first_r])
+    # nearest is itself a radius above r, so every R from here on is > r
+    nearest = np.where(inner < n, tab.dist[xs, np.minimum(inner, n - 1)], np.inf)
+    first_R = np.searchsorted(radii / (2.0 * a0), nearest, side="right")
+    keep = first_R < n_r
+    xs, first_r, first_R = xs[keep], first_r[keep], first_R[keep]
+    if xs.size == 0:
+        return True
+    eps = 1.0 / constants.cmu(3.0 * a0**2)
+    sizes = count_below(np.tile(xs, 2), radii[np.concatenate([first_r, first_R])])
+    v_r, v_R = tab.mass[xs, sizes[:xs.size]], tab.mass[xs, sizes[xs.size:]]
+    # the exact sign of V(x, R) - (1 + eps) V(x, r) is the call's comparison
+    w = int(np.argmin(v_R - (1.0 + eps) * v_r))
+    try:
+        empty_annulus_dichotomy(space, constants, int(xs[w]),
+                                float(radii[first_r[w]]), float(radii[first_R[w]]))
+    except AssertionError:
+        return False
     return True
 
 
@@ -314,12 +336,12 @@ def modulated_kernel(basis: WaveletBasis, signs: np.ndarray) -> np.ndarray:
 def bmo_norm(space: FiniteSpace, b: np.ndarray, center: str = "average") -> float:
     """Exact max over balls of the mean oscillation around a centre value c.
 
-    Centre x visits each of its distinct balls once: for each size in
-    ``balls.distinct_sizes(x)``, the first ``size`` points of
-    ``balls.order[x]``, x itself first.  Every sum runs over a ball's points
-    in that distance order, as a running sum (``np.cumsum``), and the ball's
-    mass mu(B) is the table's ``balls.mass[x, size]``.  The oscillation is
-    sum w |b - c| / mu(B).
+    Every distinct ball is visited once, as a pair (centre x, last point)
+    from ``balls.ball_ends()``: the ball is the points of ``balls.order[x]``
+    up to its last, x itself first.  Every sum runs over a ball's points in
+    that distance order, as a running sum along the row (``np.cumsum``), and
+    the ball's mass mu(B) is the table's ``balls.mass[x, last + 1]``.  The
+    oscillation is sum w |b - c| / mu(B).
 
     ``center='average'`` takes c = b(x) + S / mu(B), S the running sum of
     w (b - b(x)): shifted by the centre's own value, a constant input has
@@ -327,31 +349,42 @@ def bmo_norm(space: FiniteSpace, b: np.ndarray, center: str = "average") -> floa
     of the L1 oscillation, the weighted median: the first value, in a stable
     sort of the ball's values in distance order, at which the running weight
     reaches half its total.  The two norms differ by at most a factor 2.
+
+    The pairs go in blocks of n, smallest balls first, and a block reads
+    only the columns up to its largest ball: each temporary holds at most
+    n^2 entries, and a ball's sums are the same in any block.
     """
     if center not in ("average", "median"):
         raise ValueError("center must be 'average' or 'median'")
     b = np.asarray(b, dtype=float)
     tab = space.balls
     n = space.n
+    xs, last = tab.ball_ends()
+    by_size = np.argsort(last, kind="stable")
+    xs, last = xs[by_size], last[by_size]
+    mass = tab.mass[xs, last + 1]
+    bs = b[tab.order]
+    ws = space.weights[tab.order]
+    if center == "average":
+        c = bs[xs, 0] + np.cumsum(ws * (bs - bs[:, :1]), axis=1)[xs, last] / mass
     best = 0.0
-    for x in range(n):
-        bs = b[tab.order[x]]
-        ws = space.weights[tab.order[x]]
-        sizes = tab.distinct_sizes(x)
-        last = (np.arange(sizes.size), sizes - 1)  # each ball's last point
-        mass = tab.mass[x, sizes]
+    for lo in range(0, xs.size, n):
+        block = slice(lo, lo + n)
+        ends = last[block]
+        rows, cols = np.arange(ends.size), int(ends[-1]) + 1
+        vals, wts = bs[xs[block], :cols], ws[xs[block], :cols]
         if center == "average":
-            c = bs[0] + np.cumsum(ws * (bs - bs[0]))[sizes - 1] / mass
+            cb = c[block]
         else:
             # points outside a ball sort last, after any value inside it
-            outside = np.arange(n) >= sizes[:, None]
-            by_value = np.argsort(np.where(outside, np.inf, bs), axis=1,
+            outside = np.arange(cols) > ends[:, None]
+            by_value = np.argsort(np.where(outside, np.inf, vals), axis=1,
                                   kind="stable")
-            cum = np.cumsum(ws[by_value], axis=1)
-            half = 0.5 * cum[last]
-            c = bs[by_value[last[0], np.argmax(cum >= half[:, None], axis=1)]]
-        dev = np.cumsum(ws * np.abs(bs - c[:, None]), axis=1)
-        best = max(best, float((dev[last] / mass).max()))
+            cum = np.cumsum(np.take_along_axis(wts, by_value, axis=1), axis=1)
+            half = 0.5 * cum[rows, ends]
+            cb = vals[rows, by_value[rows, np.argmax(cum >= half[:, None], axis=1)]]
+        dev = np.cumsum(wts * np.abs(vals - cb[:, None]), axis=1)
+        best = max(best, float((dev[rows, ends] / mass[block]).max()))
     return best
 
 

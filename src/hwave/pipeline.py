@@ -139,9 +139,8 @@ def _suite_mra(b: Bundle, rng: np.random.Generator):
             f"ratio {r:.3g}, {terms} terms", agree, 1e-10))
         lo, hi = lv.riesz
         worst = 0.0
-        for _ in range(100):
-            lam = rng.normal(size=n)
-            f = lam @ b.splines.at(k)
+        lams = rng.normal(size=(100, n))
+        for lam, f in zip(lams, lams @ b.splines.at(k)):
             lhs = b.space.inner(f, f)
             mass = float((lam**2 * lv.volumes).sum())
             worst = max(worst,

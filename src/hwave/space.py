@@ -63,11 +63,14 @@ class BallTable:
         """Number of points of B(x, r), for one radius or an array of them."""
         return np.searchsorted(self.dist[x], r, side="left")
 
-    def distinct_sizes(self, x: int) -> np.ndarray:
-        """Sizes of the distinct balls centred at x, ascending: a ball ends
-        where the sorted distances jump, and the last holds every point."""
-        row = self.dist[x]
-        return np.append(np.flatnonzero(np.diff(row)) + 1, row.size)
+    def ball_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every distinct ball as (centre x, position of its last point in
+        ``order[x]``), centre by centre and ascending within a centre: a ball
+        ends where the sorted distances jump, and the last holds every point.
+        The ball ending at ``last`` has ``last + 1`` points."""
+        ends = np.ones(self.dist.shape, dtype=bool)
+        ends[:, :-1] = self.dist[:, 1:] != self.dist[:, :-1]
+        return np.nonzero(ends)
 
 
 @dataclass(frozen=True)

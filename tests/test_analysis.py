@@ -67,8 +67,8 @@ SCAN_SPACES = ["FIX-A", "FIX-B", "cycle(20, weights=uniform)", "tree(4)",
 
 
 def _triples(sp, a0):
-    """For every x and canonical r: V(x, r), then V(x, R) and whether the
-    annulus 2 A0 r <= d(x, .) < R / (2 A0) is nonempty, for every R > r, with
+    """For every x and canonical r: x, r, V(x, r), then the radii R > r, V(x, R)
+    and whether the annulus 2 A0 r <= d(x, .) < R / (2 A0) is nonempty, with
     the expressions of ``empty_annulus_dichotomy``."""
     radii = canonical_radii(sp)
     for x in range(sp.n):
@@ -76,20 +76,55 @@ def _triples(sp, a0):
         vol = np.array([sp.volume(x, float(r)) for r in radii])
         for i, r in enumerate(radii):
             annulus = (row >= 2.0 * a0 * r) & (row < radii[i + 1:] / (2.0 * a0))
-            yield vol[i], vol[i + 1:], annulus.any(axis=0)
+            yield x, r, vol[i], radii[i + 1:], vol[i + 1:], annulus.any(axis=0)
 
 
 def _dichotomy_triple_loop(sp, c):
     """Whether the dichotomy holds at every (x, r, R), the R loop vectorised."""
     eps = 1.0 / c.cmu(3.0 * c.A0**2)
     return not any((~(big >= (1.0 + eps) * v) & nonempty).any()
-                   for v, big, nonempty in _triples(sp, c.A0))
+                   for _, _, v, _, big, nonempty in _triples(sp, c.A0))
+
+
+def _dichotomy_per_ball_scan(sp, c, radii):
+    """The scan with one ``empty_annulus_dichotomy`` call per distinct ball
+    B(x, r), at its first radius and the first R whose annulus is nonempty."""
+    a0 = c.A0
+    for x in range(sp.n):
+        srow = sp.balls.dist[x]
+        starts = distinct_balls(sp, x, radii)
+        inner = np.searchsorted(srow, 2.0 * a0 * radii[starts], side="left")
+        nearest = np.append(srow, np.inf)[inner]
+        first_R = np.searchsorted(radii / (2.0 * a0), nearest, side="right")
+        keep = first_R < radii.size
+        for i, j in zip(starts[keep], first_R[keep]):
+            try:
+                an.empty_annulus_dichotomy(sp, c, x, float(radii[i]), float(radii[j]))
+            except AssertionError:
+                return False
+    return True
+
+
+def _least_slack_triples(sp, c):
+    """Least V(x, R) - (1 + eps) V(x, r) over the (x, r, R) with a nonempty
+    annulus, and every triple that attains it."""
+    eps = 1.0 / c.cmu(3.0 * c.A0**2)
+    best, argbest = math.inf, set()
+    for x, r, v, Rs, big, nonempty in _triples(sp, c.A0):
+        slack = big[nonempty] - (1.0 + eps) * v
+        if slack.size == 0 or slack.min() > best:
+            continue
+        if slack.min() < best:
+            best, argbest = slack.min(), set()
+        argbest |= {(x, float(r), float(R)) for R in Rs[nonempty][slack == best]}
+    return best, argbest
 
 
 def _least_growth(sp, c):
     """Least V(x, R) / V(x, r) over the triples with a nonempty annulus."""
     return min(((big[nonempty] / v).min()
-                for v, big, nonempty in _triples(sp, c.A0) if nonempty.any()),
+                for _, _, v, _, big, nonempty in _triples(sp, c.A0)
+                if nonempty.any()),
                default=math.inf)
 
 
@@ -115,6 +150,7 @@ def test_dichotomy_scan_matches_triple_loop(desc):
         expected = _dichotomy_triple_loop(sp, cc)
         assert holds is None or expected == holds
         assert an.dichotomy_holds(sp, cc, radii) == expected
+        assert _dichotomy_per_ball_scan(sp, cc, radii) == expected
         verdicts.append(expected)
     if desc.startswith("random_cloud"):
         assert not verdicts[0] and not verdicts[1]
@@ -157,24 +193,72 @@ def test_dichotomy_scan_without_monotone_volumes(wide_line):
     assert an.dichotomy_holds(sp, c, radii)
 
 
-def test_dichotomy_scan_call_budget(monkeypatch):
-    sp = generate_space("random_cloud(20, 2, 1)")
-    c = compute_constants(sp)
-    radii = canonical_radii(sp)
+def _counted_calls(monkeypatch):
+    """Record every ``empty_annulus_dichotomy`` call as (x, r, R, raised)."""
     calls = []
     real = an.empty_annulus_dichotomy
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(sp, c, x, r, R):
+        try:
+            real(sp, c, x, r, R)
+        except AssertionError:
+            calls.append((x, r, R, True))
+            raise
+        calls.append((x, r, R, False))
 
     monkeypatch.setattr(an, "empty_annulus_dichotomy", counted)
-    assert an.dichotomy_holds(sp, c, radii)
-    # one call per distinct ball, at its first radius
-    firsts = {(x, float(r)) for x in range(sp.n)
-              for r in radii[distinct_balls(sp, x, radii)]}
-    assert {(x, r) for _, _, x, r, _ in calls} <= firsts
-    assert 0 < len(calls) <= len(firsts) <= sp.n ** 2
+    return calls
+
+
+def _one_least_slack_call(monkeypatch, sp, c):
+    """The scan's verdict; its one call was at a triple of least slack and
+    raised exactly when that slack is negative."""
+    radii = canonical_radii(sp)
+    slack, least = _least_slack_triples(sp, c)
+    calls = _counted_calls(monkeypatch)
+    holds = an.dichotomy_holds(sp, c, radii)
+    assert len(calls) == 1
+    x, r, R, raised = calls[0]
+    assert (x, r, R) in least
+    assert raised == (slack < 0) == (not holds)
+    return holds
+
+
+def test_dichotomy_scan_call_budget(monkeypatch):
+    sp = generate_space("random_cloud(20, 2, 1)")
+    assert _one_least_slack_call(monkeypatch, sp, compute_constants(sp))
+
+
+def test_dichotomy_scan_call_raises_at_least_slack(monkeypatch):
+    """A C_mu(3 A0^2) forced just past the least growth ratio makes only the
+    tightest triples fail, and the one call is the one that raises."""
+    sp = generate_space("random_cloud(20, 2, 1)")
+    c = compute_constants(sp)
+    rho = _least_growth(sp, c)
+    c = dataclasses.replace(
+        c, _cmu_cache={float(3.0 * c.A0**2): 1.0 / ((rho - 1.0) * (1.0 + 1e-9))})
+    assert not _one_least_slack_call(monkeypatch, sp, c)
+
+
+@pytest.mark.parametrize("dist, weights", [
+    ([[0.0]], [1.0]),
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]),
+    ([[0.0, 3.0], [3.0, 0.0]], [1e-9, 5.0]),
+])
+def test_dichotomy_scan_on_one_and_two_points(monkeypatch, dist, weights):
+    """No annulus of one or two points is nonempty: every scan holds, with
+    no call, whatever C_mu(3 A0^2) is."""
+    sp = FiniteSpace(dist=np.array(dist), weights=np.array(weights))
+    c = compute_constants(sp)
+    radii = canonical_radii(sp)
+    calls = _counted_calls(monkeypatch)
+    for cmu in (None, 1.0):
+        cc = c if cmu is None else dataclasses.replace(
+            c, _cmu_cache={float(3.0 * c.A0**2): cmu})
+        assert _dichotomy_triple_loop(sp, cc)
+        assert _dichotomy_per_ball_scan(sp, cc, radii)
+        assert an.dichotomy_holds(sp, cc, radii)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +525,64 @@ def test_bmo_norm_equals_per_ball_oracles(desc, center, request):
 @pytest.mark.parametrize("desc", ["FIX-B", "cycle(20, weights=uniform)", "wide_line",
                                   "grid(5, 2, l2)", "random_cloud(64, 2, 1)"])
 def test_distinct_sizes_read_off_the_row(desc, request):
+    """``ball_ends`` lists each centre's distinct balls, ascending, centre by
+    centre: the sizes are the ball sizes at the first radius of each ball."""
     sp = request.getfixturevalue(desc) if desc == "wide_line" else resolve_space(desc)
     radii = canonical_radii(sp)
+    xs, last = sp.balls.ball_ends()
+    assert (np.diff(xs) >= 0).all()
     for x in range(sp.n):
         want = sp.balls.size(x, radii[distinct_balls(sp, x, radii)])
-        assert np.array_equal(sp.balls.distinct_sizes(x), want)
+        assert np.array_equal(last[xs == x] + 1, want)
+
+
+def _bmo_norm_per_centre(sp, b, center):
+    """BMO norm with one vectorised pass per centre over its distinct balls,
+    in the arithmetic ``bmo_norm`` documents."""
+    tab = sp.balls
+    n = sp.n
+    best = 0.0
+    for x in range(n):
+        bs = b[tab.order[x]]
+        ws = sp.weights[tab.order[x]]
+        row = tab.dist[x]
+        sizes = np.append(np.flatnonzero(np.diff(row)) + 1, row.size)
+        last = (np.arange(sizes.size), sizes - 1)
+        mass = tab.mass[x, sizes]
+        if center == "average":
+            c = bs[0] + np.cumsum(ws * (bs - bs[0]))[sizes - 1] / mass
+        else:
+            outside = np.arange(n) >= sizes[:, None]
+            by_value = np.argsort(np.where(outside, np.inf, bs), axis=1,
+                                  kind="stable")
+            cum = np.cumsum(ws[by_value], axis=1)
+            half = 0.5 * cum[last]
+            c = bs[by_value[last[0], np.argmax(cum >= half[:, None], axis=1)]]
+        dev = np.cumsum(ws * np.abs(bs - c[:, None]), axis=1)
+        best = max(best, float((dev[last] / mass).max()))
+    return best
+
+
+# With n >= 2 every centre has at least two balls, one point and all of
+# them, so there are more than n pairs and the blocks of n split centres.
+BMO_ORACLE_SPACES = (["FIX-B", "grid(16, 2)", "cycle(64, scale=1)",
+                      "two_cluster(12, 7)", "wide_line", "one_point"]
+                     + [f"random_cloud({n}, 2, {s})" for n in (20, 64)
+                        for s in range(10)])
+
+
+@pytest.mark.parametrize("desc", BMO_ORACLE_SPACES)
+def test_bmo_norm_equals_per_centre_oracle(desc, request):
+    if desc == "wide_line":
+        sp = request.getfixturevalue(desc)
+    elif desc == "one_point":
+        sp = FiniteSpace(dist=np.zeros((1, 1)), weights=np.ones(1))
+    else:
+        sp = resolve_space(desc)
+    rng = np.random.default_rng(17)
+    for b in (rng.normal(size=sp.n), rng.integers(0, 3, size=sp.n).astype(float)):
+        for center in ("average", "median"):
+            assert an.bmo_norm(sp, b, center) == _bmo_norm_per_centre(sp, b, center)
 
 
 def test_bmo_average_vs_median_factor_two(fix_b):
