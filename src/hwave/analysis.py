@@ -127,8 +127,8 @@ def dichotomy_holds(space: FiniteSpace, constants: SpaceConstants,
     if xs.size == 0:
         return True
     eps = 1.0 / constants.cmu(3.0 * a0**2)
-    sizes = count_below(np.tile(xs, 2), radii[np.concatenate([first_r, first_R])])
-    v_r, v_R = tab.mass[xs, sizes[:xs.size]], tab.mass[xs, sizes[xs.size:]]
+    v_r = tab.mass[xs, count_below(xs, radii[first_r])]
+    v_R = tab.mass[xs, count_below(xs, radii[first_R])]
     # the exact sign of V(x, R) - (1 + eps) V(x, r) is the call's comparison
     w = int(np.argmin(v_R - (1.0 + eps) * v_r))
     try:
