@@ -501,9 +501,10 @@ def paraproduct_matrix(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
     pos = _wavelet_positions(h, basis)
     cb = W @ (beta * space.weights)
     rows = np.zeros_like(W)
-    for i in range(W.shape[0]):
-        s = table.at(int(levels[i]) + 1)[pos[i]]
-        rows[i] = s / float(np.dot(s, space.weights))
+    for k in np.unique(levels).tolist():
+        at = np.flatnonzero(levels == k)
+        s = table.at(k + 1)[pos[at]]
+        rows[at] = s / np.array([np.dot(r, space.weights) for r in s])[:, None]
     return W.T @ (cb[:, None] * rows * space.weights[None, :])
 
 

@@ -53,13 +53,15 @@ def decay_exponent_s(constants: SpaceConstants) -> float:
     return 1.0 / (1.0 + math.log2(constants.A0))
 
 
-def gram_matrix(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
+def _gram_level(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
                 table: SplineTable, k: int):
-    """Volume-normalized Gram matrix of the level-k splines, plus the volumes."""
+    """``gram_matrix``'s matrix and volumes plus the eigenvalues of its SPD
+    check, which are the Riesz bounds' too."""
     values = table.at(k)
     lev = h.level(k)
     dk = h.scale(k)
-    vol = np.array([space.volume(int(x), dk) for x in lev])
+    tab = space.balls
+    vol = tab.mass[lev, (tab.dist[lev] < dk).sum(axis=1)]
     raw = space.gram(values, values)
     M = raw / np.sqrt(np.outer(vol, vol))
     M = 0.5 * (M + M.T)
@@ -70,6 +72,13 @@ def gram_matrix(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
     eigs = np.linalg.eigvalsh(M)
     if eigs[0] <= 0.0:
         raise NotSPDError(f"Gram at level {k} has eigenvalue {eigs[0]:.3e} <= 0")
+    return M, vol, eigs
+
+
+def gram_matrix(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
+                table: SplineTable, k: int):
+    """Volume-normalized Gram matrix of the level-k splines, plus the volumes."""
+    M, vol, _ = _gram_level(space, constants, h, table, k)
     return M, vol
 
 
@@ -213,7 +222,7 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
     """Gram, dual and orthonormal data per level, with identities asserted."""
     out = []
     for k in range(h.k_coarse, h.k_fine + 1):
-        M, vol = gram_matrix(space, constants, h, table, k)
+        M, vol, eigs = _gram_level(space, constants, h, table, k)
         Minv, Misqrt = inverse_and_sqrt(M)
         values = table.at(k)
         stilde, phi = biorthogonal_and_orthonormal(space, values, Minv, Misqrt, vol)
@@ -229,7 +238,8 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
                 f"(bio {err_bio:.2e}, ortho {err_ortho:.2e}, mass {err_mass:.2e})"
             )
         out.append(GramLevel(k=k, M=M, volumes=vol, Minv=Minv, Misqrt=Misqrt,
-                             stilde=stilde, phi=phi, riesz=riesz_bounds(M)))
+                             stilde=stilde, phi=phi,
+                             riesz=(float(eigs[0]), float(eigs[-1]))))
     return GramSystem(k_coarse=h.k_coarse, k_fine=h.k_fine, levels=tuple(out))
 
 

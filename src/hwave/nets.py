@@ -76,13 +76,19 @@ class NetHierarchy:
 
 
 def _greedy_extend(dist: np.ndarray, base: list[int], candidates, sep: float) -> list[int]:
-    chosen = list(base)
+    """``base`` plus, in candidate order, every point at distance >= sep from
+    all points chosen so far, sorted.  ``blocked`` marks the points within sep
+    of a chosen one (itself included), so each candidate is one lookup."""
+    taken = np.zeros(dist.shape[0], dtype=bool)
+    blocked = np.zeros(dist.shape[0], dtype=bool)
+    for i in base:
+        taken[i] = True
+        blocked |= dist[i] < sep
     for i in candidates:
-        if i in chosen:
-            continue
-        if all(dist[i, j] >= sep for j in chosen):
-            chosen.append(i)
-    return sorted(chosen)
+        if not blocked[i]:
+            taken[i] = True
+            blocked |= dist[i] < sep
+    return np.flatnonzero(taken).tolist()
 
 
 def build_nets(space: FiniteSpace, constants: SpaceConstants, delta: float,
@@ -204,6 +210,29 @@ class ReferenceOrder:
         return self.label2[k - self.k_coarse - 1]
 
 
+def _neighbours(space: FiniteSpace, lev: np.ndarray, nxt: np.ndarray,
+                parent: np.ndarray, k: int, dk: float, a0: float) -> tuple:
+    """Ascending same-level neighbour positions of every level-k cell.
+
+    ``beta`` and ``gamma`` are neighbours when they own children closer than
+    (2 A0)^-1 delta^k to each other: Pᵀ·close·P > 0 off the diagonal, with P
+    the children's parent one-hot, whose integer counts are exact in floats.
+    Neighbours must lie within 5 A0^3 delta^k; the first pair in row-major
+    order that does not raises.
+    """
+    close = space.dist[np.ix_(nxt, nxt)] < dk / (2.0 * a0)
+    onehot = np.zeros((nxt.size, lev.size))
+    onehot[np.arange(nxt.size), parent] = 1.0
+    near = onehot.T @ (close.astype(float) @ onehot) > 0.0
+    np.fill_diagonal(near, False)
+    far = np.triu(near & (space.dist[np.ix_(lev, lev)] >= 5.0 * a0**3 * dk))
+    if far.any():
+        a, b = np.argwhere(far)[0]
+        raise GeometryViolation(
+            f"neighbours {lev[a]},{lev[b]} at level {k} too far apart")
+    return tuple(np.flatnonzero(row) for row in near)
+
+
 def build_reference_order(space: FiniteSpace, constants: SpaceConstants,
                           h: NetHierarchy) -> ReferenceOrder:
     a0 = constants.A0
@@ -242,26 +271,7 @@ def build_reference_order(space: FiniteSpace, constants: SpaceConstants,
         children.append(tuple(kids))
         M = max(M, max((len(c) for c in kids), default=1))
 
-        # ``beta`` and ``gamma`` are neighbours when they own children closer
-        # than (2 A0)^-1 delta^k to each other.
-        thr = dk / (2.0 * a0)
-        nbrs = [[] for _ in range(lev.size)]
-        child_pts = [nxt[c] for c in kids]
-        for a in range(lev.size):
-            if not len(child_pts[a]):
-                continue
-            for b in range(a + 1, lev.size):
-                if not len(child_pts[b]):
-                    continue
-                block = space.dist[np.ix_(child_pts[a], child_pts[b])]
-                if block.min() < thr:
-                    if space.dist[lev[a], lev[b]] >= 5.0 * a0**3 * dk:
-                        raise GeometryViolation(
-                            f"neighbours {lev[a]},{lev[b]} at level {k} too far apart"
-                        )
-                    nbrs[a].append(b)
-                    nbrs[b].append(a)
-        nbrs = tuple(np.asarray(v, dtype=int) for v in nbrs)
+        nbrs = _neighbours(space, lev, nxt, parent, k, dk, a0)
         neighbours.append(nbrs)
         L = max(L, max((v.size for v in nbrs), default=0))
 
@@ -275,9 +285,8 @@ def build_reference_order(space: FiniteSpace, constants: SpaceConstants,
         label1.append(colors)
 
         lab2 = np.zeros(nxt.size, dtype=int)
-        for a in range(lev.size):
-            for rank, pos in enumerate(kids[a], start=1):
-                lab2[pos] = rank
+        for kid in kids:
+            lab2[kid] = np.arange(1, kid.size + 1)
         label2.append(lab2)
 
     for colors in label1:

@@ -81,52 +81,6 @@ def sample_omega(order: ReferenceOrder, seed: int) -> OmegaSample:
     return OmegaSample(k_coarse=order.k_coarse, ell=ell[:, 0], m=m[:, 0], seed=seed)
 
 
-def _new_points_level(h: NetHierarchy, order: ReferenceOrder, k: int,
-                      ell_k: int, m_k: int) -> np.ndarray:
-    """Point ids of z^k_alpha for a single level coordinate."""
-    lev = h.level(k)
-    nxt = h.level(k + 1)
-    z = lev.copy()
-    lab1 = order.label1_at(k)
-    lab2 = order.label2_at(k + 1)
-    for alpha in np.nonzero(lab1 == ell_k)[0]:
-        kids = order.children_at(k)[alpha]
-        match = kids[lab2[kids] == m_k]
-        if match.size:
-            z[alpha] = nxt[match[0]]
-    return z
-
-
-def _check_z_separation(space, constants, h, k, z_points):
-    if z_points.size < 2:
-        return
-    sub = space.dist[np.ix_(z_points, z_points)]
-    off = sub[~np.eye(z_points.size, dtype=bool)]
-    need = h.scale(k) / (2.0 * constants.A0)
-    if off.min() < need:
-        raise GeometryViolation(
-            f"new points at level {k} closer than (2A0)^-1 delta^k"
-        )
-
-
-def _new_order_level(space: FiniteSpace, constants: SpaceConstants,
-                     h: NetHierarchy, order: ReferenceOrder, k: int,
-                     z_points: np.ndarray) -> np.ndarray:
-    """Positions of the omega-parent of every level-(k+1) point."""
-    nxt = h.level(k + 1)
-    thr = 0.25 * constants.A0**-2 * h.scale(k)
-    dmat = space.dist[np.ix_(nxt, z_points)]
-    close = dmat < thr
-    counts = close.sum(axis=1)
-    if np.any(counts > 1):
-        bad = int(np.argmax(counts))
-        raise GeometryViolation(
-            f"point {nxt[bad]} has {counts[bad]} near new parents at level {k}"
-        )
-    fallback = order.parent_at(k)
-    return np.where(counts == 1, np.argmax(close, axis=1), fallback)
-
-
 @dataclass(frozen=True)
 class RandomizedSystem:
     k_coarse: int
@@ -271,6 +225,75 @@ def verify_center_sandwich(space, constants, h, system) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _outcome_tables(space: FiniteSpace, constants: SpaceConstants,
+                    h: NetHierarchy, order: ReferenceOrder, k: int):
+    """The z and parent tables of level k, one row per outcome (ell, m).
+
+    Outcome (ell, m) promotes, in every cell of label1 ell, its child of
+    label2 m (the first such child) to the cell's new point z; every other
+    cell keeps its centre.  Each promoted (cell, child) pair belongs to one
+    outcome, so the z table is the level tiled once per outcome plus one
+    scatter, and an outcome differs from the level only in its promoted
+    columns:
+    - z separation: the level's own pairs, in the outcomes promoting neither
+      cell, and one row per promoted point against its outcome's z;
+    - the new parent: a child's near new parents are the level's near
+      centres with the promoted columns swapped, so the count and the
+      position of a unique one are the level's plus integer corrections
+      summed over the outcome's promoted columns, exact in floats.
+    The first failing outcome raises, its separation before its counts.
+    """
+    lev = h.level(k)
+    nxt = h.level(k + 1)
+    dk = h.scale(k)
+    L, M = order.L, order.M
+    n_out = (L + 1) * M
+    kids = order.children_at(k)
+    cell = np.repeat(np.arange(lev.size), [c.size for c in kids])
+    child = np.concatenate(kids)
+    ell = order.label1_at(k)[cell]
+    m = order.label2_at(k + 1)[child]
+    out = ell * M + m - 1
+    keep = np.flatnonzero((ell >= 0) & (ell <= L) & (m >= 1) & (m <= M))
+    keep = keep[np.unique(out[keep] * lev.size + cell[keep], return_index=True)[1]]
+    cell, child, out = cell[keep], child[keep], out[keep]
+    promoted = np.arange(child.size)
+    z = np.tile(lev, (n_out, 1))
+    z[out, cell] = nxt[child]
+
+    need = dk / (2.0 * constants.A0)
+    too_close = space.dist[np.ix_(lev, lev)] < need
+    np.fill_diagonal(too_close, False)
+    sep_failed = np.zeros(n_out, dtype=bool)
+    if too_close.any():
+        unmoved = np.ones((n_out, lev.size))
+        unmoved[out, cell] = 0.0
+        sep_failed = ((unmoved @ too_close) * unmoved).sum(axis=1) > 0.0
+    rows = space.dist[nxt[child][:, None], z[out]]
+    rows[promoted, cell] = np.inf
+    sep_failed[out[(rows < need).any(axis=1)]] = True
+
+    thr = 0.25 * constants.A0**-2 * dk
+    near = space.dist[np.ix_(nxt, lev)] < thr
+    swap = (space.dist[np.ix_(nxt, nxt[child])] < thr) - near[:, cell].astype(float)
+    onehot = np.zeros((n_out, child.size))
+    onehot[out, promoted] = 1.0
+    counts = (near.sum(axis=1) + onehot @ swap.T).astype(np.int64)
+    at = (near @ np.arange(lev.size) + onehot @ (swap * cell).T).astype(np.int64)
+
+    failed = sep_failed | (counts > 1).any(axis=1)
+    if failed.any():
+        o = int(np.argmax(failed))
+        if sep_failed[o]:
+            raise GeometryViolation(
+                f"new points at level {k} closer than (2A0)^-1 delta^k")
+        bad = int(np.argmax(counts[o]))
+        raise GeometryViolation(
+            f"point {nxt[bad]} has {counts[o, bad]} near new parents at level {k}")
+    parents = np.where(counts == 1, at, order.parent_at(k)).astype(np.int32)
+    return z, parents
+
+
 class CubeMachine:
     """Per-level enumeration of all (L+1)*M coordinate outcomes.
 
@@ -290,17 +313,8 @@ class CubeMachine:
         self.z_tables = {}
         self.parent_tables = {}
         for k in range(h.k_coarse, h.k_fine):
-            z_rows = []
-            p_rows = []
-            for ell in range(order.L + 1):
-                for m in range(1, order.M + 1):
-                    z = _new_points_level(h, order, k, ell, m)
-                    _check_z_separation(space, constants, h, k, z)
-                    p = _new_order_level(space, constants, h, order, k, z)
-                    z_rows.append(z)
-                    p_rows.append(p)
-            self.z_tables[k] = np.asarray(z_rows)
-            self.parent_tables[k] = np.asarray(p_rows, dtype=np.int32)
+            self.z_tables[k], self.parent_tables[k] = _outcome_tables(
+                space, constants, h, order, k)
 
     def outcome_index(self, ell, m):
         """Table row of the coordinate (ell, m); elementwise on arrays."""

@@ -29,6 +29,16 @@ GOLDEN = {
         "nets.json": "497cd7ee9bafffd8023cb8518f4cadc204e2bb0d1a40d9df9ba6848da7029e79",
         "system.json": "40e55a205f77f7c9a17221daeee934fa5439602414e5b80a7d4cb7ef43a56960",
     },
+    # recorded before the nets, the neighbour relation and the outcome tables
+    # were built in array passes
+    ("cycle(64, scale=1)", 0.2): {
+        "nets.json": "6a859df35859a35cfa56665ea8f0fa0f51fa71f6c7d2f5fe25119ac5d49b58e7",
+        "system.json": "d204dcaa8c9a03ca67ddc65d4420c54680323728cd05008dd96f7c1792faaf8f",
+    },
+    ("grid(16,2)", 0.25): {
+        "nets.json": "8d3eebe7d7a3bc3d9f02226bf93d12add39f8cc14113fd3db8ded8c1f43fb06e",
+        "system.json": "0a49dd930d041234cadd37cc8fadbcb1943131d4ad5d9c7dd47e8852a5b98127",
+    },
 }
 
 
