@@ -199,9 +199,6 @@ class ReferenceOrder:
     def children_at(self, k: int):
         return self.children[k - self.k_coarse]
 
-    def neighbours_at(self, k: int):
-        return self.neighbours[k - self.k_coarse]
-
     def label1_at(self, k: int) -> np.ndarray:
         return self.label1[k - self.k_coarse]
 
@@ -369,6 +366,27 @@ def load_nets(path):
                 f"net file invariant violated: parent map at level "
                 f"{h.k_coarse + i} is not a map onto the coarser level")
         children.append(tuple(np.nonzero(p == a)[0] for a in range(size)))
+    label1 = tuple(np.asarray(v, dtype=int) for v in data["label1"])
+    label2 = tuple(np.asarray(v, dtype=int) for v in data["label2"])
+    L, M = int(data["L"]), int(data["M"])
+    if len(label1) != len(parents) or len(label2) != len(parents):
+        raise NetError("net file invariant violated: label array count")
+    for i, (lab1, lab2, p) in enumerate(zip(label1, label2, parents)):
+        k = h.k_coarse + i
+        size = h.levels[i].size
+        if lab1.shape != (size,) or np.any((lab1 < 0) | (lab1 > L)):
+            raise NetError(
+                f"net file invariant violated: label1 at level {k} is not "
+                f"{size} labels in 0..{L}")
+        if lab2.shape != p.shape or np.any((lab2 < 1) | (lab2 > M)):
+            raise NetError(
+                f"net file invariant violated: label2 at level {k + 1} is not "
+                f"{p.size} labels in 1..{M}")
+        # siblings share a parent, so (parent, label2) pairs must be distinct
+        if np.unique(p * (M + 1) + lab2).size != p.size:
+            raise NetError(
+                f"net file invariant violated: siblings share a label2 at "
+                f"level {k + 1}")
     order = ReferenceOrder(
         k_coarse=h.k_coarse,
         k_fine=h.k_fine,
@@ -378,9 +396,9 @@ def load_nets(path):
             tuple(np.asarray(v, dtype=int) for v in lvl)
             for lvl in data["neighbours"]
         ),
-        label1=tuple(np.asarray(v, dtype=int) for v in data["label1"]),
-        label2=tuple(np.asarray(v, dtype=int) for v in data["label2"]),
-        L=int(data["L"]),
-        M=int(data["M"]),
+        label1=label1,
+        label2=label2,
+        L=L,
+        M=M,
     )
     return h, order

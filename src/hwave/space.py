@@ -174,17 +174,6 @@ class FiniteSpace:
     def mean(self, f: np.ndarray) -> float:
         return self.inner(f, np.ones(self.n)) / self.total_mass
 
-    def rescale(self, factor: float) -> "FiniteSpace":
-        """Same points with every distance multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return FiniteSpace(
-            dist=self.dist * factor,
-            weights=self.weights.copy(),
-            coords=None if self.coords is None else self.coords.copy(),
-            name=f"{self.name}*{factor:g}" if self.name else "",
-        )
-
     def power(self, s: float) -> "FiniteSpace":
         """Snowflaked space with distance dist**s, 0 < s <= 1."""
         if not 0 < s <= 1:
@@ -253,9 +242,26 @@ class SpaceConstants:
 
 
 def minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Min-plus product: out[i, j] = min over k of A[i, k] + B[k, j]."""
+    """Min-plus product: out[i, j] = min over k of A[i, k] + B[k, j].
+
+    The square of a symmetric matrix (``B is A``, ``A == A.T``) is symmetric,
+    so it is taken over the upper triangle only.  Row i adds A[i] to each row
+    j >= i and reduces along that contiguous row: A[i, k] + A[j, k] is the sum
+    A[i, k] + A[k, j], and min is exact, so the bits are the general
+    product's.  The lower triangle is the mirror.  The general product
+    reduces down the columns of A[i][:, None] + B, which is faster there.
+    """
+    n = A.shape[0]
+    if B is A and np.array_equal(A, A.T):
+        upper = np.full_like(A, np.inf)
+        buf = np.empty_like(A)
+        for i in range(n):
+            rows = buf[:n - i]
+            np.add(A[i], A[i:], out=rows)
+            np.minimum.reduce(rows, axis=1, out=upper[i, i:])
+        return np.minimum(upper, upper.T, out=buf)
     out = np.empty_like(A)
-    for i in range(A.shape[0]):
+    for i in range(n):
         out[i] = (A[i][:, None] + B).min(axis=0)
     return out
 
@@ -329,7 +335,14 @@ def _greedy_doubling(space: FiniteSpace) -> int:
 
 
 def compute_constants(space: FiniteSpace) -> SpaceConstants:
-    """Exact A0 (max over ordered triples) and the distance extremes."""
+    """Exact A0 (max over ordered triples) and the distance extremes.
+
+    A0 is the largest d(x, y) / (d(x, z) + d(z, y)) over distinct x, y, z,
+    read off one symmetric min-plus square taken over its upper triangle.
+    ``a0_witness`` is (x, y, z) for the first largest ratio in row-major
+    order, which has x < y because the ratios are symmetric, and the first
+    z of least detour.
+    """
     a0, witness = _quasi_triangle_constant(space)
     return SpaceConstants(
         A0=a0,

@@ -1,10 +1,11 @@
 """The build's array passes against the loops they replaced.
 
 The nets, the neighbour relation and the outcome tables are built in array
-passes.  The scans below are the earlier per-point, per-pair and per-outcome
-loops, kept as oracles: on every space here the structures must be ``==``,
-dtypes included, and on constructed failing inputs each ``GeometryViolation``
-must carry the oracle's exact message.
+passes, and A0's min-plus square over its upper triangle.  The scans below
+are the earlier per-point, per-pair, per-outcome and full per-row loops,
+kept as oracles: on every space here the structures must be ``==``, dtypes
+included, and on constructed failing inputs each ``GeometryViolation`` must
+carry the oracle's exact message.
 """
 from dataclasses import replace
 from functools import lru_cache
@@ -12,10 +13,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from hwave import nets
+from hwave import mra, nets, space as space_module
+from hwave.mra import chain_constants
 from hwave.nets import GeometryViolation, build_nets, build_reference_order
 from hwave.randomized import CubeMachine
-from hwave.space import FiniteSpace, compute_constants, resolve_space
+from hwave.space import FiniteSpace, compute_constants, minplus, resolve_space
 
 
 def _greedy_extend_scan(dist, base, candidates, sep):
@@ -342,3 +344,82 @@ def test_out_of_range_and_repeated_labels_match_the_oracle(descriptor, delta):
     for k in z_want:
         _assert_same_arrays([machine.z_tables[k], machine.parent_tables[k]],
                             [z_want[k], p_want[k]])
+
+
+# ---------------------------------------------------------------------------
+# A0's min-plus square
+# ---------------------------------------------------------------------------
+
+
+def _minplus_rows(A, B):
+    out = np.empty_like(A)
+    for i in range(A.shape[0]):
+        out[i] = (A[i][:, None] + B).min(axis=0)
+    return out
+
+
+def _off(dist):
+    off = dist.copy()
+    np.fill_diagonal(off, np.inf)
+    return off
+
+
+def _constants_with_row_loop(space):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "minplus", _minplus_rows)
+        return compute_constants(space)
+
+
+MINPLUS_SPACES = [
+    "grid(16,2)", "cycle(64, scale=1)", "tree(4)", "power_line(33, 2)",
+    "power_line(129, 2)",
+    *[f"random_cloud({n},2,{s})" for n in (20, 64) for s in range(5)],
+    # n = 1, 2 and 3
+    "line(1)", "line(2)", "random_cloud(3,2,0)",
+]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("descriptor", MINPLUS_SPACES)
+def test_minplus_square_equals_the_row_loop(descriptor, p):
+    base = resolve_space(descriptor)
+    space = FiniteSpace(dist=base.dist**p, weights=base.weights)
+    off = _off(space.dist)
+    assert np.array_equal(minplus(off, off), _minplus_rows(off, off))
+    got, want = compute_constants(space), _constants_with_row_loop(space)
+    assert got.A0 == want.A0
+    assert got.a0_witness == want.a0_witness
+
+
+def test_minplus_of_an_asymmetric_matrix_with_itself_is_the_full_product():
+    A = np.random.default_rng(0).uniform(size=(9, 9))
+    assert np.array_equal(minplus(A, A), _minplus_rows(A, A))
+
+
+@pytest.mark.parametrize("descriptor", ["FIX-B", "power_line(9, 2)"])
+def test_chain_constants_equal_the_row_loop(descriptor):
+    space = resolve_space(descriptor)
+    constants = compute_constants(space)
+    got = chain_constants(space, constants, 4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mra, "minplus", _minplus_rows)
+        want = chain_constants(space, constants, 4)
+    assert np.array_equal(got, want)
+
+
+def test_a0_witness_is_the_first_largest_pair_in_row_major_order():
+    # on the squared line every pair at an even distance 2a reaches the
+    # largest ratio, (2a)^2 / (a^2 + a^2) = 2, through its midpoint; the
+    # ratios are symmetric, so the first tie in row-major order has x < y and
+    # the upper triangle holds every ratio
+    space = resolve_space("power_line(7, 2)")
+    off = _off(space.dist)
+    ratios = space.dist / _minplus_rows(off, off)
+    ties = [tuple(int(v) for v in t) for t in np.argwhere(ratios == 2.0)]
+    assert ratios.max() == 2.0
+    assert {(y, x) for x, y in ties} == set(ties)
+    assert len(ties) == 2 * (5 + 3 + 1)
+    assert ties[0] == (0, 2)
+    constants = compute_constants(space)
+    assert constants.A0 == 2.0
+    assert constants.a0_witness == (0, 2, 1)

@@ -278,6 +278,19 @@ def test_corrupted_net_file_is_reported(tmp_path):
     assert rc == 2
 
 
+def test_net_file_with_repeated_sibling_labels_is_refused(tmp_path, capsys):
+    assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "nets.json"
+    data = json.loads(path.read_text())
+    data["label2"][1][1] = data["label2"][1][0]
+    path.write_text(json.dumps(data))
+    rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
+               "-o", str(tmp_path / "sample")])
+    assert rc == 2
+    assert "siblings share a label2 at level 2" in capsys.readouterr().err
+    assert not (tmp_path / "sample" / "system.json").exists()
+
+
 def test_unknown_space_fails_cleanly(capsys):
     assert main(["space", "--space", "nonsense"]) == 2
     assert "error" in capsys.readouterr().err

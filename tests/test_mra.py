@@ -12,6 +12,8 @@ from hwave.mra import (NotSPDError, chain_constants, decay_exponent_s,
 from hwave.space import FiniteSpace, compute_constants, generate_space
 from hwave.pipeline import build_bundle
 
+from helpers import rescale
+
 SETTINGS = dict(deadline=None, max_examples=20)
 
 
@@ -297,7 +299,7 @@ def test_separated_sum_single_point(fix_a, constants_a):
 
 
 def test_separated_sum_fix_b_net(bundle_b):
-    big = bundle_b.space.rescale(16.0)
+    big = rescale(bundle_b.space, 16.0)
     c = compute_constants(big)
     rep = separated_sum_check(big, c, bundle_b.hierarchy.level(2), eps=1.0)
     assert math.isfinite(rep.value)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from hwave.nets import (GeometryViolation, NetError, NetHierarchy, ancestors,
                         build_nets, build_reference_order, load_nets,
                         save_nets, verify_nets)
 from hwave.space import FiniteSpace, compute_constants, generate_space
+
+from helpers import neighbours_at
 
 
 def test_fix_a_hierarchy(bundle_a):
@@ -131,7 +135,7 @@ def test_labels_distinguish(bundle_b):
     for k in range(h.k_coarse, h.k_fine):
         lab1 = order.label1_at(k)
         assert lab1.max() <= order.L
-        for alpha, nbrs in enumerate(order.neighbours_at(k)):
+        for alpha, nbrs in enumerate(neighbours_at(order, k)):
             assert all(lab1[b] != lab1[alpha] for b in nbrs)
         lab2 = order.label2_at(k + 1)
         for kids in order.children_at(k):
@@ -145,7 +149,7 @@ def test_neighbour_distance_bound(bundle_b):
     a0 = bundle_b.constants.A0
     for k in range(h.k_coarse, h.k_fine):
         lev = h.level(k)
-        for alpha, nbrs in enumerate(order.neighbours_at(k)):
+        for alpha, nbrs in enumerate(neighbours_at(order, k)):
             for b in nbrs:
                 assert bundle_b.space.dist[lev[alpha], lev[b]] < 5 * a0**3 * h.scale(k)
 
@@ -183,6 +187,63 @@ def test_net_file_roundtrip(tmp_path, bundle_b):
     assert order.L == bundle_b.order.L
     assert all(np.array_equal(a, b)
                for a, b in zip(order.parents, bundle_b.order.parents))
+
+
+def _corrupt_label1_range(data):
+    data["label1"][1][2] = data["L"] + 1
+    return "label1 at level 1"
+
+
+def _corrupt_label1_negative(data):
+    data["label1"][0][0] = -1
+    return "label1 at level 0"
+
+
+def _corrupt_label2_zero(data):
+    data["label2"][0][1] = 0
+    return "label2 at level 1"
+
+
+def _corrupt_label2_range(data):
+    data["label2"][1][-1] = data["M"] + 1
+    return "label2 at level 2"
+
+
+def _corrupt_label2_siblings(data):
+    # positions 0 and 1 of level 2 share their parent
+    data["label2"][1][1] = data["label2"][1][0]
+    return "siblings share a label2 at level 2"
+
+
+def _corrupt_label1_length(data):
+    data["label1"][1].pop()
+    return "label1 at level 1"
+
+
+def _corrupt_label2_length(data):
+    data["label2"][0].append(1)
+    return "label2 at level 1"
+
+
+def _corrupt_label_count(data):
+    data["label2"].pop()
+    return "label array count"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_label1_range, _corrupt_label1_negative, _corrupt_label2_zero,
+    _corrupt_label2_range, _corrupt_label2_siblings, _corrupt_label1_length,
+    _corrupt_label2_length, _corrupt_label_count])
+def test_net_file_labels_are_checked(tmp_path, bundle_b, corrupt):
+    path = tmp_path / "nets.json"
+    save_nets(bundle_b.hierarchy, bundle_b.order, path)
+    data = json.loads(path.read_text())
+    assert data["parents"][1][:2] == [0, 0]
+    expected = corrupt(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(NetError, match="net file invariant violated: "
+                       + expected):
+        load_nets(path)
 
 
 def test_k_fine_is_smallest_full_level():

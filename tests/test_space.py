@@ -11,6 +11,8 @@ from hwave.space import (FiniteSpace, ValidationError,
                          canonical_radii, compute_constants, generate_space,
                          load_space, resolve_space, save_space)
 
+from helpers import rescale
+
 SETTINGS = dict(deadline=None, max_examples=25)
 
 
@@ -390,6 +392,6 @@ def test_random_cloud_constants_are_consistent(seed, n):
 
 
 def test_rescale_preserves_structure(fix_b):
-    big = fix_b.rescale(16.0)
+    big = rescale(fix_b, 16.0)
     assert big.min_sep == 1.0
     assert compute_constants(big).A0 == 1.0
