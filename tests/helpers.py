@@ -3,13 +3,9 @@ from hwave.space import FiniteSpace
 
 
 def rescale(space: FiniteSpace, factor: float) -> FiniteSpace:
-    """The same points with every distance multiplied by ``factor``."""
-    return FiniteSpace(
-        dist=space.dist * factor,
-        weights=space.weights.copy(),
-        coords=None if space.coords is None else space.coords.copy(),
-        name=f"{space.name}*{factor:g}" if space.name else "",
-    )
+    """The same points and weights with every distance multiplied by
+    ``factor``."""
+    return FiniteSpace(dist=space.dist * factor, weights=space.weights)
 
 
 def neighbours_at(order, k: int):
