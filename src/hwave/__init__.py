@@ -48,7 +48,6 @@ from .mra import (
     gram_matrix,
     inverse_and_sqrt,
     neumann_inverse_and_sqrt,
-    riesz_bounds,
     separated_sum_check,
 )
 from .wavelets import (

@@ -70,10 +70,12 @@ def _cmd_nets(args) -> int:
 def _cmd_cubes(args) -> int:
     space = resolve_space(args.space)
     if args.nets:
-        from .nets import load_nets
+        from .nets import check_neighbours, load_nets
         from .randomized import CubeMachine
         constants = compute_constants(space)
         hierarchy, order = load_nets(args.nets)
+        check_neighbours(hierarchy, order,
+                         build_reference_order(space, constants, hierarchy))
         machine = CubeMachine(space, constants, hierarchy, order)
     else:
         bundle = build_bundle(space, args.delta, args.mode)

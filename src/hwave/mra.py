@@ -2,8 +2,11 @@
 
 Gram matrices are normalized by the ball volumes mu^k_alpha = mu(B(x^k_alpha,
 delta^k)); their extreme eigenvalues are exactly the optimal Riesz constants.
-Inverses and inverse square roots come from a symmetric eigendecomposition,
-with an optional Neumann-series route kept for decay experiments.
+One eigendecomposition per connected component of a Gram-type matrix's
+nonzero pattern gives its SPD check, Riesz bounds, inverse and inverse
+square root; entries between components are exactly 0.0, as the theory has
+them, so ``basis.json`` is exactly zero off the blocks.  An optional
+Neumann-series route is kept for decay experiments.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ __all__ = [
     "DecayProfile",
     "NotSPDError",
     "gram_matrix",
-    "riesz_bounds",
     "inverse_and_sqrt",
     "neumann_inverse_and_sqrt",
     "decay_fit",
@@ -53,10 +55,66 @@ def decay_exponent_s(constants: SpaceConstants) -> float:
     return 1.0 / (1.0 + math.log2(constants.A0))
 
 
+def _eigh_blocks(M: np.ndarray, name: str):
+    """Eigendecomposition of a symmetric M per connected component of its
+    symmetric nonzero pattern, and its extreme eigenvalues (the Riesz
+    bounds); ``NotSPDError`` naming ``name`` unless they are positive.
+
+    One ``(flat, w, U)`` per component size s, smallest first, for the c
+    components of that size ordered by their least index: ``flat`` (c, s, s)
+    holds the positions of their blocks in ``M.ravel()``, indices ascending,
+    and ``w`` (c, s), ``U`` (c, s, s) their ascending eigenvalues and
+    eigenvectors from one batched ``eigh``.
+    """
+    n = M.shape[0]
+    pattern = M != 0.0
+    pattern |= pattern.T
+    # labels are indices of the same component, each at most its own index:
+    # every label takes the least label next to any index carrying it, then
+    # every index follows labels to one that labels itself.  The fixed point
+    # labels each component by its least index, in O(log n) rounds on paths
+    lab = np.arange(n)
+    while True:
+        new = lab.copy()
+        np.minimum.at(new, lab, np.where(pattern, lab, lab[:, None]).min(axis=1))
+        jumped = new[new]
+        while (jumped != new).any():
+            new, jumped = jumped, jumped[jumped]
+        if (new == lab).all():
+            break
+        lab = new
+    size = np.bincount(lab)[lab]
+    order = np.argsort(size * n + lab, kind="stable")
+    size = size[order]
+    cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), n]
+    blocks = []
+    lo, hi = math.inf, -math.inf
+    for start, stop in zip(cuts, cuts[1:]):
+        idx = order[start:stop].reshape(-1, size[start])
+        flat = idx[:, :, None] * n + idx[:, None, :]
+        w, U = np.linalg.eigh(M.take(flat))
+        lo, hi = min(lo, w[:, 0].min()), max(hi, w[:, -1].max())
+        blocks.append((flat, w, U))
+    if lo <= 0.0:
+        raise NotSPDError(f"{name} has eigenvalue {lo:.3e} <= 0")
+    return blocks, (float(lo), float(hi))
+
+
+def _block_inverse(n: int, blocks, root: bool = False) -> np.ndarray:
+    """M^-1 (M^-1/2 with ``root``) from ``_eigh_blocks``: U diag(w)^-1 U^T
+    (diag(w)^-1/2) per block, symmetrized and scattered back; 0.0 between
+    blocks."""
+    out = np.zeros(n * n)
+    for flat, w, U in blocks:
+        B = (U / (np.sqrt(w) if root else w)[:, None, :]) @ U.swapaxes(1, 2)
+        out[flat] = 0.5 * (B + B.swapaxes(1, 2))
+    return out.reshape(n, n)
+
+
 def _gram_level(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
                 table: SplineTable, k: int):
-    """``gram_matrix``'s matrix and volumes plus the eigenvalues of its SPD
-    check, which are the Riesz bounds' too."""
+    """``gram_matrix``'s matrix and volumes plus its block eigendecomposition
+    and Riesz bounds (``_eigh_blocks``)."""
     values = table.at(k)
     lev = h.level(k)
     dk = h.scale(k)
@@ -65,40 +123,30 @@ def _gram_level(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
     raw = space.gram(values, values)
     M = raw / np.sqrt(np.outer(vol, vol))
     M = 0.5 * (M + M.T)
-    centers = space.dist[np.ix_(lev, lev)]
+    centers = space.dist[lev[:, None], lev]
     far = centers >= BAND_COEFF * constants.A0**6 * dk
     if np.any(M[far] != 0.0):
         raise NotSPDError(f"band property violated at level {k}")
-    eigs = np.linalg.eigvalsh(M)
-    if eigs[0] <= 0.0:
-        raise NotSPDError(f"Gram at level {k} has eigenvalue {eigs[0]:.3e} <= 0")
-    return M, vol, eigs
+    return (M, vol) + _eigh_blocks(M, f"Gram at level {k}")
 
 
 def gram_matrix(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
                 table: SplineTable, k: int):
     """Volume-normalized Gram matrix of the level-k splines, plus the volumes."""
-    M, vol, _ = _gram_level(space, constants, h, table, k)
+    M, vol, _, _ = _gram_level(space, constants, h, table, k)
     return M, vol
 
 
-def riesz_bounds(M: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues: the optimal two-sided Riesz constants."""
-    eigs = np.linalg.eigvalsh(M)
-    return float(eigs[0]), float(eigs[-1])
-
-
 def inverse_and_sqrt(M: np.ndarray):
-    """(M^-1, M^-1/2) by symmetric eigendecomposition."""
+    """(M^-1, M^-1/2) by symmetric eigendecomposition per connected component
+    of M's nonzero pattern; entries between components are exactly 0.0."""
     M = np.asarray(M, dtype=float)
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-12 * max(1.0, abs(M).max())):
+    atol = 1e-12 * max(1.0, abs(M).max())
+    if not abs(M - M.T).max() <= atol:
         raise NotSPDError("matrix is not symmetric")
-    eigs, U = np.linalg.eigh(M)
-    if eigs[0] <= 0.0:
-        raise NotSPDError(f"matrix has eigenvalue {eigs[0]:.3e} <= 0")
-    inv = (U / eigs) @ U.T
-    isqrt = (U / np.sqrt(eigs)) @ U.T
-    return 0.5 * (inv + inv.T), 0.5 * (isqrt + isqrt.T)
+    blocks, _ = _eigh_blocks(M, "matrix")
+    n = M.shape[0]
+    return _block_inverse(n, blocks), _block_inverse(n, blocks, root=True)
 
 
 def neumann_inverse_and_sqrt(M: np.ndarray, tol: float = 1e-13,
@@ -222,14 +270,15 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
     """Gram, dual and orthonormal data per level, with identities asserted."""
     out = []
     for k in range(h.k_coarse, h.k_fine + 1):
-        M, vol, eigs = _gram_level(space, constants, h, table, k)
-        Minv, Misqrt = inverse_and_sqrt(M)
+        M, vol, blocks, riesz = _gram_level(space, constants, h, table, k)
+        n = M.shape[0]
+        Minv = _block_inverse(n, blocks)
+        Misqrt = _block_inverse(n, blocks, root=True)
         values = table.at(k)
         stilde, phi = biorthogonal_and_orthonormal(space, values, Minv, Misqrt, vol)
-        bio = space.gram(values, stilde)
-        err_bio = float(np.abs(bio - np.eye(values.shape[0])).max())
-        ortho = space.gram(phi, phi)
-        err_ortho = float(np.abs(ortho - np.eye(values.shape[0])).max())
+        eye = np.eye(n)
+        err_bio = float(np.abs(space.gram(values, stilde) - eye).max())
+        err_ortho = float(np.abs(space.gram(phi, phi) - eye).max())
         mass = stilde @ space.weights
         err_mass = float(np.abs(mass - 1.0).max())
         if max(err_bio, err_ortho, err_mass) > check_tol:
@@ -239,7 +288,7 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
             )
         out.append(GramLevel(k=k, M=M, volumes=vol, Minv=Minv, Misqrt=Misqrt,
                              stilde=stilde, phi=phi,
-                             riesz=(float(eigs[0]), float(eigs[-1]))))
+                             riesz=riesz))
     return GramSystem(k_coarse=h.k_coarse, k_fine=h.k_fine, levels=tuple(out))
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "ancestors",
     "save_nets",
     "load_nets",
+    "check_neighbours",
 ]
 
 STRICT_DELTA_COEFF = 1e-3  # strict mode requires delta <= coeff * A0**-10
@@ -402,3 +403,28 @@ def load_nets(path):
         M=M,
     )
     return h, order
+
+
+def check_neighbours(h: NetHierarchy, order: ReferenceOrder,
+                     expected: ReferenceOrder) -> None:
+    """Raise ``NetError`` unless a loaded order's neighbour lists are the
+    ``expected`` ones (``build_reference_order``'s on the same space) and no
+    two neighbouring cells share a ``label1``."""
+    if [len(v) for v in order.neighbours] != [len(v) for v in expected.neighbours]:
+        raise NetError("net file invariant violated: neighbour list count")
+    for i, (got, want) in enumerate(zip(order.neighbours, expected.neighbours)):
+        k = order.k_coarse + i
+        lev = h.level(k)
+        lab1 = order.label1_at(k)
+        for alpha, (g, w) in enumerate(zip(got, want)):
+            if not np.array_equal(g, w):
+                raise NetError(
+                    f"net file invariant violated: neighbours of cell "
+                    f"{lev[alpha]} at level {k} are {lev[g].tolist()}, "
+                    f"the space gives {lev[w].tolist()}")
+            clash = g[lab1[g] == lab1[alpha]]
+            if clash.size:
+                raise NetError(
+                    f"net file invariant violated: neighbouring cells "
+                    f"{lev[alpha]} and {lev[clash[0]]} at level {k} share "
+                    f"label1 {lab1[alpha]}")

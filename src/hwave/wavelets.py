@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .mra import GramSystem, NotSPDError, inverse_and_sqrt
+from .mra import GramSystem, NotSPDError, _block_inverse, _eigh_blocks
 from .nets import NetHierarchy
 from .report import write_json
 from .space import FiniteSpace, SpaceConstants
@@ -78,7 +78,8 @@ def orthonormalize_level(space: FiniteSpace, tilde_psi: np.ndarray,
     sqrt_vol = np.sqrt(volumes)
     gram = space.gram(tilde_psi, tilde_psi) / np.outer(sqrt_vol, sqrt_vol)
     gram = 0.5 * (gram + gram.T)
-    _, isqrt = inverse_and_sqrt(gram)
+    blocks, _ = _eigh_blocks(gram, "pre-wavelet Gram")
+    isqrt = _block_inverse(gram.shape[0], blocks, root=True)
     psi = (isqrt / sqrt_vol[None, :]) @ tilde_psi
     check = space.gram(psi, psi)
     err = np.abs(check - np.eye(psi.shape[0])).max()
@@ -124,22 +125,18 @@ class WaveletBasis:
 def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
                    gramsys: GramSystem, tol: float = 1e-8) -> WaveletBasis:
     """Constant plus all level wavelets; verifies the family is orthonormal."""
-    rows = [np.full(space.n, 1.0 / math.sqrt(space.total_mass))]
+    rows = [np.full((1, space.n), 1.0 / math.sqrt(space.total_mass))]
     levels = [h.k_coarse]
     centers = [int(h.level(h.k_coarse)[0])]
-    flags = [False]
     for k in range(h.k_coarse, h.k_fine):
         tilde_psi, ys = pre_wavelets(space, h, table, gramsys, k)
         if ys.size == 0:
             continue
         ypos = h.position(k + 1, ys)
         volumes = gramsys.at(k + 1).volumes[ypos]
-        psi = orthonormalize_level(space, tilde_psi, volumes)
-        for i, y in enumerate(ys):
-            rows.append(psi[i])
-            levels.append(k)
-            centers.append(int(y))
-            flags.append(True)
+        rows.append(orthonormalize_level(space, tilde_psi, volumes))
+        levels += [k] * ys.size
+        centers += ys.tolist()
     values = np.vstack(rows)
     if values.shape[0] != space.n:
         raise NotSPDError(
@@ -152,7 +149,7 @@ def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
     return WaveletBasis(
         space=space, delta=h.delta, k_coarse=h.k_coarse, k_fine=h.k_fine,
         values=values, levels=np.asarray(levels), centers=np.asarray(centers),
-        is_wavelet=np.asarray(flags),
+        is_wavelet=np.arange(space.n) > 0,  # member 0 is the constant
     )
 
 

@@ -1,4 +1,6 @@
 """Small helpers that only the tests read."""
+import numpy as np
+
 from hwave.space import FiniteSpace
 
 
@@ -12,3 +14,10 @@ def neighbours_at(order, k: int):
     """The same-level neighbour positions of every level-k cell of a
     reference order."""
     return order.neighbours[k - order.k_coarse]
+
+
+def riesz_bounds(M) -> tuple[float, float]:
+    """Extreme eigenvalues of the whole matrix from one ``eigvalsh``: the
+    optimal two-sided Riesz constants, as an oracle for ``GramLevel.riesz``."""
+    eigs = np.linalg.eigvalsh(M)
+    return float(eigs[0]), float(eigs[-1])

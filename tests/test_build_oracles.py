@@ -5,16 +5,20 @@ passes, and A0's min-plus square over its upper triangle.  The scans below
 are the earlier per-point, per-pair, per-outcome and full per-row loops,
 kept as oracles: on every space here the structures must be ``==``, dtypes
 included, and on constructed failing inputs each ``GeometryViolation`` must
-carry the oracle's exact message.
+carry the oracle's exact message.  The Gram inverses are taken per connected
+component; the one full-matrix ``eigh`` they replaced is the oracle at the
+end of this file.
 """
 from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwave import mra, nets, space as space_module
-from hwave.mra import chain_constants
+from hwave.mra import NotSPDError, _eigh_blocks, chain_constants, inverse_and_sqrt
 from hwave.nets import GeometryViolation, build_nets, build_reference_order
 from hwave.randomized import CubeMachine
 from hwave.space import FiniteSpace, compute_constants, minplus, resolve_space
@@ -423,3 +427,100 @@ def test_a0_witness_is_the_first_largest_pair_in_row_major_order():
     constants = compute_constants(space)
     assert constants.A0 == 2.0
     assert constants.a0_witness == (0, 2, 1)
+
+
+def _inverse_and_sqrt_dense(M):
+    """(M^-1, M^-1/2) from one ``eigh`` of the whole matrix."""
+    M = np.asarray(M, dtype=float)
+    if not np.allclose(M, M.T, rtol=0.0, atol=1e-12 * max(1.0, abs(M).max())):
+        raise NotSPDError("matrix is not symmetric")
+    eigs, U = np.linalg.eigh(M)
+    if eigs[0] <= 0.0:
+        raise NotSPDError(f"matrix has eigenvalue {eigs[0]:.3e} <= 0")
+    inv = (U / eigs) @ U.T
+    isqrt = (U / np.sqrt(eigs)) @ U.T
+    return 0.5 * (inv + inv.T), 0.5 * (isqrt + isqrt.T)
+
+
+def _spd(rng, size):
+    A = rng.normal(size=(size, size))
+    M = A @ A.T + size * np.eye(size)
+    return 0.5 * (M + M.T)
+
+
+def _assert_equal_to_dense(M):
+    for got, want in zip(inverse_and_sqrt(M), _inverse_and_sqrt_dense(M)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_diagonal_and_single_block_inverses_equal_the_dense_route():
+    rng = np.random.default_rng(5)
+    for n in range(1, 257):
+        _assert_equal_to_dense(np.diag(rng.uniform(0.1, 3.0, size=n)))
+    _assert_equal_to_dense(_spd(rng, 12))
+    tri = np.eye(64)
+    idx = np.arange(63)
+    tri[idx, idx + 1] = tri[idx + 1, idx] = -0.3
+    _assert_equal_to_dense(tri)
+
+
+@given(sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=1,
+                      max_size=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_block_diagonal_inverse_property(sizes, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    M = np.zeros((n, n))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    start = 0
+    for size in sizes:
+        M[start:start + size, start:start + size] = _spd(rng, size)
+        start += size
+    perm = rng.permutation(n)
+    M, block = M[np.ix_(perm, perm)], block[perm]
+    inv, isqrt = inverse_and_sqrt(M)
+    assert np.abs(inv @ M - np.eye(n)).max() <= 1e-10
+    assert np.abs(isqrt @ isqrt @ M - np.eye(n)).max() <= 1e-10
+    off = block[:, None] != block[None, :]
+    assert np.all(inv[off] == 0.0) and np.all(isqrt[off] == 0.0)
+    # one batched eigh per size, each component ascending
+    found = sorted(tuple(row % n) for flat, _, _ in _eigh_blocks(M, "M")[0]
+                   for row in flat[:, 0])
+    assert found == sorted(tuple(np.flatnonzero(block == b))
+                           for b in range(len(sizes)))
+    if len(sizes) == 1 or max(sizes) == 1:
+        _assert_equal_to_dense(M)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1e3])
+def test_symmetry_tolerance_is_pinned(scale):
+    M = _spd(np.random.default_rng(2), 6)
+    M *= scale / np.abs(M).max()
+    accepted = M.copy()
+    accepted[0, 1] += 1e-13 * scale
+    inverse_and_sqrt(accepted)
+    rejected = M.copy()
+    rejected[0, 1] += 1e-11 * scale
+    with pytest.raises(NotSPDError, match="not symmetric"):
+        inverse_and_sqrt(rejected)
+    with pytest.raises(NotSPDError, match="not symmetric"):
+        _inverse_and_sqrt_dense(rejected)
+
+
+def test_an_entry_on_one_side_joins_its_indices():
+    # within the symmetry tolerance, so the pattern must be symmetrized
+    M = np.diag([1.0, 2.0, 3.0, 4.0])
+    M[0, 3] = 1e-13
+    blocks, _ = _eigh_blocks(M, "M")
+    found = sorted(tuple(row % 4) for flat, _, _ in blocks for row in flat[:, 0])
+    assert found == [(0, 3), (1,), (2,)]
+
+
+def test_indefinite_block_is_refused():
+    M = np.diag([1.0, 2.0, 3.0])
+    M[1, 2] = M[2, 1] = 5.0
+    with pytest.raises(NotSPDError, match="eigenvalue .* <= 0"):
+        inverse_and_sqrt(M)
+    with pytest.raises(NotSPDError, match="eigenvalue 0.000e\\+00 <= 0"):
+        inverse_and_sqrt(np.diag([1.0, 0.0, 2.0]))

@@ -291,6 +291,31 @@ def test_net_file_with_repeated_sibling_labels_is_refused(tmp_path, capsys):
     assert not (tmp_path / "sample" / "system.json").exists()
 
 
+@pytest.mark.parametrize("label1,neighbours,message", [
+    # the file's relation is empty and its colouring consistent with it
+    ([0, 0, 0, 0], [[], [], [], []],
+     "neighbours of cell 0 at level 1 are [], the space gives [4, 12]"),
+    ([0, 1, 0, 1], [[], [], [], []],
+     "neighbours of cell 0 at level 1 are [], the space gives [4, 12]"),
+    ([0, 0, 1, 1], [[1, 3], [0, 2], [1, 3], [0, 2]],
+     "neighbouring cells 0 and 4 at level 1 share label1 0"),
+    ([0, 1, 0, 1], [[1, 3], [0, 2], [1, 3]], "neighbour list count"),
+])
+def test_net_file_with_a_wrong_neighbour_relation_is_refused(
+        tmp_path, capsys, label1, neighbours, message):
+    assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "nets.json"
+    data = json.loads(path.read_text())
+    data["label1"][1] = label1
+    data["neighbours"][1] = neighbours
+    path.write_text(json.dumps(data))
+    rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
+               "-o", str(tmp_path / "sample")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sample" / "system.json").exists()
+
+
 def test_unknown_space_fails_cleanly(capsys):
     assert main(["space", "--space", "nonsense"]) == 2
     assert "error" in capsys.readouterr().err

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from hwave.mra import (NotSPDError, chain_constants, decay_exponent_s,
                        decay_fit, fit_decay_exponent, gram_matrix,
                        inverse_and_sqrt, neumann_inverse_and_sqrt,
-                       riesz_bounds, separated_sum_check)
-from hwave.space import FiniteSpace, compute_constants, generate_space
+                       separated_sum_check)
+from hwave.space import (FiniteSpace, compute_constants, generate_space,
+                         resolve_space)
 from hwave.pipeline import build_bundle
 
-from helpers import rescale
+from helpers import rescale, riesz_bounds
 
 SETTINGS = dict(deadline=None, max_examples=20)
 
@@ -44,6 +45,28 @@ def test_gram_diagonal_positive(bundle_b):
 
 def test_riesz_bounds_identity(bundle_a):
     assert riesz_bounds(np.eye(4)) == (1.0, 1.0)
+
+
+def _ulps(a: float, b: float) -> int:
+    return int(np.float64(a).view(np.int64) - np.float64(b).view(np.int64))
+
+
+# GramLevel.riesz comes from the block eigh's; the oracle is eigvalsh of the
+# whole matrix.  The two LAPACK drivers differ on one level: the upper bound
+# of cycle(64)'s 12x12 level -1 lies 2 ulp above the oracle's.
+RIESZ_ULPS = {("cycle(64, scale=1)", -1): (0, 2)}
+
+
+@pytest.mark.parametrize("descriptor,delta", [
+    ("FIX-B", 0.25), ("grid(8,2)", 0.25), ("cycle(64, scale=1)", 0.2),
+    ("random_cloud(64,2,1)", 0.1)])
+def test_riesz_bounds_equal_the_eigvalsh_oracle(descriptor, delta):
+    b = build_bundle(resolve_space(descriptor), delta)
+    for k in range(b.hierarchy.k_coarse, b.hierarchy.k_fine + 1):
+        lv = b.gramsys.at(k)
+        want = riesz_bounds(lv.M)
+        ulps = tuple(_ulps(g, w) for g, w in zip(lv.riesz, want))
+        assert ulps == RIESZ_ULPS.get((descriptor, k), (0, 0)), (k, lv.riesz, want)
 
 
 def test_riesz_random_vector_sandwich(bundle_b):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hwave.pipeline import build_bundle
-from hwave.space import compute_constants, generate_space
+from hwave.randomized import sample_omega
+from hwave.space import compute_constants, generate_space, resolve_space
 from hwave.wavelets import (decay_and_regularity_report,
                             kernel_of_projection, load_basis,
                             orthonormalize_level, pre_wavelets, save_basis,
@@ -246,3 +247,40 @@ def test_basis_file_roundtrip(tmp_path, bundle_b):
     first = path.read_bytes()
     save_basis(loaded, path)
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("descriptor", ["FIX-B", "grid(8,2)", "tree(4)"])
+def test_haar_wavelets_vanish_exactly_off_their_cube(descriptor):
+    """At delta 1/4 every Gram splits into one block per cube, so a level-k
+    wavelet is exactly 0.0 outside the level-k cube of its centre."""
+    b = build_bundle(resolve_space(descriptor), 0.25)
+    system = b.machine.system(sample_omega(b.order, 0))
+    basis = b.basis
+    for row, k, y in zip(basis.wavelet_values, basis.wavelet_levels,
+                         basis.wavelet_centers):
+        cube = system.cubes_at(k)
+        assert np.all(row[cube != cube[y]] == 0.0), (k, y)
+
+
+def _parseval_loop(b, rng):
+    """One random function at a time, through ``analyze`` and ``inner``."""
+    worst = 0.0
+    for _ in range(100):
+        f = rng.normal(size=b.space.n)
+        c = b.basis.analyze(f)
+        worst = max(worst, abs(float((c**2).sum()) - b.space.inner(f, f))
+                    / max(b.space.inner(f, f), 1e-30))
+    return worst
+
+
+@pytest.mark.parametrize("descriptor,delta", [
+    ("FIX-B", 0.25), ("cycle(64, scale=1)", 0.2), ("random_cloud(20,2,1)", 0.1),
+    ("tree(4)", 0.25)])
+def test_parseval_record_equals_the_per_function_loop(descriptor, delta):
+    from hwave.pipeline import _suite_wavelets
+    b = build_bundle(resolve_space(descriptor), delta)
+    rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+    record = next(c for c in _suite_wavelets(b, rng) if c.name == "parseval")
+    assert record.margin == 1e-8 - _parseval_loop(b, oracle_rng)
+    # the same stream: later suites draw the same numbers
+    assert rng.normal() == oracle_rng.normal()
