@@ -43,12 +43,10 @@ from .splines import (
 from .mra import (
     GramSystem,
     build_gram_system,
-    chain_constants,
     decay_fit,
     gram_matrix,
     inverse_and_sqrt,
     neumann_inverse_and_sqrt,
-    separated_sum_check,
 )
 from .wavelets import (
     WaveletBasis,

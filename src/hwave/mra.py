@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .nets import NetHierarchy
-from .space import FiniteSpace, SpaceConstants, minplus
+from .space import FiniteSpace, SpaceConstants
 from .splines import SplineTable
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "fit_decay_exponent",
     "biorthogonal_and_orthonormal",
     "build_gram_system",
-    "chain_constants",
-    "separated_sum_check",
     "decay_exponent_s",
     "save_matrix_csv",
     "save_gram_system",
@@ -290,74 +288,6 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
                              stilde=stilde, phi=phi,
                              riesz=riesz))
     return GramSystem(k_coarse=h.k_coarse, k_fine=h.k_fine, levels=tuple(out))
-
-
-def chain_constants(space: FiniteSpace, constants: SpaceConstants,
-                    n_max: int) -> np.ndarray:
-    """kappa_n: worst ratio of the direct distance to the best n-chain sum.
-
-    Computed exactly by min-plus matrix powers; kappa_1 = 1 and the sequence
-    obeys kappa_{m+n} <= A0 max(kappa_m, kappa_n) and
-    kappa_n <= A0 n^(log2 A0).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    d = space.dist
-    iu, ju = np.triu_indices(space.n, 1)
-    kappas = []
-    best_chain = d.copy()
-    for n in range(1, n_max + 1):
-        if n > 1:
-            best_chain = minplus(best_chain, d)
-        if iu.size:
-            kappas.append(float((d[iu, ju] / best_chain[iu, ju]).max()))
-        else:
-            kappas.append(1.0)
-    kappas = np.asarray(kappas)
-    a0 = constants.A0
-    tol = 1e-12
-    if abs(kappas[0] - 1.0) > tol:
-        raise AssertionError("kappa_1 must equal 1")
-    if np.any(np.diff(kappas) < -tol):
-        raise AssertionError("kappa must be nondecreasing")
-    for m in range(1, n_max + 1):
-        for n in range(1, n_max + 1 - m):
-            if kappas[m + n - 1] > a0 * max(kappas[m - 1], kappas[n - 1]) + tol:
-                raise AssertionError("submultiplicative chain bound failed")
-    for n in range(1, n_max + 1):
-        if kappas[n - 1] > a0 * n ** math.log2(max(a0, 1.0)) + tol:
-            raise AssertionError("power-law chain bound failed")
-    return kappas
-
-
-@dataclass(frozen=True)
-class SeparatedSumReport:
-    eps: float
-    value: float
-    argmax: int
-
-
-def separated_sum_check(space: FiniteSpace, constants: SpaceConstants,
-                        xi, eps: float) -> SeparatedSumReport:
-    """sup_alpha exp(eps d(alpha, Xi)/A0) * sum_beta exp(-eps d(alpha, beta)).
-
-    Xi must be 1-separated; the finite value is the empirical constant of the
-    exponential-sum estimate over separated sets.
-    """
-    xi = np.asarray(sorted(set(map(int, xi))), dtype=int)
-    if xi.size == 0:
-        raise ValueError("Xi must be nonempty")
-    if xi.size > 1:
-        sub = space.dist[np.ix_(xi, xi)]
-        off = sub[~np.eye(xi.size, dtype=bool)]
-        if off.min() < 1.0:
-            raise ValueError("Xi is not 1-separated")
-    dmat = space.dist[:, xi]
-    sums = np.exp(-eps * dmat).sum(axis=1)
-    front = np.exp(eps * dmat.min(axis=1) / constants.A0)
-    values = front * sums
-    arg = int(np.argmax(values))
-    return SeparatedSumReport(eps=float(eps), value=float(values[arg]), argmax=arg)
 
 
 def save_matrix_csv(matrix: np.ndarray, path, labels=None) -> None:

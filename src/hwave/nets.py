@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ __all__ = [
     "ancestors",
     "save_nets",
     "load_nets",
-    "check_neighbours",
+    "check_net_file",
 ]
 
 STRICT_DELTA_COEFF = 1e-3  # strict mode requires delta <= coeff * A0**-10
@@ -50,6 +50,8 @@ class NetHierarchy:
     k_coarse: int
     k_fine: int
     levels: tuple  # per level: sorted int array of point ids
+    # ``verify_nets``'s records, which ``build_nets`` asserted
+    checks: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def num_levels(self) -> int:
@@ -110,34 +112,26 @@ def build_nets(space: FiniteSpace, constants: SpaceConstants, delta: float,
     ids = range(n)
 
     level0 = _greedy_extend(dist, [], ids, 1.0)
-    finer = [level0]
-    k = 0
+    finer = [level0]  # finer[k] is level k
     while len(finer[-1]) < n:
-        k += 1
-        finer.append(_greedy_extend(dist, finer[-1], ids, delta**k))
-    k_fine = k
-
-    coarser = []
-    k = 0
-    current = level0
-    while len(current) > 1:
-        k -= 1
-        current = _greedy_extend(dist, [], current, delta**k)
-        coarser.append(current)
-    k_coarse = k
-
-    all_levels = list(reversed(coarser)) + finer
-    # normalize: k_fine is the smallest level that already exhausts the space
-    while len(all_levels) > 1 and len(all_levels[-2]) == n:
-        all_levels.pop()
-        k_fine -= 1
-    levels = tuple(np.asarray(lv, dtype=int) for lv in all_levels)
-    h = NetHierarchy(delta=delta, k_coarse=k_coarse, k_fine=k_fine, levels=levels)
+        finer.append(_greedy_extend(dist, finer[-1], ids, delta**len(finer)))
+    coarser = [level0]  # coarser[j] is level -j
+    while len(coarser[-1]) > 1:
+        coarser.append(_greedy_extend(dist, [], coarser[-1], delta**-len(coarser)))
+    all_levels = coarser[:0:-1] + finer
+    # normalize: keep the last level that is a single point and the first
+    # that exhausts the space; nested levels never shrink going finer
+    sizes = [len(lv) for lv in all_levels]
+    first, last = sizes.count(1) - 1, sizes.index(n)
+    k0 = 1 - len(coarser)  # the level of all_levels[0]
+    h = NetHierarchy(delta=delta, k_coarse=k0 + first, k_fine=k0 + last,
+                     levels=tuple(np.asarray(lv, dtype=int)
+                                  for lv in all_levels[first:last + 1]))
     checks = verify_nets(space, constants, h)
     if not all(c.passed for c in checks):
         raise GeometryViolation("net covering/separation failed: " + "; ".join(
             c.line() for c in checks if not c.passed))
-    return h
+    return replace(h, checks=tuple(checks))
 
 
 def verify_nets(space: FiniteSpace, constants: SpaceConstants,
@@ -351,11 +345,6 @@ def load_nets(path):
         raise NetError("net file invariant violated: delta outside (0, 1)")
     if h.num_levels != len(h.levels):
         raise NetError("net file invariant violated: level count vs k range")
-    for i in range(len(h.levels) - 1):
-        if not np.all(np.isin(h.levels[i], h.levels[i + 1])):
-            raise NetError(
-                f"net file invariant violated: level {h.k_coarse + i} "
-                f"not nested in level {h.k_coarse + i + 1}")
     parents = tuple(np.asarray(p, dtype=int) for p in data["parents"])
     if len(parents) != h.num_levels - 1:
         raise NetError("net file invariant violated: parent map count")
@@ -405,18 +394,36 @@ def load_nets(path):
     return h, order
 
 
-def check_neighbours(h: NetHierarchy, order: ReferenceOrder,
-                     expected: ReferenceOrder) -> None:
-    """Raise ``NetError`` unless a loaded order's neighbour lists are the
-    ``expected`` ones (``build_reference_order``'s on the same space) and no
-    two neighbouring cells share a ``label1``."""
+def check_net_file(space: FiniteSpace, constants: SpaceConstants,
+                   h: NetHierarchy, order: ReferenceOrder) -> None:
+    """Raise ``NetError`` unless a loaded hierarchy passes ``verify_nets``
+    (nesting, separation, covering), its parent maps, neighbour lists, L and
+    M are ``build_reference_order``'s on the space, and no two neighbouring
+    cells share a ``label1``."""
+    failed = [c.line() for c in verify_nets(space, constants, h) if not c.passed]
+    if failed:
+        raise NetError("net file invariant violated: " + "; ".join(failed))
+    expected = build_reference_order(space, constants, h)
+    if (order.L, order.M) != (expected.L, expected.M):
+        raise NetError(
+            f"net file invariant violated: L={order.L} M={order.M}, the space "
+            f"gives L={expected.L} M={expected.M}")
     if [len(v) for v in order.neighbours] != [len(v) for v in expected.neighbours]:
         raise NetError("net file invariant violated: neighbour list count")
-    for i, (got, want) in enumerate(zip(order.neighbours, expected.neighbours)):
-        k = order.k_coarse + i
+    for i, want in enumerate(expected.parents):
+        k = h.k_coarse + i
         lev = h.level(k)
+        got = order.parents[i]
+        moved = np.flatnonzero(got != want)
+        if moved.size:
+            j = moved[0]
+            raise NetError(
+                f"net file invariant violated: parent of point "
+                f"{h.level(k + 1)[j]} at level {k + 1} is {lev[got[j]]}, "
+                f"the space gives {lev[want[j]]}")
         lab1 = order.label1_at(k)
-        for alpha, (g, w) in enumerate(zip(got, want)):
+        for alpha, (g, w) in enumerate(zip(order.neighbours[i],
+                                           expected.neighbours[i])):
             if not np.array_equal(g, w):
                 raise NetError(
                     f"net file invariant violated: neighbours of cell "

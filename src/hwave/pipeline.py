@@ -10,7 +10,7 @@ import numpy as np
 from . import analysis as an
 from .mra import build_gram_system, neumann_inverse_and_sqrt, save_gram_system
 from .nets import (NetHierarchy, ReferenceOrder, build_nets,
-                   build_reference_order, save_nets, verify_nets)
+                   build_reference_order, save_nets)
 from .randomized import (CubeMachine, sample_omega, save_system,
                          theoretical_eta, verify_center_sandwich, verify_system)
 from .report import (check_error, check_flag, format_report, write_json,
@@ -85,12 +85,11 @@ def build_bundle(space: FiniteSpace, delta: float, mode: str = "relaxed") -> Bun
 
 
 def _suite_nets(b: Bundle):
-    return verify_nets(b.space, b.constants, b.hierarchy)
+    return list(b.hierarchy.checks)
 
 
-def _suite_cubes(b: Bundle, seed: int):
-    omega = sample_omega(b.order, seed)
-    system = b.machine.system(omega)
+def _suite_cubes(b: Bundle, system):
+    seed = system.omega.seed
     geometry = verify_system(b.space, b.constants, b.hierarchy, b.order, system)
     centre = verify_center_sandwich(b.space, b.constants, b.hierarchy, system)
     detail = f"seed {seed}: partition, tiling, sandwiches"
@@ -153,18 +152,15 @@ def _suite_mra(b: Bundle, rng: np.random.Generator):
 
 
 def _suite_wavelets(b: Bundle, rng: np.random.Generator):
-    checks = []
     basis = b.basis
     n = b.space.n
-    gram = b.space.gram(basis.values, basis.values)
-    checks.append(check_error("basis-orthonormality", "Gram vs identity",
-                              float(np.abs(gram - np.eye(n)).max()), 1e-8))
+    ortho, count = basis.checks
     means = basis.wavelet_values @ b.space.weights
-    checks.append(check_error("wavelet-vanishing-means", "max |integral|",
-                              float(np.abs(means).max()) if means.size else 0.0,
-                              1e-10))
-    checks.append(check_flag("basis-count", f"{basis.n_members} members for {n} points",
-                             basis.n_members == n))
+    checks = [ortho,
+              check_error("wavelet-vanishing-means", "max |integral|",
+                          float(np.abs(means).max()) if means.size else 0.0,
+                          1e-10),
+              count]
     F = rng.normal(size=(100, n))
     Fw = F * b.space.weights
     # stacked matrix-vector products: per function the gemv of
@@ -239,7 +235,7 @@ class PipelineResult:
         return format_report(self.checks)
 
 
-def _write_artifacts(result: PipelineResult, out: Path, seed: int) -> None:
+def _write_artifacts(result: PipelineResult, out: Path, system) -> None:
     out.mkdir(parents=True, exist_ok=True)
     b = result.bundle
     save_space(b.space, out / "space.json")
@@ -251,7 +247,6 @@ def _write_artifacts(result: PipelineResult, out: Path, seed: int) -> None:
         "eta": b.eta if math.isfinite(b.eta) else None,
     })
     save_nets(b.hierarchy, b.order, out / "nets.json")
-    system = b.machine.system(sample_omega(b.order, seed))
     save_system(system, out / "system.json")
     save_splines(b.hierarchy, b.splines, out / "splines.tsv")
     save_gram_system(b.hierarchy, b.gramsys, out)
@@ -264,12 +259,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     space = resolve_space(config.space)
     bundle = build_bundle(space, config.delta, config.mode)
     result = PipelineResult(config=config, bundle=bundle)
+    system = bundle.machine.system(sample_omega(bundle.order, config.seed))
     rng = np.random.default_rng(config.seed)
     for suite in config.suites:
         if suite == "nets":
             result.checks += _suite_nets(bundle)
         elif suite == "cubes":
-            result.checks += _suite_cubes(bundle, config.seed)
+            result.checks += _suite_cubes(bundle, system)
         elif suite == "splines":
             result.checks += _suite_splines(bundle, config.seed, config.nsamples)
         elif suite == "mra":
@@ -279,5 +275,5 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         elif suite == "analysis":
             result.checks += _suite_analysis(bundle, rng)
     if config.out is not None:
-        _write_artifacts(result, Path(config.out), config.seed)
+        _write_artifacts(result, Path(config.out), system)
     return result

@@ -174,16 +174,6 @@ class FiniteSpace:
     def mean(self, f: np.ndarray) -> float:
         return self.inner(f, np.ones(self.n)) / self.total_mass
 
-    def power(self, s: float) -> "FiniteSpace":
-        """Snowflaked space with distance dist**s, 0 < s <= 1."""
-        if not 0 < s <= 1:
-            raise ValueError("power must lie in (0, 1]")
-        return FiniteSpace(
-            dist=self.dist**s,
-            weights=self.weights.copy(),
-            name=f"{self.name}^{s:g}" if self.name else "",
-        )
-
 
 def canonical_radii(space: FiniteSpace) -> np.ndarray:
     """Sorted distinct positive distances plus one value beyond the diameter.
@@ -241,29 +231,25 @@ class SpaceConstants:
         return _greedy_doubling(self._space)
 
 
-def minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Min-plus product: out[i, j] = min over k of A[i, k] + B[k, j].
+def minplus(A: np.ndarray) -> np.ndarray:
+    """Min-plus square of a symmetric matrix: out[i, j] = min over k of
+    A[i, k] + A[k, j].
 
-    The square of a symmetric matrix (``B is A``, ``A == A.T``) is symmetric,
-    so it is taken over the upper triangle only.  Row i adds A[i] to each row
-    j >= i and reduces along that contiguous row: A[i, k] + A[j, k] is the sum
-    A[i, k] + A[k, j], and min is exact, so the bits are the general
-    product's.  The lower triangle is the mirror.  The general product
-    reduces down the columns of A[i][:, None] + B, which is faster there.
+    The square is symmetric, so it is taken over the upper triangle only.
+    Row i adds A[i] to each row j >= i and reduces along that contiguous row:
+    A[i, k] + A[j, k] is the sum A[i, k] + A[k, j], and min is exact, so the
+    bits are the full product's.  The lower triangle is the mirror.
     """
+    if not np.array_equal(A, A.T):
+        raise ValueError("minplus squares a symmetric matrix only")
     n = A.shape[0]
-    if B is A and np.array_equal(A, A.T):
-        upper = np.full_like(A, np.inf)
-        buf = np.empty_like(A)
-        for i in range(n):
-            rows = buf[:n - i]
-            np.add(A[i], A[i:], out=rows)
-            np.minimum.reduce(rows, axis=1, out=upper[i, i:])
-        return np.minimum(upper, upper.T, out=buf)
-    out = np.empty_like(A)
+    upper = np.full_like(A, np.inf)
+    buf = np.empty_like(A)
     for i in range(n):
-        out[i] = (A[i][:, None] + B).min(axis=0)
-    return out
+        rows = buf[:n - i]
+        np.add(A[i], A[i:], out=rows)
+        np.minimum.reduce(rows, axis=1, out=upper[i, i:])
+    return np.minimum(upper, upper.T, out=buf)
 
 
 def _quasi_triangle_constant(space: FiniteSpace):
@@ -274,7 +260,7 @@ def _quasi_triangle_constant(space: FiniteSpace):
     # two-step route x -> z -> y through a third point
     off = d.copy()
     np.fill_diagonal(off, np.inf)
-    detour = minplus(off, off)
+    detour = minplus(off)
     ratios = d / detour
     x, y = np.unravel_index(np.argmax(ratios), ratios.shape)
     best = float(ratios[x, y])

@@ -9,7 +9,7 @@ is a genuine basis: member count equals the number of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 import json
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .mra import GramSystem, NotSPDError, _block_inverse, _eigh_blocks
 from .nets import NetHierarchy
-from .report import write_json
+from .report import check_error, check_flag, write_json
 from .space import FiniteSpace, SpaceConstants
 from .splines import SplineTable
 
@@ -98,6 +98,8 @@ class WaveletBasis:
     levels: np.ndarray      # level of each member (coarse member: k_coarse)
     centers: np.ndarray     # point id each member concentrates at
     is_wavelet: np.ndarray
+    # the records assemble_basis asserted: orthonormality, member count
+    checks: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def n_members(self) -> int:
@@ -138,18 +140,20 @@ def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
         levels += [k] * ys.size
         centers += ys.tolist()
     values = np.vstack(rows)
-    if values.shape[0] != space.n:
-        raise NotSPDError(
-            f"basis has {values.shape[0]} members for {space.n} points"
-        )
-    gram = space.gram(values, values)
-    err = float(np.abs(gram - np.eye(space.n)).max())
-    if err > tol:
-        raise NotSPDError(f"basis Gram deviates from identity by {err:.2e}")
+    count = check_flag("basis-count",
+                       f"{values.shape[0]} members for {space.n} points",
+                       values.shape[0] == space.n)
+    if not count.passed:
+        raise NotSPDError(count.line())
+    err = float(np.abs(space.gram(values, values) - np.eye(space.n)).max())
+    ortho = check_error("basis-orthonormality", "Gram vs identity", err, tol)
+    if not ortho.passed:
+        raise NotSPDError(ortho.line())
     return WaveletBasis(
         space=space, delta=h.delta, k_coarse=h.k_coarse, k_fine=h.k_fine,
         values=values, levels=np.asarray(levels), centers=np.asarray(centers),
         is_wavelet=np.arange(space.n) > 0,  # member 0 is the constant
+        checks=(ortho, count),
     )
 
 

@@ -1,13 +1,27 @@
 """Small helpers that only the tests read."""
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from hwave.space import FiniteSpace
+from hwave.space import FiniteSpace, SpaceConstants
 
 
 def rescale(space: FiniteSpace, factor: float) -> FiniteSpace:
     """The same points and weights with every distance multiplied by
     ``factor``."""
     return FiniteSpace(dist=space.dist * factor, weights=space.weights)
+
+
+def power(space: FiniteSpace, s: float) -> FiniteSpace:
+    """Snowflaked space with distance dist**s, 0 < s <= 1."""
+    if not 0 < s <= 1:
+        raise ValueError("power must lie in (0, 1]")
+    return FiniteSpace(
+        dist=space.dist**s,
+        weights=space.weights.copy(),
+        name=f"{space.name}^{s:g}" if space.name else "",
+    )
 
 
 def neighbours_at(order, k: int):
@@ -21,3 +35,77 @@ def riesz_bounds(M) -> tuple[float, float]:
     optimal two-sided Riesz constants, as an oracle for ``GramLevel.riesz``."""
     eigs = np.linalg.eigvalsh(M)
     return float(eigs[0]), float(eigs[-1])
+
+
+def minplus_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """General min-plus product, out[i, j] = min over k of A[i, k] + B[k, j],
+    as one (n x n x n) reduction."""
+    return (A[:, :, None] + B[None, :, :]).min(axis=1)
+
+
+def chain_constants(space: FiniteSpace, constants: SpaceConstants,
+                    n_max: int) -> np.ndarray:
+    """kappa_n: worst ratio of the direct distance to the best n-chain sum.
+
+    Computed exactly by min-plus matrix powers; kappa_1 = 1 and the sequence
+    obeys kappa_{m+n} <= A0 max(kappa_m, kappa_n) and
+    kappa_n <= A0 n^(log2 A0).
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    d = space.dist
+    iu, ju = np.triu_indices(space.n, 1)
+    kappas = []
+    best_chain = d.copy()
+    for n in range(1, n_max + 1):
+        if n > 1:
+            best_chain = minplus_product(best_chain, d)
+        if iu.size:
+            kappas.append(float((d[iu, ju] / best_chain[iu, ju]).max()))
+        else:
+            kappas.append(1.0)
+    kappas = np.asarray(kappas)
+    a0 = constants.A0
+    tol = 1e-12
+    if abs(kappas[0] - 1.0) > tol:
+        raise AssertionError("kappa_1 must equal 1")
+    if np.any(np.diff(kappas) < -tol):
+        raise AssertionError("kappa must be nondecreasing")
+    for m in range(1, n_max + 1):
+        for n in range(1, n_max + 1 - m):
+            if kappas[m + n - 1] > a0 * max(kappas[m - 1], kappas[n - 1]) + tol:
+                raise AssertionError("submultiplicative chain bound failed")
+    for n in range(1, n_max + 1):
+        if kappas[n - 1] > a0 * n ** math.log2(max(a0, 1.0)) + tol:
+            raise AssertionError("power-law chain bound failed")
+    return kappas
+
+
+@dataclass(frozen=True)
+class SeparatedSumReport:
+    eps: float
+    value: float
+    argmax: int
+
+
+def separated_sum_check(space: FiniteSpace, constants: SpaceConstants,
+                        xi, eps: float) -> SeparatedSumReport:
+    """sup_alpha exp(eps d(alpha, Xi)/A0) * sum_beta exp(-eps d(alpha, beta)).
+
+    Xi must be 1-separated; the finite value is the empirical constant of the
+    exponential-sum estimate over separated sets.
+    """
+    xi = np.asarray(sorted(set(map(int, xi))), dtype=int)
+    if xi.size == 0:
+        raise ValueError("Xi must be nonempty")
+    if xi.size > 1:
+        sub = space.dist[np.ix_(xi, xi)]
+        off = sub[~np.eye(xi.size, dtype=bool)]
+        if off.min() < 1.0:
+            raise ValueError("Xi is not 1-separated")
+    dmat = space.dist[:, xi]
+    sums = np.exp(-eps * dmat).sum(axis=1)
+    front = np.exp(eps * dmat.min(axis=1) / constants.A0)
+    values = front * sums
+    arg = int(np.argmax(values))
+    return SeparatedSumReport(eps=float(eps), value=float(values[arg]), argmax=arg)

@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwave import mra, nets, space as space_module
-from hwave.mra import NotSPDError, _eigh_blocks, chain_constants, inverse_and_sqrt
+from hwave import nets, space as space_module
+from hwave.mra import NotSPDError, _eigh_blocks, inverse_and_sqrt
 from hwave.nets import GeometryViolation, build_nets, build_reference_order
 from hwave.randomized import CubeMachine
 from hwave.space import FiniteSpace, compute_constants, minplus, resolve_space
+
+import helpers
 
 
 def _greedy_extend_scan(dist, base, candidates, sep):
@@ -370,7 +372,7 @@ def _off(dist):
 
 def _constants_with_row_loop(space):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(space_module, "minplus", _minplus_rows)
+        mp.setattr(space_module, "minplus", lambda A: _minplus_rows(A, A))
         return compute_constants(space)
 
 
@@ -389,25 +391,29 @@ def test_minplus_square_equals_the_row_loop(descriptor, p):
     base = resolve_space(descriptor)
     space = FiniteSpace(dist=base.dist**p, weights=base.weights)
     off = _off(space.dist)
-    assert np.array_equal(minplus(off, off), _minplus_rows(off, off))
+    assert np.array_equal(minplus(off), _minplus_rows(off, off))
     got, want = compute_constants(space), _constants_with_row_loop(space)
     assert got.A0 == want.A0
     assert got.a0_witness == want.a0_witness
 
 
-def test_minplus_of_an_asymmetric_matrix_with_itself_is_the_full_product():
+def test_minplus_refuses_an_asymmetric_matrix():
+    # its square is not symmetric, so the upper triangle would not hold it
     A = np.random.default_rng(0).uniform(size=(9, 9))
-    assert np.array_equal(minplus(A, A), _minplus_rows(A, A))
+    with pytest.raises(ValueError, match="symmetric"):
+        minplus(A)
 
 
 @pytest.mark.parametrize("descriptor", ["FIX-B", "power_line(9, 2)"])
 def test_chain_constants_equal_the_row_loop(descriptor):
+    # the tests' general product, one (n x n x n) reduction, against the row
+    # loop
     space = resolve_space(descriptor)
     constants = compute_constants(space)
-    got = chain_constants(space, constants, 4)
+    got = helpers.chain_constants(space, constants, 4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mra, "minplus", _minplus_rows)
-        want = chain_constants(space, constants, 4)
+        mp.setattr(helpers, "minplus_product", _minplus_rows)
+        want = helpers.chain_constants(space, constants, 4)
     assert np.array_equal(got, want)
 
 

@@ -71,7 +71,6 @@ def _verify_system_loop(space, constants, h, order, system):
         for alpha in range(lev.size):
             members = np.nonzero(cubes_k == alpha)[0]
             zc = zk[alpha]
-            xc = lev[alpha]
             inner = np.nonzero(space.dist[zc] < dk * a0**-5 / 6.0)[0]
             if not np.all(np.isin(inner, members)):
                 record(f"cube-inner-ball level {k}", False, f"alpha={alpha}")
@@ -79,13 +78,6 @@ def _verify_system_loop(space, constants, h, order, system):
                 spread = space.dist[zc, members].max()
                 if not spread < 6 * a0**4 * dk:
                     record(f"cube-outer-ball level {k}", False, f"alpha={alpha}")
-            inner_c = np.nonzero(space.dist[xc] < dk * a0**-3 / 8.0)[0]
-            if not np.all(np.isin(inner_c, members)):
-                record(f"centre-inner-ball level {k}", False, f"alpha={alpha}")
-            if members.size:
-                spread_c = space.dist[xc, members].max()
-                if not spread_c <= 8 * a0**5 * dk:
-                    record(f"centre-outer-ball level {k}", False, f"alpha={alpha}")
 
     for k in range(h.k_coarse, h.k_fine):
         dk = h.scale(k)
@@ -201,7 +193,6 @@ def _verify_spline_table_loop(space, constants, h, transitions, table, tol=1e-12
             outer = space.dist[xc] < 8.0 * a0**5 * dk
             if np.any(values[alpha, ~outer] != 0.0):
                 record(f"support-outer level {k}", False, f"alpha={alpha}")
-        record(f"support-sandwich level {k}", True)
     return checks
 
 
@@ -363,9 +354,8 @@ def test_moved_point_fails_all_four_cube_checks(grid_bundle):
     assert records == _verify_system_loop(sp, c, h, order, moved)
     cell = [f for f in _failed(records) if f[1].startswith("alpha=")]
     assert cell == [(f"cube-inner-ball level {k}", f"alpha={alpha}"),
-                    (f"centre-inner-ball level {k}", f"alpha={alpha}"),
-                    (f"cube-outer-ball level {k}", f"alpha={beta}"),
-                    (f"centre-outer-ball level {k}", f"alpha={beta}")]
+                    (f"cube-outer-ball level {k}", f"alpha={beta}")]
+    # the centre's two balls are verify_center_sandwich's alone
     sandwich = verify_center_sandwich(sp, c, h, moved)
     assert sandwich == _verify_center_sandwich_loop(sp, c, h, moved)
     (name, detail), = _failed(sandwich)
@@ -395,9 +385,7 @@ def test_stolen_centre_escapes_both_balls(cloud_bundle):
                            f"; inner ball escapes cube alpha {alpha}")
     records = verify_system(sp, c, h, order, stolen)
     assert records == _verify_system_loop(sp, c, h, order, stolen)
-    failed = _failed(records)
-    assert (f"centre-inner-ball level {k}", f"alpha={alpha}") in failed
-    assert (f"centre-outer-ball level {k}", f"alpha={beta}") in failed
+    assert not [r for r in records if r.name.startswith("centre-")]
 
 
 def test_outer_balls_at_their_radius(grid_bundle):
@@ -421,7 +409,6 @@ def test_outer_balls_at_their_radius(grid_bundle):
         assert sandwich == _verify_center_sandwich_loop(sp, c, h, moved)
         failed = _failed(records)
         assert (f"cube-outer-ball level {k}", f"alpha={beta}") in failed
-        assert (f"centre-outer-ball level {k}", f"alpha={beta}") not in failed
         assert "outer ball" not in dict(_failed(sandwich))[f"centre-sandwich level {k}"]
 
 

@@ -278,6 +278,60 @@ def test_corrupted_net_file_is_reported(tmp_path):
     assert rc == 2
 
 
+def test_net_file_with_a_moved_parent_is_refused(tmp_path, capsys):
+    assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "nets.json"
+    # the unmodified file gives the bytes of the path without --nets
+    assert main(["cubes", "sample", "--space", "FIX-B", "--seed", "3",
+                 "-o", str(tmp_path / "built")]) == 0
+    assert main(["cubes", "sample", "--space", "FIX-B", "--seed", "3",
+                 "--nets", str(path), "-o", str(tmp_path / "loaded")]) == 0
+    assert ((tmp_path / "loaded" / "system.json").read_bytes()
+            == (tmp_path / "built" / "system.json").read_bytes())
+    capsys.readouterr()
+    # level-2 point 2 moved from cell 0 to cell 4, with a free sibling label:
+    # the labels and the neighbour lists still load and match
+    data = json.loads(path.read_text())
+    data["parents"][1][2] = 1
+    data["label2"][1][2] = 5
+    path.write_text(json.dumps(data))
+    rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
+               "-o", str(tmp_path / "sample")])
+    assert rc == 2
+    assert ("parent of point 2 at level 2 is 4, the space gives 0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "sample" / "system.json").exists()
+
+
+def test_net_file_with_other_label_ranges_is_refused(tmp_path, capsys):
+    # larger L and M keep every label in range but change the coordinate law
+    assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "nets.json"
+    data = json.loads(path.read_text())
+    data["L"], data["M"] = 3, 6
+    path.write_text(json.dumps(data))
+    rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
+               "-o", str(tmp_path / "sample")])
+    assert rc == 2
+    assert "L=3 M=6, the space gives L=2 M=5" in capsys.readouterr().err
+    assert not (tmp_path / "sample" / "system.json").exists()
+
+
+def test_net_file_that_fails_verify_nets_is_refused(tmp_path, capsys):
+    assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "nets.json"
+    data = json.loads(path.read_text())
+    # level 1's points are 1/4 apart, closer than 0.5^1
+    data["delta"] = 0.5
+    path.write_text(json.dumps(data))
+    rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
+               "-o", str(tmp_path / "sample")])
+    assert rc == 2
+    assert ("[FAIL] net-separation level 1: min pair distance 0.25 vs scale 0.5"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "sample" / "system.json").exists()
+
+
 def test_net_file_with_repeated_sibling_labels_is_refused(tmp_path, capsys):
     assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
     path = tmp_path / "nets.json"

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwave.mra import (NotSPDError, chain_constants, decay_exponent_s,
-                       decay_fit, fit_decay_exponent, gram_matrix,
-                       inverse_and_sqrt, neumann_inverse_and_sqrt,
-                       separated_sum_check)
+from hwave.mra import (NotSPDError, decay_exponent_s, decay_fit,
+                       fit_decay_exponent, gram_matrix, inverse_and_sqrt,
+                       neumann_inverse_and_sqrt)
 from hwave.space import (FiniteSpace, compute_constants, generate_space,
                          resolve_space)
 from hwave.pipeline import build_bundle
 
-from helpers import rescale, riesz_bounds
+from helpers import (chain_constants, rescale, riesz_bounds,
+                     separated_sum_check)
 
 SETTINGS = dict(deadline=None, max_examples=20)
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwave.pipeline import build_bundle
-from hwave.randomized import sample_omega, verify_system
+from hwave.randomized import (sample_omega, verify_center_sandwich,
+                              verify_system)
 from hwave.space import generate_space
 
 SETTINGS = dict(deadline=None, max_examples=12)
@@ -49,7 +50,8 @@ def test_chain_identities_hold(template, n, seed, delta):
 def test_sampled_systems_verify(template, n, seed, omega_seed):
     b = _bundle(template, n, seed, 0.2)
     system = b.machine.system(sample_omega(b.order, omega_seed))
-    checks = verify_system(b.space, b.constants, b.hierarchy, b.order, system)
+    checks = (verify_system(b.space, b.constants, b.hierarchy, b.order, system)
+              + verify_center_sandwich(b.space, b.constants, b.hierarchy, system))
     failed = [c.line() for c in checks if not c.passed]
     assert not failed, failed
 

@@ -207,4 +207,5 @@ def test_nondegenerate_geometry_verifies(bundle_random):
     h, order = bundle_random.hierarchy, bundle_random.order
     for seed in range(25):
         system = bundle_random.machine.system(sample_omega(order, seed))
-        assert all(r.passed for r in verify_system(sp, c, h, order, system))
+        assert all(r.passed for r in verify_system(sp, c, h, order, system)
+                   + verify_center_sandwich(sp, c, h, system))

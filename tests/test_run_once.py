@@ -1,0 +1,85 @@
+"""One ``run_pipeline`` computes each checked identity once, and the
+benchmark's hooks still see it.
+
+The build asserts the nets (``verify_nets``) and the basis (its n x n Gram
+and member count) and keeps those records; the suites report them without
+recomputing.  The seed's system is sampled once for the cubes suite and
+``system.json``, and the centre sandwich is decided by
+``verify_center_sandwich`` alone.  ``perfbench/spans.py`` wraps functions of
+every module by name, so a refactor that renames or drops one of them fails
+here first.
+"""
+import importlib.util
+from pathlib import Path
+
+from hwave import nets, pipeline
+from hwave.pipeline import PipelineConfig, run_pipeline
+from hwave.randomized import CubeMachine
+from hwave.space import FiniteSpace
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _counting(monkeypatch, owner, attr, calls):
+    orig = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        calls.append((args, out))
+        return out
+    monkeypatch.setattr(owner, attr, counted)
+
+
+def test_each_identity_is_computed_once(monkeypatch, tmp_path):
+    calls = {name: [] for name in ("verify_nets", "gram", "system",
+                                   "verify_system", "verify_center_sandwich")}
+    _counting(monkeypatch, nets, "verify_nets", calls["verify_nets"])
+    _counting(monkeypatch, FiniteSpace, "gram", calls["gram"])
+    _counting(monkeypatch, CubeMachine, "system", calls["system"])
+    _counting(monkeypatch, pipeline, "verify_system", calls["verify_system"])
+    _counting(monkeypatch, pipeline, "verify_center_sandwich",
+              calls["verify_center_sandwich"])
+    result = run_pipeline(PipelineConfig(space="FIX-B", nsamples=1000,
+                                         out=str(tmp_path)))
+    assert result.ok
+    values = result.bundle.basis.values
+    assert len(calls["verify_nets"]) == 1
+    assert len([a for a, _ in calls["gram"]
+                if a[1] is values and a[2] is values]) == 1
+    assert len(calls["system"]) == 1
+    assert len(calls["verify_system"]) == len(calls["verify_center_sandwich"]) == 1
+    (_, geometry), = calls["verify_system"]
+    assert not [r for r in geometry if r.name.startswith("centre-")]
+    names = [c.name for c in result.checks]
+    h = result.bundle.hierarchy
+    for k in range(h.k_coarse, h.k_fine + 1):
+        assert names.count(f"centre-sandwich level {k}") == 1
+    # the build's records, reported as they were asserted
+    assert names.count("basis-orthonormality") == names.count("basis-count") == 1
+    assert list(h.checks) == [c for c in result.checks
+                              if c.name.startswith("net-")]
+
+
+def test_benchmark_hooks_record_their_counts(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = pipeline.run_pipeline
+    tracer = spans.Tracer()
+    with tracer:
+        result = pipeline.run_pipeline(PipelineConfig(
+            space="FIX-B", nsamples=200, out=str(tmp_path)))
+    assert pipeline.run_pipeline is before
+    assert result.ok
+    summary = tracer.summary()
+    counts = summary["counts"]
+    assert counts["nets.levels"] == result.bundle.hierarchy.num_levels
+    assert counts["randomized.outcomes"] > 0
+    assert counts["splines.mc_draws"] == 200
+    assert "mra.neumann_terms" in counts
+    assert counts["mra.gram_dim_max"] == result.bundle.space.n
+    assert counts["analysis.radii"] > 0
+    calls = summary["calls"]
+    assert calls["nets.verify_nets"] == 1
+    assert calls["randomized.CubeMachine.system"] == 1
+    assert calls["analysis.empty_annulus_dichotomy"] >= 1
