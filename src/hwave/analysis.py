@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import NetHierarchy, ReferenceOrder, ancestors
-from .space import FiniteSpace, SpaceConstants, canonical_radii, distinct_balls
+from .space import FiniteSpace, SpaceConstants, canonical_radii
 from .splines import SplineTable
 from .wavelets import WaveletBasis
 
@@ -251,14 +251,13 @@ def sum_large_balls_sup(space: FiniteSpace, h: NetHierarchy,
                         nu: float, a: float, gamma: float) -> float:
     """Worst ratio over every point and every canonical radius."""
     radii = canonical_radii(space)
-    best = 0.0
-    for x in range(space.n):
-        # within one ball V(x, r) is fixed and a smaller r only adds
-        # nonnegative terms: the first radius of each ball is the worst
-        for r in radii[distinct_balls(space, x, radii)]:
-            best = max(best, verify_sum_large_balls(space, h, x, float(r),
-                                                    nu, a, gamma))
-    return best
+    tab = space.balls
+    xs, last = tab.ball_ends()
+    # within one ball V(x, r) is fixed and a smaller r only adds nonnegative
+    # terms: the ball's first radius, the first above its last point, is worst
+    first = radii[np.searchsorted(radii, tab.dist[xs, last], side="right")]
+    return max(verify_sum_large_balls(space, h, int(x), float(r), nu, a, gamma)
+               for x, r in zip(xs, first))
 
 
 # ---------------------------------------------------------------------------

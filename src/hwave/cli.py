@@ -10,9 +10,10 @@ import numpy as np
 
 from . import analysis as an
 from .mra import decay_exponent_s, decay_fit, save_gram_system, save_matrix_csv
-from .nets import build_nets, build_reference_order, save_nets
+from .nets import build_nets, build_reference_order, load_nets, save_nets
 from .pipeline import SUITES, PipelineConfig, build_bundle, run_pipeline
-from .randomized import boundary_layer_probability, sample_omega, save_system
+from .randomized import (CubeMachine, boundary_layer_probability, sample_omega,
+                         save_system)
 from .report import format_report
 from .space import compute_constants, resolve_space, save_space
 from .splines import holder_profile, save_splines
@@ -70,16 +71,13 @@ def _cmd_nets(args) -> int:
 
 def _cmd_cubes(args) -> int:
     space = resolve_space(args.space)
+    constants = compute_constants(space)
     if args.nets:
-        from .nets import check_net_file, load_nets
-        from .randomized import CubeMachine
-        constants = compute_constants(space)
-        hierarchy, order = load_nets(args.nets)
-        check_net_file(space, constants, hierarchy, order)
-        machine = CubeMachine(space, constants, hierarchy, order)
+        hierarchy, order = load_nets(args.nets, space, constants)
     else:
-        bundle = build_bundle(space, args.delta, args.mode)
-        machine, order = bundle.machine, bundle.order
+        hierarchy = build_nets(space, constants, args.delta, args.mode)
+        order = build_reference_order(space, constants, hierarchy)
+    machine = CubeMachine(space, constants, hierarchy, order)
     if args.action == "sample":
         system = machine.system(sample_omega(order, args.seed))
         target = (args.out / "system.json") if args.out else Path("system.json")
@@ -88,17 +86,13 @@ def _cmd_cubes(args) -> int:
         print(f"system for seed {args.seed} written to {target}")
         return 0
     # boundary study
-    eps_values = [float(e) for e in args.eps.split(",")]
-    rows = []
-    for eps in eps_values:
-        est = boundary_layer_probability(machine, args.x, args.k, eps,
-                                         args.nsamples, args.seed)
-        rows.append(est)
-    target = (args.out / "boundary.tsv") if args.out else None
     lines = ["eps\testimate\tstderr\ttheory_bound"]
-    for est in rows:
+    for eps in args.eps.split(","):
+        est = boundary_layer_probability(machine, args.x, args.k, float(eps),
+                                         args.nsamples, args.seed)
         lines.append(f"{est.eps!r}\t{est.estimate!r}\t{est.stderr!r}\t"
                      f"{est.theory_bound!r}")
+    target = (args.out / "boundary.tsv") if args.out else None
     text = "\n".join(lines) + "\n"
     if target:
         target.parent.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "ancestors",
     "save_nets",
     "load_nets",
-    "check_net_file",
 ]
 
 STRICT_DELTA_COEFF = 1e-3  # strict mode requires delta <= coeff * A0**-10
@@ -254,9 +254,6 @@ def build_reference_order(space: FiniteSpace, constants: SpaceConstants,
             raise GeometryViolation(
                 f"child {nxt[bad]} has several near parents at level {k}"
             )
-        forced = np.nonzero(counts == 1)[0]
-        if not np.array_equal(parent[forced], np.argmax(close[forced], axis=1)):
-            raise GeometryViolation("near parent is not the nearest parent")
         parents.append(parent)
 
         kids = [np.nonzero(parent == a)[0] for a in range(lev.size)]
@@ -280,10 +277,6 @@ def build_reference_order(space: FiniteSpace, constants: SpaceConstants,
         for kid in kids:
             lab2[kid] = np.arange(1, kid.size + 1)
         label2.append(lab2)
-
-    for colors in label1:
-        if colors.size and colors.max() > L:
-            raise GeometryViolation("greedy coloring exceeded the neighbour count")
 
     return ReferenceOrder(
         k_coarse=h.k_coarse,
@@ -315,8 +308,15 @@ def ancestors(h: NetHierarchy, parents) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def save_nets(h: NetHierarchy, order: ReferenceOrder, path) -> None:
-    write_json(path, {
+# Per-level fields of a net file and the offset from k_coarse of their first
+# entry's level: a parent map and the sibling labels belong to the finer level.
+_LEVEL_FIELDS = {"levels": 0, "parents": 1, "neighbours": 0, "label1": 0,
+                 "label2": 1}
+
+
+def _nets_payload(h: NetHierarchy, order: ReferenceOrder) -> dict:
+    """The net file of a hierarchy and its reference order, field by field."""
+    return {
         "delta": h.delta,
         "k_coarse": h.k_coarse,
         "k_fine": h.k_fine,
@@ -327,10 +327,20 @@ def save_nets(h: NetHierarchy, order: ReferenceOrder, path) -> None:
         "label2": [v.tolist() for v in order.label2],
         "L": order.L,
         "M": order.M,
-    })
+    }
 
 
-def load_nets(path):
+def save_nets(h: NetHierarchy, order: ReferenceOrder, path) -> None:
+    write_json(path, _nets_payload(h, order))
+
+
+def load_nets(path, space: FiniteSpace, constants: SpaceConstants):
+    """The hierarchy and reference order of a net file on ``space``.
+
+    The levels are the input: ascending point ids that pass ``verify_nets``.
+    Every other field must equal what ``save_nets`` writes for them, else
+    ``NetError`` names the first field that differs, its level and both
+    values."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -344,94 +354,30 @@ def load_nets(path):
     if not 0 < h.delta < 1:
         raise NetError("net file invariant violated: delta outside (0, 1)")
     if h.num_levels != len(h.levels):
-        raise NetError("net file invariant violated: level count vs k range")
-    parents = tuple(np.asarray(p, dtype=int) for p in data["parents"])
-    if len(parents) != h.num_levels - 1:
-        raise NetError("net file invariant violated: parent map count")
-    children = []
-    for i, p in enumerate(parents):
-        size = h.levels[i].size
-        if p.shape != (h.levels[i + 1].size,) or p.min() < 0 or p.max() >= size:
+        raise NetError(
+            f"net file invariant violated: {len(h.levels)} levels for the "
+            f"range {h.k_coarse}..{h.k_fine}")
+    for k, lv in enumerate(h.levels, start=h.k_coarse):
+        if (lv.ndim != 1 or lv.size == 0 or lv[0] < 0 or lv[-1] >= space.n
+                or np.any(np.diff(lv) <= 0)):
             raise NetError(
-                f"net file invariant violated: parent map at level "
-                f"{h.k_coarse + i} is not a map onto the coarser level")
-        children.append(tuple(np.nonzero(p == a)[0] for a in range(size)))
-    label1 = tuple(np.asarray(v, dtype=int) for v in data["label1"])
-    label2 = tuple(np.asarray(v, dtype=int) for v in data["label2"])
-    L, M = int(data["L"]), int(data["M"])
-    if len(label1) != len(parents) or len(label2) != len(parents):
-        raise NetError("net file invariant violated: label array count")
-    for i, (lab1, lab2, p) in enumerate(zip(label1, label2, parents)):
-        k = h.k_coarse + i
-        size = h.levels[i].size
-        if lab1.shape != (size,) or np.any((lab1 < 0) | (lab1 > L)):
-            raise NetError(
-                f"net file invariant violated: label1 at level {k} is not "
-                f"{size} labels in 0..{L}")
-        if lab2.shape != p.shape or np.any((lab2 < 1) | (lab2 > M)):
-            raise NetError(
-                f"net file invariant violated: label2 at level {k + 1} is not "
-                f"{p.size} labels in 1..{M}")
-        # siblings share a parent, so (parent, label2) pairs must be distinct
-        if np.unique(p * (M + 1) + lab2).size != p.size:
-            raise NetError(
-                f"net file invariant violated: siblings share a label2 at "
-                f"level {k + 1}")
-    order = ReferenceOrder(
-        k_coarse=h.k_coarse,
-        k_fine=h.k_fine,
-        parents=parents,
-        children=tuple(children),
-        neighbours=tuple(
-            tuple(np.asarray(v, dtype=int) for v in lvl)
-            for lvl in data["neighbours"]
-        ),
-        label1=label1,
-        label2=label2,
-        L=L,
-        M=M,
-    )
-    return h, order
-
-
-def check_net_file(space: FiniteSpace, constants: SpaceConstants,
-                   h: NetHierarchy, order: ReferenceOrder) -> None:
-    """Raise ``NetError`` unless a loaded hierarchy passes ``verify_nets``
-    (nesting, separation, covering), its parent maps, neighbour lists, L and
-    M are ``build_reference_order``'s on the space, and no two neighbouring
-    cells share a ``label1``."""
+                f"net file invariant violated: level {k} is not ascending "
+                f"distinct point ids in 0..{space.n - 1}")
     failed = [c.line() for c in verify_nets(space, constants, h) if not c.passed]
     if failed:
         raise NetError("net file invariant violated: " + "; ".join(failed))
-    expected = build_reference_order(space, constants, h)
-    if (order.L, order.M) != (expected.L, expected.M):
-        raise NetError(
-            f"net file invariant violated: L={order.L} M={order.M}, the space "
-            f"gives L={expected.L} M={expected.M}")
-    if [len(v) for v in order.neighbours] != [len(v) for v in expected.neighbours]:
-        raise NetError("net file invariant violated: neighbour list count")
-    for i, want in enumerate(expected.parents):
-        k = h.k_coarse + i
-        lev = h.level(k)
-        got = order.parents[i]
-        moved = np.flatnonzero(got != want)
-        if moved.size:
-            j = moved[0]
-            raise NetError(
-                f"net file invariant violated: parent of point "
-                f"{h.level(k + 1)[j]} at level {k + 1} is {lev[got[j]]}, "
-                f"the space gives {lev[want[j]]}")
-        lab1 = order.label1_at(k)
-        for alpha, (g, w) in enumerate(zip(order.neighbours[i],
-                                           expected.neighbours[i])):
-            if not np.array_equal(g, w):
-                raise NetError(
-                    f"net file invariant violated: neighbours of cell "
-                    f"{lev[alpha]} at level {k} are {lev[g].tolist()}, "
-                    f"the space gives {lev[w].tolist()}")
-            clash = g[lab1[g] == lab1[alpha]]
-            if clash.size:
-                raise NetError(
-                    f"net file invariant violated: neighbouring cells "
-                    f"{lev[alpha]} and {lev[clash[0]]} at level {k} share "
-                    f"label1 {lab1[alpha]}")
+    order = build_reference_order(space, constants, h)
+    want = _nets_payload(h, order)
+    for key in [*want, *sorted(set(data) - set(want))]:
+        got, value = data.get(key, "missing"), want.get(key, "missing")
+        if got == value:
+            continue
+        where = key
+        if key in _LEVEL_FIELDS and isinstance(got, list):
+            i, got, value = next(
+                (i, g, w) for i, (g, w) in enumerate(
+                    zip_longest(got, value, fillvalue="missing")) if g != w)
+            where = f"{key} at level {h.k_coarse + _LEVEL_FIELDS[key] + i}"
+        raise NetError(f"net file invariant violated: {where} is {got}, "
+                       f"the space gives {value}")
+    return h, order

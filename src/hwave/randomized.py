@@ -173,15 +173,16 @@ def verify_system(space, constants, h, order, system) -> list[CheckResult]:
             ok_tile = True
         record(f"child-tiling level {k}", ok_tile)
 
-    # iterated two-sided bounds across level gaps
+    # iterated two-sided bounds across level gaps: the level-k ancestors of
+    # level l are those of level l - 1 composed with one more parent map
     for k in range(h.k_coarse, h.k_fine + 1):
         dk = h.scale(k)
         zk = system.z_at(k)
+        cell_anc = np.arange(zk.size)
         for l in range(k, h.k_fine + 1):
+            if l > k:
+                cell_anc = cell_anc[system.parents_at(l - 1)]
             zl = system.z_at(l)
-            cell_anc = np.arange(zl.size)
-            for kk in range(l - 1, k - 1, -1):
-                cell_anc = system.parents_at(kk)[cell_anc]
             dmat = space.dist[np.ix_(zl, zk)]
             desc_d = dmat[np.arange(zl.size), cell_anc]
             record(f"iterated-descendant-distance {l}->{k}",

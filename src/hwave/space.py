@@ -22,7 +22,6 @@ __all__ = [
     "SpaceConstants",
     "ValidationError",
     "canonical_radii",
-    "distinct_balls",
     "minplus",
     "compute_constants",
     "generate_space",
@@ -187,17 +186,6 @@ def canonical_radii(space: FiniteSpace) -> np.ndarray:
     return np.append(pos, beyond)
 
 
-def distinct_balls(space: FiniteSpace, x: int, radii: np.ndarray) -> np.ndarray:
-    """Index of the first radius of each distinct ball B(x, r), r in ``radii``.
-
-    ``radii`` is sorted ascending.  The balls are nested, so two radii give
-    the same ball exactly when the balls have the same size, and a centre has
-    at most n distinct balls.
-    """
-    sizes = space.balls.size(x, radii)
-    return np.flatnonzero(np.diff(sizes, prepend=-1))
-
-
 # ---------------------------------------------------------------------------
 # Structural constants
 # ---------------------------------------------------------------------------
@@ -304,19 +292,16 @@ def _greedy_doubling(space: FiniteSpace) -> int:
     B(x, r) is also the ball of every radius just above its largest member
     distance d, so its packings are the sets pairwise farther than d / 2.
     """
-    radii = canonical_radii(space)
+    tab = space.balls
     best = 1
-    for x in range(space.n):
-        row = space.dist[x]
-        for r in radii[distinct_balls(space, x, radii)]:
-            members = np.nonzero(row < r)[0]
-            # a ball of at most ``best`` points cannot beat it
-            if members.size <= best:
-                continue
-            half = space.balls.dist[x, members.size - 1] / 2.0
-            conflict = space.dist[np.ix_(members, members)] <= half
-            np.fill_diagonal(conflict, False)
-            best = max(best, _greedy_packing(conflict))
+    for x, last in zip(*tab.ball_ends()):
+        # a ball of at most ``best`` points cannot beat it
+        if last < best:
+            continue
+        members = np.sort(tab.order[x, :last + 1])
+        conflict = space.dist[np.ix_(members, members)] <= tab.dist[x, last] / 2.0
+        np.fill_diagonal(conflict, False)
+        best = max(best, _greedy_packing(conflict))
     return best
 
 

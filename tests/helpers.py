@@ -24,6 +24,17 @@ def power(space: FiniteSpace, s: float) -> FiniteSpace:
     )
 
 
+def distinct_balls(space: FiniteSpace, x: int, radii: np.ndarray) -> np.ndarray:
+    """Index of the first radius of each distinct ball B(x, r), r in ``radii``.
+
+    ``radii`` is sorted ascending.  The balls are nested, so two radii give
+    the same ball exactly when the balls have the same size: an oracle for
+    ``BallTable.ball_ends``.
+    """
+    sizes = space.balls.size(x, radii)
+    return np.flatnonzero(np.diff(sizes, prepend=-1))
+
+
 def neighbours_at(order, k: int):
     """The same-level neighbour positions of every level-k cell of a
     reference order."""

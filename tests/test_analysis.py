@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 import hwave.analysis as an
+from hwave import space as space_module
+from hwave.nets import build_nets
 from hwave.pipeline import build_bundle
 from hwave.randomized import sample_omega
 from hwave.space import (FiniteSpace, canonical_radii, compute_constants,
-                         distinct_balls, generate_space, resolve_space)
+                         generate_space, resolve_space)
+
+from helpers import distinct_balls
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +343,41 @@ def test_sum_large_balls_sup_equals_scan_over_every_radius(desc, delta, nu, a, g
                                          nu, a, gamma)
                for x in range(b.space.n) for r in canonical_radii(b.space))
     assert an.sum_large_balls_sup(b.space, b.hierarchy, nu, a, gamma) == full
+
+
+def _greedy_doubling_per_radius(sp):
+    """N_geo's greedy packings over each centre's canonical radii, one
+    distinct ball at its first radius at a time."""
+    radii = canonical_radii(sp)
+    best = 1
+    for x in range(sp.n):
+        for r in radii[distinct_balls(sp, x, radii)]:
+            members = np.nonzero(sp.dist[x] < r)[0]
+            if members.size <= best:
+                continue
+            half = sp.balls.dist[x, members.size - 1] / 2.0
+            conflict = sp.dist[np.ix_(members, members)] <= half
+            np.fill_diagonal(conflict, False)
+            best = max(best, space_module._greedy_packing(conflict))
+    return best
+
+
+@pytest.mark.parametrize("desc", [
+    "FIX-A", "FIX-B", "grid(8,2)", "random_cloud(20,2,1)",
+    "random_cloud(64,2,3)", "two_cluster(12,7)", "cycle(64, scale=1)",
+    "power_line(17,2)", "tree(4)"])
+def test_ball_ends_walks_equal_the_per_radius_scans(desc):
+    """N_geo and the large-ball sums sup read every distinct ball off
+    ``ball_ends``: the same balls, at the same first radii, as the scan of
+    each centre's canonical radii."""
+    sp = resolve_space(desc)
+    c = compute_constants(sp)
+    assert c.n_geo_lower_bound == _greedy_doubling_per_radius(sp)
+    h = build_nets(sp, c, 0.25)
+    radii = canonical_radii(sp)
+    want = max(an.verify_sum_large_balls(sp, h, x, float(r), 1.0, 1.0, 1.0)
+               for x in range(sp.n) for r in radii[distinct_balls(sp, x, radii)])
+    assert an.sum_large_balls_sup(sp, h, 1.0, 1.0, 1.0) == want
 
 
 def test_sum_large_balls_bounded_despite_gap(plateau_bundle):

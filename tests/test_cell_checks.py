@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from hwave.analysis import carleson_norm
-from hwave.nets import ancestors
+from hwave.nets import ancestors, build_nets, build_reference_order
 from hwave.pipeline import build_bundle
-from hwave.randomized import (sample_omega, verify_center_sandwich,
-                              verify_system)
+from hwave.randomized import (CubeMachine, sample_omega,
+                              verify_center_sandwich, verify_system)
 from hwave.report import check_flag
-from hwave.space import FIXTURES, generate_space
+from hwave.space import FIXTURES, compute_constants, generate_space
 from hwave.splines import (SplineTable, transition_probabilities,
                            verify_spline_table)
 
@@ -287,6 +287,23 @@ def test_checks_equal_the_loops_on_clouds(n):
     for s in SEEDS:
         b = build_bundle(generate_space(f"random_cloud({n}, 2, {s})"), 0.25)
         _assert_equal_to_loops(b, [s])
+
+
+@pytest.mark.parametrize("desc, delta", [("line(64)", 0.9),
+                                         ("power_line(17, 2)", 0.6)])
+def test_system_checks_equal_the_loop_across_many_levels(desc, delta):
+    """The iterated bounds compose one parent map per level step; the loop
+    re-walks the maps from l down to k for every pair of levels."""
+    sp = generate_space(desc)
+    c = compute_constants(sp)
+    h = build_nets(sp, c, delta)
+    order = build_reference_order(sp, c, h)
+    machine = CubeMachine(sp, c, h, order)
+    assert h.num_levels > 10
+    for seed in (1, 2, 3):
+        system = machine.system(sample_omega(order, seed))
+        assert (verify_system(sp, c, h, order, system)
+                == _verify_system_loop(sp, c, h, order, system))
 
 
 def test_relaxed_run_fails_cube_checks():

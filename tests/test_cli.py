@@ -11,7 +11,7 @@ import pytest
 import hwave.analysis as an
 from hwave.cli import main
 from hwave.pipeline import PipelineConfig, run_pipeline
-from hwave.space import resolve_space
+from hwave.space import compute_constants, resolve_space
 
 
 def test_space_command(capsys):
@@ -263,17 +263,19 @@ def test_run_pipeline_deterministic_artifacts(tmp_path):
 
 def test_corrupted_net_file_is_reported(tmp_path):
     from hwave.nets import NetError, load_nets
+    space = resolve_space("FIX-B")
+    constants = compute_constants(space)
     path = tmp_path / "nets.json"
     path.write_text("{broken")
     with pytest.raises(NetError, match="parse error"):
-        load_nets(path)
+        load_nets(path, space, constants)
     # structurally corrupted: drop a point from the finest level
     assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "nets.json").read_text())
     data["levels"][2] = data["levels"][2][:-1]
     path.write_text(json.dumps(data))
     with pytest.raises(NetError, match="invariant violated"):
-        load_nets(path)
+        load_nets(path, space, constants)
     rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path)])
     assert rc == 2
 
@@ -290,7 +292,7 @@ def test_net_file_with_a_moved_parent_is_refused(tmp_path, capsys):
             == (tmp_path / "built" / "system.json").read_bytes())
     capsys.readouterr()
     # level-2 point 2 moved from cell 0 to cell 4, with a free sibling label:
-    # the labels and the neighbour lists still load and match
+    # the labels and the neighbour lists still match
     data = json.loads(path.read_text())
     data["parents"][1][2] = 1
     data["label2"][1][2] = 5
@@ -298,8 +300,8 @@ def test_net_file_with_a_moved_parent_is_refused(tmp_path, capsys):
     rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
                "-o", str(tmp_path / "sample")])
     assert rc == 2
-    assert ("parent of point 2 at level 2 is 4, the space gives 0"
-            in capsys.readouterr().err)
+    assert ("parents at level 2 is [0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, "
+            "0, 0], the space gives [0, 0, 0, 1," in capsys.readouterr().err)
     assert not (tmp_path / "sample" / "system.json").exists()
 
 
@@ -313,7 +315,7 @@ def test_net_file_with_other_label_ranges_is_refused(tmp_path, capsys):
     rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
                "-o", str(tmp_path / "sample")])
     assert rc == 2
-    assert "L=3 M=6, the space gives L=2 M=5" in capsys.readouterr().err
+    assert "L is 3, the space gives 2" in capsys.readouterr().err
     assert not (tmp_path / "sample" / "system.json").exists()
 
 
@@ -341,19 +343,24 @@ def test_net_file_with_repeated_sibling_labels_is_refused(tmp_path, capsys):
     rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
                "-o", str(tmp_path / "sample")])
     assert rc == 2
-    assert "siblings share a label2 at level 2" in capsys.readouterr().err
+    assert ("label2 at level 2 is [1, 1, 3, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, "
+            "5], the space gives [1, 2, 3," in capsys.readouterr().err)
     assert not (tmp_path / "sample" / "system.json").exists()
 
 
 @pytest.mark.parametrize("label1,neighbours,message", [
     # the file's relation is empty and its colouring consistent with it
     ([0, 0, 0, 0], [[], [], [], []],
-     "neighbours of cell 0 at level 1 are [], the space gives [4, 12]"),
+     "neighbours at level 1 is [[], [], [], []], the space gives "
+     "[[1, 3], [0, 2], [1, 3], [0, 2]]"),
     ([0, 1, 0, 1], [[], [], [], []],
-     "neighbours of cell 0 at level 1 are [], the space gives [4, 12]"),
+     "neighbours at level 1 is [[], [], [], []], the space gives "
+     "[[1, 3], [0, 2], [1, 3], [0, 2]]"),
     ([0, 0, 1, 1], [[1, 3], [0, 2], [1, 3], [0, 2]],
-     "neighbouring cells 0 and 4 at level 1 share label1 0"),
-    ([0, 1, 0, 1], [[1, 3], [0, 2], [1, 3]], "neighbour list count"),
+     "label1 at level 1 is [0, 0, 1, 1], the space gives [0, 1, 0, 1]"),
+    ([0, 1, 0, 1], [[1, 3], [0, 2], [1, 3]],
+     "neighbours at level 1 is [[1, 3], [0, 2], [1, 3]], the space gives "
+     "[[1, 3], [0, 2], [1, 3], [0, 2]]"),
 ])
 def test_net_file_with_a_wrong_neighbour_relation_is_refused(
         tmp_path, capsys, label1, neighbours, message):
@@ -368,6 +375,91 @@ def test_net_file_with_a_wrong_neighbour_relation_is_refused(
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "sample" / "system.json").exists()
+
+
+@pytest.mark.parametrize("level", [
+    [4, 0, 8, 12],   # permuted
+    [0, 4, 4, 12],   # repeated
+    [0, 4, 8, 16],   # outside the space
+    [-1, 4, 8, 12],
+])
+def test_net_file_with_malformed_level_ids_is_refused(tmp_path, capsys, level):
+    # refused before the ids index anything, naming the level
+    assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "nets.json"
+    data = json.loads(path.read_text())
+    data["levels"][1] = level
+    path.write_text(json.dumps(data))
+    rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
+               "-o", str(tmp_path / "sample")])
+    assert rc == 2
+    assert ("net file invariant violated: level 1 is not ascending distinct "
+            "point ids in 0..15" in capsys.readouterr().err)
+    assert not (tmp_path / "sample" / "system.json").exists()
+
+
+def test_net_file_with_a_wrong_level_count_is_refused(tmp_path, capsys):
+    assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "nets.json"
+    data = json.loads(path.read_text())
+    data["k_fine"] = 3
+    path.write_text(json.dumps(data))
+    rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
+               "-o", str(tmp_path / "sample")])
+    assert rc == 2
+    assert "3 levels for the range 0..3" in capsys.readouterr().err
+    assert not (tmp_path / "sample" / "system.json").exists()
+
+
+CUBE_SPACES = [("FIX-A", 0.25), ("FIX-B", 0.25), ("grid(16,2)", 0.25),
+               ("cycle(64, scale=1)", 0.2), ("random_cloud(20,2,1)", 0.25)]
+
+
+@pytest.mark.parametrize("space, delta", CUBE_SPACES)
+def test_cubes_from_a_written_net_file_equal_the_built_ones(
+        tmp_path, capsys, space, delta):
+    common = ["--space", space, "--delta", str(delta), "--seed", "5"]
+    assert main(["nets", *common, "-o", str(tmp_path)]) == 0
+    nets = ["--nets", str(tmp_path / "nets.json")]
+    outputs = []
+    for extra in ([], nets):
+        capsys.readouterr()
+        assert main(["cubes", "sample", *common, *extra,
+                     "-o", str(tmp_path / "sample")]) == 0
+        system = (tmp_path / "sample" / "system.json").read_bytes()
+        assert main(["cubes", "boundary", *common, *extra, "--x", "3",
+                     "--k", "0", "--nsamples", "300"]) == 0
+        outputs.append((system, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("space, delta", [("FIX-B", 0.25),
+                                          ("cycle(64, scale=1)", 0.2)])
+def test_cubes_build_no_splines_gram_or_basis(tmp_path, monkeypatch, space,
+                                              delta):
+    common = ["--space", space, "--delta", str(delta), "--seed", "4"]
+    main(["run", *common, "--nsamples", "100", "-o", str(tmp_path / "run")])
+    want = (tmp_path / "run" / "system.json").read_bytes()
+    import hwave.mra
+    import hwave.pipeline
+    import hwave.splines
+    import hwave.wavelets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hwave cubes reads no splines, Gram or basis")
+
+    for module, name in [(hwave.splines, "compute_splines_exact"),
+                         (hwave.mra, "build_gram_system"),
+                         (hwave.wavelets, "assemble_basis")]:
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(hwave.pipeline, name, refuse)
+    assert main(["nets", *common, "-o", str(tmp_path)]) == 0
+    for extra in ([], ["--nets", str(tmp_path / "nets.json")]):
+        out = tmp_path / f"cubes{len(extra)}"
+        assert main(["cubes", "sample", *common, *extra, "-o", str(out)]) == 0
+        assert (out / "system.json").read_bytes() == want
+        assert main(["cubes", "boundary", *common, *extra,
+                     "--nsamples", "100"]) == 0
 
 
 def test_unknown_space_fails_cleanly(capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_net_file_roundtrip(tmp_path, bundle_b):
     path = tmp_path / "nets.json"
     save_nets(bundle_b.hierarchy, bundle_b.order, path)
     first = path.read_bytes()
-    h, order = load_nets(path)
+    h, order = load_nets(path, bundle_b.space, bundle_b.constants)
     save_nets(h, order, path)
     assert path.read_bytes() == first
     assert h.k_coarse == bundle_b.hierarchy.k_coarse
@@ -212,7 +213,7 @@ def _corrupt_label2_range(data):
 def _corrupt_label2_siblings(data):
     # positions 0 and 1 of level 2 share their parent
     data["label2"][1][1] = data["label2"][1][0]
-    return "siblings share a label2 at level 2"
+    return "label2 at level 2 is [1, 1, 3,"
 
 
 def _corrupt_label1_length(data):
@@ -227,7 +228,7 @@ def _corrupt_label2_length(data):
 
 def _corrupt_label_count(data):
     data["label2"].pop()
-    return "label array count"
+    return "label2 at level 2 is missing"
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -241,9 +242,9 @@ def test_net_file_labels_are_checked(tmp_path, bundle_b, corrupt):
     assert data["parents"][1][:2] == [0, 0]
     expected = corrupt(data)
     path.write_text(json.dumps(data))
-    with pytest.raises(NetError, match="net file invariant violated: "
-                       + expected):
-        load_nets(path)
+    with pytest.raises(NetError, match=re.escape("net file invariant violated: "
+                                                 + expected)):
+        load_nets(path, bundle_b.space, bundle_b.constants)
 
 
 def test_k_fine_is_smallest_full_level():
