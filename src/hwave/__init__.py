@@ -32,7 +32,6 @@ from .randomized import (
 from .splines import (
     SplineTable,
     TransitionSystem,
-    build_bump,
     build_transitions,
     compute_splines_exact,
     compute_splines_mc,
@@ -44,7 +43,6 @@ from .mra import (
     GramSystem,
     build_gram_system,
     decay_fit,
-    gram_matrix,
     inverse_and_sqrt,
     neumann_inverse_and_sqrt,
 )
@@ -57,18 +55,14 @@ from .wavelets import (
     pre_wavelets,
 )
 from .analysis import (
-    almost_diagonal_check,
     bmo_carleson_roundtrip,
     bmo_from_carleson,
     bmo_norm,
     carleson_norm,
-    cz_kernel_check,
     empty_annulus_dichotomy,
-    kj_sequence,
     operator_wavelet_matrix,
     paraproduct_matrix,
     schur_statistic,
-    size_redundancy_check,
     verify_kernel_sums,
     verify_sum_large_balls,
 )

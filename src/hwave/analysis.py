@@ -18,11 +18,9 @@ from .wavelets import WaveletBasis
 
 __all__ = [
     "DichotomyVerdict",
-    "KjSequence",
     "KernelSumReport",
     "empty_annulus_dichotomy",
     "dichotomy_holds",
-    "kj_sequence",
     "verify_sum_large_balls",
     "sum_large_balls_sup",
     "verify_kernel_sums",
@@ -35,12 +33,8 @@ __all__ = [
     "bmo_carleson_roundtrip",
     "paraproduct_matrix",
     "operator_wavelet_matrix",
-    "almost_diagonal_check",
     "schur_statistic",
     "operator_norm",
-    "cz_kernel_check",
-    "synthesize_kernel_from_bound",
-    "size_redundancy_check",
     "discrete_hilbert_kernel",
 ]
 
@@ -158,75 +152,6 @@ def _dist_to_new_points(space: FiniteSpace, h: NetHierarchy, x: int, k: int) -> 
     if ys.size == 0:
         return math.inf
     return float(space.dist[x, ys].min())
-
-
-@dataclass(frozen=True)
-class KjSequence:
-    x: int
-    r: float
-    eps: float
-    raw: tuple        # the k(j) values from the construction
-    relabeled: tuple  # k_0 = k(0), k_{j+1} = k(j) - 2
-    certificates: tuple
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def kj_sequence(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
-                x: int, r: float) -> KjSequence:
-    """Volume-growth level sequence with its distance-to-new-points certificates.
-
-    k(0) is the largest level whose scale is at least r; each next k(j+1) is
-    the largest level whose ball mass beats the previous one by the dichotomy
-    factor.  In the gap levels the distance to the new points is certified
-    from below, and past the end of the sequence no new points exist at all.
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    a0 = constants.A0
-    delta = h.delta
-    eps = 1.0 / constants.cmu(3.0 * a0**2)
-    total = space.total_mass
-    raw = [_largest_k_scale_geq(delta, r)]
-    while True:
-        target = (1.0 + eps) * space.volume(x, delta ** raw[-1])
-        if target > total:
-            break
-        k = raw[-1] - 1
-        while space.volume(x, delta**k) < target:
-            k -= 1
-        raw.append(k)
-
-    slack = 1.0 - 1e-12
-    certificates = []
-    failures = []
-    v_r = space.volume(x, r)
-    for j in range(len(raw)):
-        lo = raw[j + 1] - 1 if j + 1 < len(raw) else h.k_coarse - 1
-        hi = raw[j] - 2
-        for k in range(max(lo, h.k_coarse - 1), hi + 1):
-            vol_ok = space.volume(x, delta**k) >= (1.0 + eps) ** j * v_r * slack
-            certificates.append(("volume", j, k, vol_ok))
-            if not vol_ok:
-                failures.append(f"volume certificate failed at j={j}, k={k}")
-            dist_y = _dist_to_new_points(space, h, x, k)
-            if j + 1 < len(raw):
-                need = (delta / (2.0 * a0)) * delta ** raw[j + 1]
-                dist_ok = dist_y + delta**k >= need * slack
-            else:
-                # terminal range: no new points may exist at these levels
-                dist_ok = math.isinf(dist_y)
-            certificates.append(("distance", j, k, dist_ok))
-            if not dist_ok:
-                failures.append(f"distance certificate failed at j={j}, k={k}")
-
-    relabeled = (raw[0],) + tuple(k - 2 for k in raw)
-    return KjSequence(x=x, r=float(r), eps=eps, raw=tuple(raw),
-                      relabeled=relabeled, certificates=tuple(certificates),
-                      failures=tuple(failures))
 
 
 def verify_sum_large_balls(space: FiniteSpace, h: NetHierarchy, x: int, r: float,
@@ -467,10 +392,10 @@ class RoundTripReport:
 
 def bmo_carleson_roundtrip(space: FiniteSpace, h: NetHierarchy,
                            order: ReferenceOrder, basis: WaveletBasis,
-                           b: np.ndarray, x0: int = 0,
-                           r0: float = 1.0) -> RoundTripReport:
+                           b: np.ndarray) -> RoundTripReport:
     coeffs = bmo_to_coefficients(basis, b)
-    rec = bmo_from_carleson(space, basis, coeffs, x0, r0)
+    # pinned at point 0, radius 1: another pin moves rec by a constant only
+    rec = bmo_from_carleson(space, basis, coeffs, 0, 1.0)
     diff = np.asarray(b, dtype=float) - rec
     residual = float(diff.max() - diff.min())
     return RoundTripReport(
@@ -534,102 +459,21 @@ def _wavelet_ball_volumes(space: FiniteSpace, basis: WaveletBasis) -> np.ndarray
     ])
 
 
-def _almost_diagonal_bound(space: FiniteSpace, basis: WaveletBasis,
-                           eps: float) -> np.ndarray:
-    """Reference bound: scale-gap times center-separation times volume factor."""
-    levels = basis.wavelet_levels.astype(float)
-    centers = basis.wavelet_centers
-    delta = basis.delta
-    bvol = _wavelet_ball_volumes(space, basis)
-    d_centers = space.dist[np.ix_(centers, centers)]
-    kmin = np.minimum(levels[:, None], levels[None, :])
-    gap = delta ** (np.abs(levels[:, None] - levels[None, :]) * eps)
-    sep = (1.0 + delta ** (-kmin) * d_centers) ** -eps
-    # wavelet centres are distinct points; d = 0 would give the empty ball, 0
-    vrel = volume_matrix(space)[np.ix_(centers, centers)]
-    denom = bvol[:, None] + bvol[None, :] + vrel
-    return gap * sep * np.sqrt(np.outer(bvol, bvol)) / denom
-
-
-@dataclass(frozen=True)
-class AlmostDiagonalReport:
-    C0: float
-    witness: tuple | None
-
-
-def almost_diagonal_check(space: FiniteSpace, basis: WaveletBasis,
-                          coeffs: np.ndarray, eps: float) -> AlmostDiagonalReport:
-    """Smallest C0 making |coef| <= C0 * (scale-gap, separation, volume) bound."""
-    bound = _almost_diagonal_bound(space, basis, eps)
-    ratios = np.abs(np.asarray(coeffs)) / bound
-    idx = np.unravel_index(np.argmax(ratios), ratios.shape)
-    return AlmostDiagonalReport(C0=float(ratios[idx]), witness=(int(idx[0]), int(idx[1])))
-
-
 def schur_statistic(space: FiniteSpace, basis: WaveletBasis,
                     coeffs: np.ndarray) -> tuple[float, float]:
     """Weighted row/column l1 statistics whose max dominates the l2 norm."""
     wgt = np.sqrt(_wavelet_ball_volumes(space, basis))
     C = np.abs(np.asarray(coeffs))
+    if C.size == 0:  # no wavelets
+        return 0.0, 0.0
     col = float(((C * wgt[:, None]).sum(axis=0) / wgt).max())
     row = float(((C * wgt[None, :]).sum(axis=1) / wgt).max())
     return col, row
 
 
 def operator_norm(matrix: np.ndarray) -> float:
-    return float(np.linalg.svd(np.asarray(matrix), compute_uv=False)[0])
-
-
-@dataclass(frozen=True)
-class CZReport:
-    size_constant: float
-    regularity_first: float
-    regularity_second: float
-
-
-def cz_kernel_check(space: FiniteSpace, constants: SpaceConstants,
-                    K: np.ndarray, s: float) -> CZReport:
-    """Empirical size and Hoelder-regularity constants of an off-diagonal kernel."""
-    K = np.asarray(K, dtype=float)
-    vol = volume_matrix(space)
-    n = space.n
-    mask = ~np.eye(n, dtype=bool)
-    size_c = float((np.abs(K) * vol)[mask].max()) if n > 1 else 0.0
-    a0 = constants.A0
-    reg1 = 0.0
-    reg2 = 0.0
-    d = space.dist
-    for x in range(n):
-        for xp in range(n):
-            dxx = d[x, xp]
-            if dxx <= 0:
-                continue
-            ys = np.nonzero((d[x] >= 2.0 * a0 * dxx) & (np.arange(n) != x)
-                            & (np.arange(n) != xp))[0]
-            if ys.size == 0:
-                continue
-            ratio = (d[x, ys] / dxx) ** s * vol[x, ys]
-            reg1 = max(reg1, float((np.abs(K[x, ys] - K[xp, ys]) * ratio).max()))
-            reg2 = max(reg2, float((np.abs(K[ys, x] - K[ys, xp]) * ratio).max()))
-    return CZReport(size_constant=size_c, regularity_first=reg1,
-                    regularity_second=reg2)
-
-
-def synthesize_kernel_from_bound(space: FiniteSpace, basis: WaveletBasis,
-                                 eps: float) -> np.ndarray:
-    """Kernel assembled from coefficients saturating the almost-diagonal bound."""
-    coeffs = _almost_diagonal_bound(space, basis, eps)
-    W = basis.wavelet_values
-    return W.T @ coeffs @ W
-
-
-def size_redundancy_check(space: FiniteSpace, basis: WaveletBasis,
-                          eps: float) -> float:
-    """Size constant of the bound-saturating synthesized kernel."""
-    K = synthesize_kernel_from_bound(space, basis, eps)
-    vol = volume_matrix(space)
-    mask = ~np.eye(space.n, dtype=bool)
-    return float((np.abs(K) * vol)[mask].max())
+    sv = np.linalg.svd(np.asarray(matrix), compute_uv=False)
+    return float(sv[0]) if sv.size else 0.0
 
 
 def discrete_hilbert_kernel(n: int) -> np.ndarray:

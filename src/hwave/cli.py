@@ -73,7 +73,8 @@ def _cmd_cubes(args) -> int:
     space = resolve_space(args.space)
     constants = compute_constants(space)
     if args.nets:
-        hierarchy, order = load_nets(args.nets, space, constants)
+        hierarchy, order = load_nets(args.nets, space, constants, args.delta,
+                                     args.mode)
     else:
         hierarchy = build_nets(space, constants, args.delta, args.mode)
         order = build_reference_order(space, constants, hierarchy)
@@ -117,7 +118,7 @@ def _cmd_splines(args) -> int:
         print(format_report(checks))
         return 0 if all(c.passed for c in checks) else 1
     # holder
-    k = args.level if args.level is not None else h.k_fine - 1
+    k = args.level if args.level is not None else max(h.k_fine - 1, h.k_coarse)
     prof = holder_profile(space, h, bundle.splines, k, bundle.eta)
     print(f"level {k}: holder constant {prof.constant:g} at exponent "
           f"{prof.eta:g} (witness {prof.witness})")

@@ -26,7 +26,6 @@ __all__ = [
     "GramSystem",
     "DecayProfile",
     "NotSPDError",
-    "gram_matrix",
     "inverse_and_sqrt",
     "neumann_inverse_and_sqrt",
     "decay_fit",
@@ -44,6 +43,10 @@ class NotSPDError(RuntimeError):
 
 
 BAND_COEFF = 16.0  # Gram entries vanish beyond 16 A0^6 delta^k
+DUAL_TOL = 1e-10  # biorthogonality, orthonormality and mass of each level
+SERIES_TOL = 1e-13  # tail bound at which the Neumann series stops
+SERIES_MAX_TERMS = 20000
+DECAY_FLOOR = 1e-14  # entries at or below this are left out of decay fits
 
 
 def decay_exponent_s(constants: SpaceConstants) -> float:
@@ -111,8 +114,8 @@ def _block_inverse(n: int, blocks, root: bool = False) -> np.ndarray:
 
 def _gram_level(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
                 table: SplineTable, k: int):
-    """``gram_matrix``'s matrix and volumes plus its block eigendecomposition
-    and Riesz bounds (``_eigh_blocks``)."""
+    """Volume-normalized Gram matrix of the level-k splines and the volumes,
+    plus its block eigendecomposition and Riesz bounds (``_eigh_blocks``)."""
     values = table.at(k)
     lev = h.level(k)
     dk = h.scale(k)
@@ -128,13 +131,6 @@ def _gram_level(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
     return (M, vol) + _eigh_blocks(M, f"Gram at level {k}")
 
 
-def gram_matrix(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
-                table: SplineTable, k: int):
-    """Volume-normalized Gram matrix of the level-k splines, plus the volumes."""
-    M, vol, _, _ = _gram_level(space, constants, h, table, k)
-    return M, vol
-
-
 def inverse_and_sqrt(M: np.ndarray):
     """(M^-1, M^-1/2) by symmetric eigendecomposition per connected component
     of M's nonzero pattern; entries between components are exactly 0.0."""
@@ -147,8 +143,7 @@ def inverse_and_sqrt(M: np.ndarray):
     return _block_inverse(n, blocks), _block_inverse(n, blocks, root=True)
 
 
-def neumann_inverse_and_sqrt(M: np.ndarray, tol: float = 1e-13,
-                             max_terms: int = 20000):
+def neumann_inverse_and_sqrt(M: np.ndarray):
     """Series route: write M = h (I - A) and sum powers of A.
 
     Returns (inverse, inverse square root, contraction ratio r, #terms).
@@ -172,13 +167,13 @@ def neumann_inverse_and_sqrt(M: np.ndarray, tol: float = 1e-13,
     power = np.eye(n)
     c = 1.0
     terms = 0
-    while r ** (terms + 1) / (1.0 - r) >= tol:
+    while r ** (terms + 1) / (1.0 - r) >= SERIES_TOL:
         power = power @ A
         c = c * (2 * terms + 1) / (2 * terms + 2)
         inv_sum += power
         sqrt_sum += c * power
         terms += 1
-        if terms > max_terms:
+        if terms > SERIES_MAX_TERMS:
             raise NotSPDError("series did not converge within the term budget")
     return inv_sum / hconst, sqrt_sum / math.sqrt(hconst), r, terms
 
@@ -194,12 +189,12 @@ class DecayProfile:
 
 
 def decay_fit(matrix: np.ndarray, center_ids, space: FiniteSpace, scale: float,
-              exponent: float, floor: float = 1e-14) -> DecayProfile:
+              exponent: float) -> DecayProfile:
     """Least squares of ln|entry| against (d/scale)^exponent over live entries."""
     matrix = np.asarray(matrix, dtype=float)
     centers = np.asarray(center_ids, dtype=int)
     dists = space.dist[np.ix_(centers, centers)]
-    live = np.abs(matrix) > floor
+    live = np.abs(matrix) > DECAY_FLOOR
     if live.sum() < 2:
         raise ValueError("fewer than 2 entries above the floor")
     u = (dists[live] / scale) ** exponent
@@ -217,11 +212,11 @@ def decay_fit(matrix: np.ndarray, center_ids, space: FiniteSpace, scale: float,
                         n_entries=int(live.sum()), degenerate=False)
 
 
-def fit_decay_exponent(matrix: np.ndarray, dists: np.ndarray,
-                       floor: float = 1e-14) -> float:
+def fit_decay_exponent(matrix: np.ndarray, dists: np.ndarray) -> float:
     """Slope of ln(-ln|entry|) against ln(distance): the decay exponent itself."""
     matrix = np.asarray(matrix, dtype=float)
-    live = (np.abs(matrix) > floor) & (np.abs(matrix) < 1.0) & (dists > 0)
+    live = ((np.abs(matrix) > DECAY_FLOOR) & (np.abs(matrix) < 1.0)
+            & (dists > 0))
     if live.sum() < 2:
         raise ValueError("not enough entries to fit an exponent")
     x = np.log(dists[live])
@@ -263,8 +258,7 @@ class GramSystem:
 
 
 def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
-                      h: NetHierarchy, table: SplineTable,
-                      check_tol: float = 1e-10) -> GramSystem:
+                      h: NetHierarchy, table: SplineTable) -> GramSystem:
     """Gram, dual and orthonormal data per level, with identities asserted."""
     out = []
     for k in range(h.k_coarse, h.k_fine + 1):
@@ -279,7 +273,7 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
         err_ortho = float(np.abs(space.gram(phi, phi) - eye).max())
         mass = stilde @ space.weights
         err_mass = float(np.abs(mass - 1.0).max())
-        if max(err_bio, err_ortho, err_mass) > check_tol:
+        if max(err_bio, err_ortho, err_mass) > DUAL_TOL:
             raise NotSPDError(
                 f"level {k} dual-system identities failed "
                 f"(bio {err_bio:.2e}, ortho {err_ortho:.2e}, mass {err_mass:.2e})"

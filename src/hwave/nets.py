@@ -94,9 +94,8 @@ def _greedy_extend(dist: np.ndarray, base: list[int], candidates, sep: float) ->
     return np.flatnonzero(taken).tolist()
 
 
-def build_nets(space: FiniteSpace, constants: SpaceConstants, delta: float,
-               mode: str = "relaxed") -> NetHierarchy:
-    """Greedy nested nets for all scales from one root point down to all of X."""
+def _check_params(constants: SpaceConstants, delta: float, mode: str) -> None:
+    """``NetError`` unless delta is in (0, 1) and below strict mode's bound."""
     if not 0 < delta < 1:
         raise NetError("delta must lie in (0, 1)")
     if mode not in ("strict", "relaxed"):
@@ -107,6 +106,12 @@ def build_nets(space: FiniteSpace, constants: SpaceConstants, delta: float,
             raise NetError(
                 f"strict mode requires delta <= {bound:.3g}, got {delta}"
             )
+
+
+def build_nets(space: FiniteSpace, constants: SpaceConstants, delta: float,
+               mode: str = "relaxed") -> NetHierarchy:
+    """Greedy nested nets for all scales from one root point down to all of X."""
+    _check_params(constants, delta, mode)
     n = space.n
     dist = space.dist
     ids = range(n)
@@ -334,13 +339,16 @@ def save_nets(h: NetHierarchy, order: ReferenceOrder, path) -> None:
     write_json(path, _nets_payload(h, order))
 
 
-def load_nets(path, space: FiniteSpace, constants: SpaceConstants):
+def load_nets(path, space: FiniteSpace, constants: SpaceConstants,
+              delta: float, mode: str):
     """The hierarchy and reference order of a net file on ``space``.
 
-    The levels are the input: ascending point ids that pass ``verify_nets``.
-    Every other field must equal what ``save_nets`` writes for them, else
-    ``NetError`` names the first field that differs, its level and both
-    values."""
+    The run's ``delta`` and ``mode`` pass ``build_nets``'s check and the
+    file's delta is the run's.  The levels are the input: ascending point
+    ids that pass ``verify_nets``.  Every other field must equal what
+    ``save_nets`` writes for them, else ``NetError`` names the first field
+    that differs, its level and both values."""
+    _check_params(constants, delta, mode)
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -351,8 +359,8 @@ def load_nets(path, space: FiniteSpace, constants: SpaceConstants):
         k_fine=int(data["k_fine"]),
         levels=tuple(np.asarray(lv, dtype=int) for lv in data["levels"]),
     )
-    if not 0 < h.delta < 1:
-        raise NetError("net file invariant violated: delta outside (0, 1)")
+    if h.delta != delta:
+        raise NetError(f"net file has delta {h.delta}, the run has {delta}")
     if h.num_levels != len(h.levels):
         raise NetError(
             f"net file invariant violated: {len(h.levels)} levels for the "

@@ -23,7 +23,6 @@ __all__ = [
     "CubeMachine",
     "BoundaryEstimate",
     "sample_omega",
-    "sample_omega_batch",
     "verify_system",
     "verify_center_sandwich",
     "boundary_layer_probability",
@@ -64,21 +63,12 @@ def _sample_level(order: ReferenceOrder, seed: int, i: int, nsamples: int):
             _coord_rng(seed, i, 1).integers(1, order.M + 1, size=nsamples))
 
 
-def sample_omega_batch(order: ReferenceOrder, seed: int, nsamples: int):
-    """Vectorized draws: arrays of shape (num_levels, nsamples)."""
-    if nsamples < 1:
-        raise ValueError("nsamples must be >= 1")
-    nlev = order.k_fine - order.k_coarse
-    ell = np.zeros((nlev, nsamples), dtype=np.int64)
-    m = np.zeros((nlev, nsamples), dtype=np.int64)
-    for i in range(nlev):
-        ell[i], m[i] = _sample_level(order, seed, i, nsamples)
-    return ell, m
-
-
 def sample_omega(order: ReferenceOrder, seed: int) -> OmegaSample:
-    ell, m = sample_omega_batch(order, seed, 1)
-    return OmegaSample(k_coarse=order.k_coarse, ell=ell[:, 0], m=m[:, 0], seed=seed)
+    """One draw: the first coordinates ``_sample_level`` draws per level."""
+    draws = [_sample_level(order, seed, i, 1)
+             for i in range(order.k_fine - order.k_coarse)]
+    ell, m = np.array(draws, dtype=np.int64).reshape(-1, 2).T
+    return OmegaSample(k_coarse=order.k_coarse, ell=ell, m=m, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -320,9 +310,9 @@ class CubeMachine:
         return ell * self.order.M + (m - 1)
 
     def sample_outcomes(self, seed: int, nsamples: int) -> np.ndarray:
-        """Table rows of a batch of draws, shape (num_levels, nsamples), equal
-        to ``outcome_index(*sample_omega_batch(...))`` but filled one level at
-        a time."""
+        """Table rows of a batch of draws, shape (num_levels, nsamples): the
+        outcome index of ``_sample_level``'s coordinates, one level at a
+        time."""
         if nsamples < 1:
             raise ValueError("nsamples must be >= 1")
         order = self.order

@@ -8,9 +8,7 @@ dynamic program replaces sampling.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,17 +22,16 @@ __all__ = [
     "TransitionSystem",
     "SplineTable",
     "HolderProfile",
-    "Bump",
     "transition_probabilities",
     "build_transitions",
     "compute_splines_exact",
     "compute_splines_mc",
-    "compute_splines_exact_rational",
     "holder_profile",
-    "build_bump",
     "verify_spline_table",
     "save_splines",
 ]
+
+SPLINE_TOL = 1e-12  # float error allowed in the spline identities
 
 
 @dataclass(frozen=True)
@@ -120,31 +117,6 @@ def compute_splines_mc(machine: CubeMachine, nsamples: int, seed: int):
     )
 
 
-def compute_splines_exact_rational(machine: CubeMachine) -> dict:
-    """Exact-fraction recomputation of the dynamic program (tiny fixtures only).
-
-    Entries are integer multiples of ((L+1)M)^-(k_fine - k); this validates the
-    floating-point tables bit for bit on small spaces.
-    """
-    h = machine.h
-    n = h.level(h.k_fine).size
-    n_out = machine.n_outcomes
-    tables = {h.k_fine: [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]}
-    for k in range(h.k_fine - 1, h.k_coarse - 1, -1):
-        parents = machine.parent_tables[k]
-        n_par = h.level(k).size
-        n_child = h.level(k + 1).size
-        p = [[Fraction(0) for _ in range(n_child)] for _ in range(n_par)]
-        for row in parents:
-            for beta in range(n_child):
-                p[row[beta]][beta] += Fraction(1, n_out)
-        nxt = tables[k + 1]
-        cur = [[sum((p[a][b] * nxt[b][x] for b in range(n_child)), Fraction(0))
-                for x in range(n)] for a in range(n_par)]
-        tables[k] = cur
-    return tables
-
-
 @dataclass(frozen=True)
 class HolderProfile:
     level: int
@@ -159,6 +131,8 @@ def holder_profile(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
     values = table.at(k)
     dk = h.scale(k)
     iu, ju = np.triu_indices(space.n, 1)
+    if iu.size == 0:  # one point: no pairs
+        return HolderProfile(level=k, eta=eta, constant=0.0, witness=None)
     moduli = (space.dist[iu, ju] / dk) ** eta
     best = 0.0
     witness = None
@@ -171,55 +145,11 @@ def holder_profile(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
     return HolderProfile(level=k, eta=eta, constant=best, witness=witness)
 
 
-@dataclass(frozen=True)
-class Bump:
-    values: np.ndarray
-    level: int
-    selected: np.ndarray  # positions of the summed splines at that level
-
-
-def build_bump(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
-               table: SplineTable, F, G) -> Bump:
-    """Partition-of-unity bump with 1_F <= phi <= 1_G.
-
-    The working scale is the smallest k with 16 A0^6 delta^k <= d(F, G^c),
-    clamped to the available levels; the summed splines are those whose
-    actual support meets F.
-    """
-    F = np.asarray(sorted(set(map(int, F))), dtype=int)
-    G_set = set(map(int, G))
-    if not set(F).issubset(G_set):
-        raise ValueError("F must be contained in G")
-    complement = np.asarray(sorted(set(range(space.n)) - G_set), dtype=int)
-    if complement.size == 0:
-        gap = math.inf
-    elif F.size == 0:
-        gap = math.inf
-    else:
-        gap = float(space.dist[np.ix_(F, complement)].min())
-    if gap <= 0:
-        raise ValueError("F touches the complement of G")
-
-    a0 = constants.A0
-    if math.isinf(gap):
-        k = h.k_coarse
-    else:
-        k = h.k_coarse
-        while 16.0 * a0**6 * h.scale(k) > gap and k < h.k_fine:
-            k += 1
-    values = table.at(k)
-    if F.size:
-        touching = np.nonzero((values[:, F] > 0).any(axis=1))[0]
-    else:
-        touching = np.array([], dtype=int)
-    phi = values[touching].sum(axis=0) if touching.size else np.zeros(space.n)
-    return Bump(values=phi, level=k, selected=touching)
-
-
 def verify_spline_table(space: FiniteSpace, constants: SpaceConstants,
                         h: NetHierarchy, transitions: TransitionSystem,
-                        table: SplineTable, tol: float = 1e-12) -> list[CheckResult]:
-    """Partition of unity, interpolation, refinement and support sandwich."""
+                        table: SplineTable) -> list[CheckResult]:
+    """Partition of unity, interpolation, refinement and support sandwich;
+    the float identities hold to ``SPLINE_TOL``."""
     a0 = constants.A0
     checks = []
 
@@ -232,7 +162,8 @@ def verify_spline_table(space: FiniteSpace, constants: SpaceConstants,
         dk = h.scale(k)
 
         col_err = float(np.abs(values.sum(axis=0) - 1.0).max())
-        record(f"partition-of-unity level {k}", col_err <= tol, f"err {col_err:.2e}")
+        record(f"partition-of-unity level {k}", col_err <= SPLINE_TOL,
+               f"err {col_err:.2e}")
 
         interp = values[:, lev]
         record(f"interpolation level {k}",
@@ -245,11 +176,13 @@ def verify_spline_table(space: FiniteSpace, constants: SpaceConstants,
         if k < h.k_fine:
             refine = transitions.at(k) @ table.at(k + 1)
             err = float(np.abs(values - refine).max())
-            record(f"refinement level {k}", err <= tol, f"err {err:.2e}")
+            record(f"refinement level {k}", err <= SPLINE_TOL,
+                   f"err {err:.2e}")
 
             p = transitions.at(k)
             col = float(np.abs(p.sum(axis=0) - 1.0).max())
-            record(f"column-stochastic level {k}", col <= tol, f"err {col:.2e}")
+            record(f"column-stochastic level {k}", col <= SPLINE_TOL,
+                   f"err {col:.2e}")
             rows, cols = np.nonzero(p > 0)
             if rows.size:
                 reach = (0.25 * a0**-1 + 2.0 * a0**2) * dk

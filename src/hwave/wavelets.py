@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-import json
 
 import numpy as np
 
-from .mra import GramSystem, NotSPDError, _block_inverse, _eigh_blocks
+from .mra import (DECAY_FLOOR, GramSystem, NotSPDError, _block_inverse,
+                  _eigh_blocks)
 from .nets import NetHierarchy
 from .report import check_error, check_flag, write_json
 from .space import FiniteSpace, SpaceConstants
@@ -31,8 +30,10 @@ __all__ = [
     "decay_and_regularity_report",
     "wavelet_decay_a",
     "save_basis",
-    "load_basis",
 ]
+
+ORTHO_TOL = 1e-10  # pre-wavelet orthogonality and per-level orthonormality
+BASIS_TOL = 1e-8   # orthonormality of the whole basis
 
 
 def wavelet_decay_a(constants: SpaceConstants) -> float:
@@ -43,7 +44,7 @@ def wavelet_decay_a(constants: SpaceConstants) -> float:
 
 
 def pre_wavelets(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
-                 gramsys: GramSystem, k: int, tol: float = 1e-10):
+                 gramsys: GramSystem, k: int):
     """Level-k pre-wavelets: one per new point, orthogonal to the level span.
 
     Returns (values, center point ids); empty when the level adds no points.
@@ -58,16 +59,16 @@ def pre_wavelets(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
     coef = space.gram(s_next, stilde)
     tilde_psi = s_next - coef @ s_cur
     ortho = space.gram(tilde_psi, s_cur)
-    if np.abs(ortho).max() > tol:
+    if np.abs(ortho).max() > ORTHO_TOL:
         raise NotSPDError(f"pre-wavelets at level {k} not orthogonal to the span")
     means = tilde_psi @ space.weights
-    if np.abs(means).max() > tol:
+    if np.abs(means).max() > ORTHO_TOL:
         raise NotSPDError(f"pre-wavelets at level {k} have nonzero mean")
     return tilde_psi, ys
 
 
 def orthonormalize_level(space: FiniteSpace, tilde_psi: np.ndarray,
-                         volumes: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+                         volumes: np.ndarray) -> np.ndarray:
     """Symmetric orthonormalization of one level family.
 
     ``volumes`` are the ball masses of the new points at the next-level scale;
@@ -83,7 +84,7 @@ def orthonormalize_level(space: FiniteSpace, tilde_psi: np.ndarray,
     psi = (isqrt / sqrt_vol[None, :]) @ tilde_psi
     check = space.gram(psi, psi)
     err = np.abs(check - np.eye(psi.shape[0])).max()
-    if err > tol:
+    if err > ORTHO_TOL:
         raise NotSPDError(f"orthonormalization residual {err:.2e}")
     return psi
 
@@ -125,7 +126,7 @@ class WaveletBasis:
 
 
 def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
-                   gramsys: GramSystem, tol: float = 1e-8) -> WaveletBasis:
+                   gramsys: GramSystem) -> WaveletBasis:
     """Constant plus all level wavelets; verifies the family is orthonormal."""
     rows = [np.full((1, space.n), 1.0 / math.sqrt(space.total_mass))]
     levels = [h.k_coarse]
@@ -146,7 +147,8 @@ def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
     if not count.passed:
         raise NotSPDError(count.line())
     err = float(np.abs(space.gram(values, values) - np.eye(space.n)).max())
-    ortho = check_error("basis-orthonormality", "Gram vs identity", err, tol)
+    ortho = check_error("basis-orthonormality", "Gram vs identity", err,
+                        BASIS_TOL)
     if not ortho.passed:
         raise NotSPDError(ortho.line())
     return WaveletBasis(
@@ -185,7 +187,7 @@ class WaveletDecayReport:
 
 def decay_and_regularity_report(space: FiniteSpace, constants: SpaceConstants,
                                 h: NetHierarchy, basis: WaveletBasis,
-                                eta: float, floor: float = 1e-14):
+                                eta: float):
     """Per-level decay fit and Hoelder statistic for the wavelet rows.
 
     The fit normalizes each wavelet by the root ball volume of its center at
@@ -204,7 +206,7 @@ def decay_and_regularity_report(space: FiniteSpace, constants: SpaceConstants,
         root_vol = np.sqrt([space.volume(int(y), dk) for y in ys])
         normalized = np.abs(psi) * root_vol[:, None]
         u_all = (space.dist[ys] / dk) ** a
-        live = normalized > floor
+        live = normalized > DECAY_FLOOR
         u = u_all[live]
         v = np.log(normalized[live])
         if u.size >= 2 and np.unique(u).size >= 2:
@@ -245,18 +247,3 @@ def save_basis(basis: WaveletBasis, path) -> None:
         "k_fine": basis.k_fine,
         "members": members,
     })
-
-
-def load_basis(space: FiniteSpace, path) -> WaveletBasis:
-    data = json.loads(Path(path).read_text())
-    members = data["members"]
-    return WaveletBasis(
-        space=space,
-        delta=float(data["delta"]),
-        k_coarse=int(data["k_coarse"]),
-        k_fine=int(data["k_fine"]),
-        values=np.asarray([m["values"] for m in members], dtype=float),
-        levels=np.asarray([m["level"] for m in members], dtype=int),
-        centers=np.asarray([m["center"] for m in members], dtype=int),
-        is_wavelet=np.asarray([m["kind"] == "wavelet" for m in members]),
-    )

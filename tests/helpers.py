@@ -4,7 +4,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hwave.analysis import _wavelet_ball_volumes, volume_matrix
+from hwave.nets import ReferenceOrder
+from hwave.randomized import _sample_level
 from hwave.space import FiniteSpace, SpaceConstants
+from hwave.wavelets import WaveletBasis
 
 
 def rescale(space: FiniteSpace, factor: float) -> FiniteSpace:
@@ -120,3 +124,67 @@ def separated_sum_check(space: FiniteSpace, constants: SpaceConstants,
     values = front * sums
     arg = int(np.argmax(values))
     return SeparatedSumReport(eps=float(eps), value=float(values[arg]), argmax=arg)
+
+
+def sample_omega_batch(order: ReferenceOrder, seed: int, nsamples: int):
+    """Vectorized draws: arrays of shape (num_levels, nsamples).  The oracle
+    of ``CubeMachine.sample_outcomes`` and of ``sample_omega``, whose draw
+    heads every batch."""
+    if nsamples < 1:
+        raise ValueError("nsamples must be >= 1")
+    nlev = order.k_fine - order.k_coarse
+    ell = np.zeros((nlev, nsamples), dtype=np.int64)
+    m = np.zeros((nlev, nsamples), dtype=np.int64)
+    for i in range(nlev):
+        ell[i], m[i] = _sample_level(order, seed, i, nsamples)
+    return ell, m
+
+
+def almost_diagonal_bound(space: FiniteSpace, basis: WaveletBasis,
+                          eps: float) -> np.ndarray:
+    """Reference bound: scale-gap times center-separation times volume factor."""
+    levels = basis.wavelet_levels.astype(float)
+    centers = basis.wavelet_centers
+    delta = basis.delta
+    bvol = _wavelet_ball_volumes(space, basis)
+    d_centers = space.dist[np.ix_(centers, centers)]
+    kmin = np.minimum(levels[:, None], levels[None, :])
+    gap = delta ** (np.abs(levels[:, None] - levels[None, :]) * eps)
+    sep = (1.0 + delta ** (-kmin) * d_centers) ** -eps
+    # wavelet centres are distinct points; d = 0 would give the empty ball, 0
+    vrel = volume_matrix(space)[np.ix_(centers, centers)]
+    denom = bvol[:, None] + bvol[None, :] + vrel
+    return gap * sep * np.sqrt(np.outer(bvol, bvol)) / denom
+
+
+@dataclass(frozen=True)
+class AlmostDiagonalReport:
+    C0: float
+    witness: tuple | None
+
+
+def almost_diagonal_check(space: FiniteSpace, basis: WaveletBasis,
+                          coeffs: np.ndarray, eps: float) -> AlmostDiagonalReport:
+    """Smallest C0 making |coef| <= C0 * (scale-gap, separation, volume) bound."""
+    bound = almost_diagonal_bound(space, basis, eps)
+    ratios = np.abs(np.asarray(coeffs)) / bound
+    idx = np.unravel_index(np.argmax(ratios), ratios.shape)
+    return AlmostDiagonalReport(C0=float(ratios[idx]),
+                                witness=(int(idx[0]), int(idx[1])))
+
+
+def synthesize_kernel_from_bound(space: FiniteSpace, basis: WaveletBasis,
+                                 eps: float) -> np.ndarray:
+    """Kernel assembled from coefficients saturating the almost-diagonal bound."""
+    coeffs = almost_diagonal_bound(space, basis, eps)
+    W = basis.wavelet_values
+    return W.T @ coeffs @ W
+
+
+def size_redundancy_check(space: FiniteSpace, basis: WaveletBasis,
+                          eps: float) -> float:
+    """Size constant of the bound-saturating synthesized kernel."""
+    K = synthesize_kernel_from_bound(space, basis, eps)
+    vol = volume_matrix(space)
+    mask = ~np.eye(space.n, dtype=bool)
+    return float((np.abs(K) * vol)[mask].max())

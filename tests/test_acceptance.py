@@ -13,6 +13,8 @@ from hwave.randomized import (boundary_layer_probability, sample_omega,
 from hwave.space import canonical_radii, compute_constants, generate_space
 from hwave.splines import compute_splines_mc
 
+from helpers import size_redundancy_check
+
 
 def _report(number: int, message: str) -> None:
     print(f"[PASS] criterion {number}: {message}")
@@ -243,8 +245,8 @@ def test_criterion_11_operator_diagnostics(bundle_b, bundle_c64):
 
 def test_criterion_12_size_redundancy(bundle_b, bundle_c32):
     """Size constants of bound-saturating synthesized kernels stay within 2x."""
-    c16 = an.size_redundancy_check(bundle_b.space, bundle_b.basis, eps=0.02)
-    c32 = an.size_redundancy_check(bundle_c32.space, bundle_c32.basis, eps=0.02)
+    c16 = size_redundancy_check(bundle_b.space, bundle_b.basis, eps=0.02)
+    c32 = size_redundancy_check(bundle_c32.space, bundle_c32.basis, eps=0.02)
     ratio = max(c16, c32) / min(c16, c32)
     assert ratio <= 2.0
     _report(12, f"synthesized-kernel size constants {c16:.3g} vs {c32:.3g} "

@@ -1,18 +1,20 @@
 import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import hwave.analysis as an
 from hwave import space as space_module
-from hwave.nets import build_nets
+from hwave.nets import NetHierarchy, build_nets
 from hwave.pipeline import build_bundle
 from hwave.randomized import sample_omega
-from hwave.space import (FiniteSpace, canonical_radii, compute_constants,
-                         generate_space, resolve_space)
+from hwave.space import (FiniteSpace, SpaceConstants, canonical_radii,
+                         compute_constants, generate_space, resolve_space)
 
-from helpers import distinct_balls
+from helpers import (almost_diagonal_bound, almost_diagonal_check,
+                     distinct_balls, size_redundancy_check)
 
 
 @pytest.fixture(scope="module")
@@ -270,16 +272,85 @@ def test_dichotomy_scan_on_one_and_two_points(monkeypatch, dist, weights):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class KjSequence:
+    x: int
+    r: float
+    eps: float
+    raw: tuple        # the k(j) values from the construction
+    relabeled: tuple  # k_0 = k(0), k_{j+1} = k(j) - 2
+    certificates: tuple
+    failures: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def kj_sequence(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
+                x: int, r: float) -> KjSequence:
+    """Volume-growth level sequence with its distance-to-new-points certificates.
+
+    k(0) is the largest level whose scale is at least r; each next k(j+1) is
+    the largest level whose ball mass beats the previous one by the dichotomy
+    factor.  In the gap levels the distance to the new points is certified
+    from below, and past the end of the sequence no new points exist at all.
+    """
+    if r <= 0:
+        raise ValueError("r must be positive")
+    a0 = constants.A0
+    delta = h.delta
+    eps = 1.0 / constants.cmu(3.0 * a0**2)
+    total = space.total_mass
+    raw = [an._largest_k_scale_geq(delta, r)]
+    while True:
+        target = (1.0 + eps) * space.volume(x, delta ** raw[-1])
+        if target > total:
+            break
+        k = raw[-1] - 1
+        while space.volume(x, delta**k) < target:
+            k -= 1
+        raw.append(k)
+
+    slack = 1.0 - 1e-12
+    certificates = []
+    failures = []
+    v_r = space.volume(x, r)
+    for j in range(len(raw)):
+        lo = raw[j + 1] - 1 if j + 1 < len(raw) else h.k_coarse - 1
+        hi = raw[j] - 2
+        for k in range(max(lo, h.k_coarse - 1), hi + 1):
+            vol_ok = space.volume(x, delta**k) >= (1.0 + eps) ** j * v_r * slack
+            certificates.append(("volume", j, k, vol_ok))
+            if not vol_ok:
+                failures.append(f"volume certificate failed at j={j}, k={k}")
+            dist_y = an._dist_to_new_points(space, h, x, k)
+            if j + 1 < len(raw):
+                need = (delta / (2.0 * a0)) * delta ** raw[j + 1]
+                dist_ok = dist_y + delta**k >= need * slack
+            else:
+                # terminal range: no new points may exist at these levels
+                dist_ok = math.isinf(dist_y)
+            certificates.append(("distance", j, k, dist_ok))
+            if not dist_ok:
+                failures.append(f"distance certificate failed at j={j}, k={k}")
+
+    relabeled = (raw[0],) + tuple(k - 2 for k in raw)
+    return KjSequence(x=x, r=float(r), eps=eps, raw=tuple(raw),
+                      relabeled=relabeled, certificates=tuple(certificates),
+                      failures=tuple(failures))
+
+
 def test_kj_sequence_single_point():
     sp = FiniteSpace(dist=np.zeros((1, 1)), weights=np.ones(1))
     bundle = build_bundle(sp, 0.25)
-    kj = an.kj_sequence(sp, bundle.constants, bundle.hierarchy, 0, 0.5)
+    kj = kj_sequence(sp, bundle.constants, bundle.hierarchy, 0, 0.5)
     assert len(kj.raw) == 1
     assert kj.ok
 
 
 def test_kj_sequence_fix_b(bundle_b):
-    kj = an.kj_sequence(bundle_b.space, bundle_b.constants, bundle_b.hierarchy,
+    kj = kj_sequence(bundle_b.space, bundle_b.constants, bundle_b.hierarchy,
                         0, 1 / 16)
     assert kj.ok, kj.failures
     # independent reconstruction of the raw sequence
@@ -303,7 +374,7 @@ def test_kj_sequence_fix_b(bundle_b):
 def test_kj_sequence_certificates_on_plateau(plateau_bundle):
     b = plateau_bundle
     for x in (0, 3):
-        kj = an.kj_sequence(b.space, b.constants, b.hierarchy, x, 1.0)
+        kj = kj_sequence(b.space, b.constants, b.hierarchy, x, 1.0)
         assert kj.ok, kj.failures
         # the gap produces levels with no new points at all
         empties = [k for k in range(b.hierarchy.k_coarse, b.hierarchy.k_fine)
@@ -456,7 +527,7 @@ def _almost_diagonal_loop(space, basis, eps):
 def test_almost_diagonal_bound_equals_pair_loop(desc):
     bundle = build_bundle(resolve_space(desc), 0.25)
     for eps in (0.02, 0.5):
-        fast = an._almost_diagonal_bound(bundle.space, bundle.basis, eps)
+        fast = almost_diagonal_bound(bundle.space, bundle.basis, eps)
         slow = _almost_diagonal_loop(bundle.space, bundle.basis, eps)
         assert np.array_equal(fast, slow)
 
@@ -827,7 +898,7 @@ def test_hilbert_kernel_schur_dominates_norm(bundle_c64):
                                    kind="kernel")
     s1, s2 = an.schur_statistic(bundle_c64.space, bundle_c64.basis, C)
     assert an.operator_norm(C) <= max(s1, s2) + 1e-8
-    rep = an.almost_diagonal_check(bundle_c64.space, bundle_c64.basis, C,
+    rep = almost_diagonal_check(bundle_c64.space, bundle_c64.basis, C,
                                    eps=0.02)
     assert math.isfinite(rep.C0)
 
@@ -846,14 +917,49 @@ def test_schur_dominates_norm_generally(bundle_b):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CZReport:
+    size_constant: float
+    regularity_first: float
+    regularity_second: float
+
+
+def cz_kernel_check(space: FiniteSpace, constants: SpaceConstants,
+                    K: np.ndarray, s: float) -> CZReport:
+    """Empirical size and Hoelder-regularity constants of an off-diagonal kernel."""
+    K = np.asarray(K, dtype=float)
+    vol = an.volume_matrix(space)
+    n = space.n
+    mask = ~np.eye(n, dtype=bool)
+    size_c = float((np.abs(K) * vol)[mask].max()) if n > 1 else 0.0
+    a0 = constants.A0
+    reg1 = 0.0
+    reg2 = 0.0
+    d = space.dist
+    for x in range(n):
+        for xp in range(n):
+            dxx = d[x, xp]
+            if dxx <= 0:
+                continue
+            ys = np.nonzero((d[x] >= 2.0 * a0 * dxx) & (np.arange(n) != x)
+                            & (np.arange(n) != xp))[0]
+            if ys.size == 0:
+                continue
+            ratio = (d[x, ys] / dxx) ** s * vol[x, ys]
+            reg1 = max(reg1, float((np.abs(K[x, ys] - K[xp, ys]) * ratio).max()))
+            reg2 = max(reg2, float((np.abs(K[ys, x] - K[ys, xp]) * ratio).max()))
+    return CZReport(size_constant=size_c, regularity_first=reg1,
+                    regularity_second=reg2)
+
+
 def test_cz_check_zero_kernel(fix_b, constants_b):
-    rep = an.cz_kernel_check(fix_b, constants_b, np.zeros((16, 16)), s=0.5)
-    assert rep == an.CZReport(0.0, 0.0, 0.0)
+    rep = cz_kernel_check(fix_b, constants_b, np.zeros((16, 16)), s=0.5)
+    assert rep == CZReport(0.0, 0.0, 0.0)
 
 
 def test_cz_check_wavelet_kernel(bundle_b):
     K = an.modulated_kernel(bundle_b.basis, np.ones(15))
-    rep = an.cz_kernel_check(bundle_b.space, bundle_b.constants, K,
+    rep = cz_kernel_check(bundle_b.space, bundle_b.constants, K,
                              s=bundle_b.eta)
     assert rep.size_constant > 0
     assert math.isfinite(rep.regularity_first)
@@ -861,6 +967,6 @@ def test_cz_check_wavelet_kernel(bundle_b):
 
 
 def test_size_redundancy_stable(bundle_b, bundle_c32):
-    c16 = an.size_redundancy_check(bundle_b.space, bundle_b.basis, eps=0.02)
-    c32 = an.size_redundancy_check(bundle_c32.space, bundle_c32.basis, eps=0.02)
+    c16 = size_redundancy_check(bundle_b.space, bundle_b.basis, eps=0.02)
+    c32 = size_redundancy_check(bundle_c32.space, bundle_c32.basis, eps=0.02)
     assert max(c16, c32) / min(c16, c32) <= 2.0

@@ -268,14 +268,14 @@ def test_corrupted_net_file_is_reported(tmp_path):
     path = tmp_path / "nets.json"
     path.write_text("{broken")
     with pytest.raises(NetError, match="parse error"):
-        load_nets(path, space, constants)
+        load_nets(path, space, constants, 0.25, "relaxed")
     # structurally corrupted: drop a point from the finest level
     assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "nets.json").read_text())
     data["levels"][2] = data["levels"][2][:-1]
     path.write_text(json.dumps(data))
     with pytest.raises(NetError, match="invariant violated"):
-        load_nets(path, space, constants)
+        load_nets(path, space, constants, 0.25, "relaxed")
     rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path)])
     assert rc == 2
 
@@ -323,11 +323,12 @@ def test_net_file_that_fails_verify_nets_is_refused(tmp_path, capsys):
     assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
     path = tmp_path / "nets.json"
     data = json.loads(path.read_text())
-    # level 1's points are 1/4 apart, closer than 0.5^1
+    # level 1's points are 1/4 apart, closer than 0.5^1; the run's delta is
+    # the file's, so the levels themselves are what fails
     data["delta"] = 0.5
     path.write_text(json.dumps(data))
-    rc = main(["cubes", "sample", "--space", "FIX-B", "--nets", str(path),
-               "-o", str(tmp_path / "sample")])
+    rc = main(["cubes", "sample", "--space", "FIX-B", "--delta", "0.5",
+               "--nets", str(path), "-o", str(tmp_path / "sample")])
     assert rc == 2
     assert ("[FAIL] net-separation level 1: min pair distance 0.25 vs scale 0.5"
             in capsys.readouterr().err)
@@ -409,6 +410,53 @@ def test_net_file_with_a_wrong_level_count_is_refused(tmp_path, capsys):
     assert rc == 2
     assert "3 levels for the range 0..3" in capsys.readouterr().err
     assert not (tmp_path / "sample" / "system.json").exists()
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--mode", "strict"], "strict mode requires delta <= 0.001, got 0.25"),
+    (["--delta", "0.1"], "net file has delta 0.25, the run has 0.1"),
+])
+def test_net_file_keeps_the_runs_mode_and_delta(tmp_path, capsys, extra,
+                                                message):
+    # the same refusal as without --nets, or a file of another delta
+    assert main(["nets", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rc = main(["cubes", "sample", "--space", "FIX-B", *extra,
+               "--nets", str(tmp_path / "nets.json"),
+               "-o", str(tmp_path / "sample")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sample" / "system.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["space"], ["nets"], ["cubes", "sample"], ["cubes", "boundary"],
+    ["splines", "build"], ["splines", "check"], ["splines", "holder"],
+    ["mra", "build"], ["mra", "riesz"], ["mra", "decay"],
+    ["wavelets", "build"], ["wavelets", "verify"], ["wavelets", "transform"],
+    ["analyze", "sums"], ["analyze", "bmo"], ["analyze", "carleson"],
+    ["analyze", "paraproduct"], ["analyze", "operator"],
+    ["verify", "--nsamples", "100"], ["run", "--nsamples", "100"],
+])
+def test_every_subcommand_runs_on_one_point(tmp_path, capsys, command):
+    function = tmp_path / "f.json"
+    function.write_text("[1.5]")
+    if command[-1] == "transform":
+        command = [*command, "--function", str(function)]
+    rc = main([*command, "--space", "line(1)", "-o", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+
+
+def test_one_point_diagnostics_report_zero(capsys):
+    assert main(["splines", "holder", "--space", "line(1)"]) == 0
+    assert capsys.readouterr().out == (
+        "level 0: holder constant 0 at exponent inf (witness None)\n")
+    assert main(["analyze", "operator", "--space", "line(1)"]) == 0
+    assert capsys.readouterr().out == (
+        "hilbert-type kernel: operator norm 0, schur bound 0\n")
+    # the default radii of a one-point space are refused, as on any space
+    assert main(["analyze", "dichotomy", "--space", "line(1)"]) == 2
+    assert "need R > r > 0" in capsys.readouterr().err
 
 
 CUBE_SPACES = [("FIX-A", 0.25), ("FIX-B", 0.25), ("grid(16,2)", 0.25),

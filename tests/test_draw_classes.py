@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from hwave.pipeline import PipelineConfig, _suite_splines, build_bundle
-from hwave.randomized import boundary_layer_probability, sample_omega_batch
+from hwave.randomized import boundary_layer_probability
 from hwave.space import FIXTURES, generate_space
 from hwave.splines import SplineTable, compute_splines_mc
+
+from helpers import sample_omega_batch
 
 SPACES = [
     (FIXTURES["FIX-A"], 0.25),

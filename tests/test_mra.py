@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwave.mra import (NotSPDError, decay_exponent_s, decay_fit,
-                       fit_decay_exponent, gram_matrix, inverse_and_sqrt,
+                       fit_decay_exponent, inverse_and_sqrt,
                        neumann_inverse_and_sqrt)
 from hwave.space import (FiniteSpace, compute_constants, generate_space,
                          resolve_space)
@@ -24,15 +24,13 @@ SETTINGS = dict(deadline=None, max_examples=20)
 
 
 def test_gram_fix_a_level0_identity(bundle_a):
-    M, vol = gram_matrix(bundle_a.space, bundle_a.constants,
-                         bundle_a.hierarchy, bundle_a.splines, 0)
+    M, vol = bundle_a.gramsys.at(0).M, bundle_a.gramsys.at(0).volumes
     np.testing.assert_array_equal(M, np.eye(4))
     np.testing.assert_array_equal(vol, np.ones(4))
 
 
 def test_gram_fix_a_coarse_level(bundle_a):
-    M, vol = gram_matrix(bundle_a.space, bundle_a.constants,
-                         bundle_a.hierarchy, bundle_a.splines, -1)
+    M, vol = bundle_a.gramsys.at(-1).M, bundle_a.gramsys.at(-1).volumes
     assert vol.tolist() == [4.0]  # the whole space sits inside B(0, 4)
     assert M.tolist() == [[1.0]]
 

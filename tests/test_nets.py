@@ -181,7 +181,8 @@ def test_net_file_roundtrip(tmp_path, bundle_b):
     path = tmp_path / "nets.json"
     save_nets(bundle_b.hierarchy, bundle_b.order, path)
     first = path.read_bytes()
-    h, order = load_nets(path, bundle_b.space, bundle_b.constants)
+    h, order = load_nets(path, bundle_b.space, bundle_b.constants,
+                         0.25, "relaxed")
     save_nets(h, order, path)
     assert path.read_bytes() == first
     assert h.k_coarse == bundle_b.hierarchy.k_coarse
@@ -244,7 +245,8 @@ def test_net_file_labels_are_checked(tmp_path, bundle_b, corrupt):
     path.write_text(json.dumps(data))
     with pytest.raises(NetError, match=re.escape("net file invariant violated: "
                                                  + expected)):
-        load_nets(path, bundle_b.space, bundle_b.constants)
+        load_nets(path, bundle_b.space, bundle_b.constants,
+                         0.25, "relaxed")
 
 
 def test_k_fine_is_smallest_full_level():

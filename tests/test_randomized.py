@@ -5,10 +5,12 @@ import pytest
 
 from hwave.randomized import (OmegaSample, RandomizedSystem,
                               boundary_layer_probability, boundary_theory_bound,
-                              sample_omega, sample_omega_batch, theoretical_eta,
+                              sample_omega, theoretical_eta,
                               verify_center_sandwich, verify_system)
 from hwave.space import FiniteSpace
 from hwave.pipeline import build_bundle
+
+from helpers import sample_omega_batch
 
 
 def test_sample_determinism(bundle_b):

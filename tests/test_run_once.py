@@ -83,3 +83,7 @@ def test_benchmark_hooks_record_their_counts(tmp_path):
     assert calls["nets.verify_nets"] == 1
     assert calls["randomized.CubeMachine.system"] == 1
     assert calls["analysis.empty_annulus_dichotomy"] >= 1
+    # P_k once per level, Q_k once per level with a successor
+    h = result.bundle.hierarchy
+    steps = h.k_fine - h.k_coarse
+    assert calls["wavelets.kernel_of_projection"] == 2 * steps + 1

@@ -1,10 +1,14 @@
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hwave.splines import (build_bump, compute_splines_exact_rational,
-                           compute_splines_mc, holder_profile,
+from hwave.nets import NetHierarchy
+from hwave.randomized import CubeMachine
+from hwave.space import FiniteSpace, SpaceConstants
+from hwave.splines import (SplineTable, compute_splines_mc, holder_profile,
                            transition_probabilities, verify_spline_table)
 
 
@@ -83,6 +87,31 @@ def test_single_sample_is_a_partition(bundle_random):
         np.testing.assert_array_equal(table.sum(axis=0), 1.0)
 
 
+def compute_splines_exact_rational(machine: CubeMachine) -> dict:
+    """Exact-fraction recomputation of the dynamic program (tiny fixtures only).
+
+    Entries are integer multiples of ((L+1)M)^-(k_fine - k); this validates the
+    floating-point tables bit for bit on small spaces.
+    """
+    h = machine.h
+    n = h.level(h.k_fine).size
+    n_out = machine.n_outcomes
+    tables = {h.k_fine: [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]}
+    for k in range(h.k_fine - 1, h.k_coarse - 1, -1):
+        parents = machine.parent_tables[k]
+        n_par = h.level(k).size
+        n_child = h.level(k + 1).size
+        p = [[Fraction(0) for _ in range(n_child)] for _ in range(n_par)]
+        for row in parents:
+            for beta in range(n_child):
+                p[row[beta]][beta] += Fraction(1, n_out)
+        nxt = tables[k + 1]
+        cur = [[sum((p[a][b] * nxt[b][x] for b in range(n_child)), Fraction(0))
+                for x in range(n)] for a in range(n_par)]
+        tables[k] = cur
+    return tables
+
+
 def test_rational_recomputation_matches_floats(bundle_random):
     tables = compute_splines_exact_rational(bundle_random.machine)
     h = bundle_random.hierarchy
@@ -129,6 +158,51 @@ def test_holder_exponent_monotonicity(bundle_b):
                           / moduli).max()) for a in range(values.shape[0]))
 
     assert const(eta / 2) <= const(eta) + 1e-12
+
+
+@dataclass(frozen=True)
+class Bump:
+    values: np.ndarray
+    level: int
+    selected: np.ndarray  # positions of the summed splines at that level
+
+
+def build_bump(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
+               table: SplineTable, F, G) -> Bump:
+    """Partition-of-unity bump with 1_F <= phi <= 1_G.
+
+    The working scale is the smallest k with 16 A0^6 delta^k <= d(F, G^c),
+    clamped to the available levels; the summed splines are those whose
+    actual support meets F.
+    """
+    F = np.asarray(sorted(set(map(int, F))), dtype=int)
+    G_set = set(map(int, G))
+    if not set(F).issubset(G_set):
+        raise ValueError("F must be contained in G")
+    complement = np.asarray(sorted(set(range(space.n)) - G_set), dtype=int)
+    if complement.size == 0:
+        gap = math.inf
+    elif F.size == 0:
+        gap = math.inf
+    else:
+        gap = float(space.dist[np.ix_(F, complement)].min())
+    if gap <= 0:
+        raise ValueError("F touches the complement of G")
+
+    a0 = constants.A0
+    if math.isinf(gap):
+        k = h.k_coarse
+    else:
+        k = h.k_coarse
+        while 16.0 * a0**6 * h.scale(k) > gap and k < h.k_fine:
+            k += 1
+    values = table.at(k)
+    if F.size:
+        touching = np.nonzero((values[:, F] > 0).any(axis=1))[0]
+    else:
+        touching = np.array([], dtype=int)
+    phi = values[touching].sum(axis=0) if touching.size else np.zeros(space.n)
+    return Bump(values=phi, level=k, selected=touching)
 
 
 def test_bump_whole_space_target(bundle_b):

@@ -1,15 +1,17 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hwave.pipeline import build_bundle
 from hwave.randomized import sample_omega
-from hwave.space import compute_constants, generate_space, resolve_space
-from hwave.wavelets import (decay_and_regularity_report,
-                            kernel_of_projection, load_basis,
-                            orthonormalize_level, pre_wavelets, save_basis,
-                            wavelet_decay_a)
+from hwave.space import (FiniteSpace, compute_constants, generate_space,
+                         resolve_space)
+from hwave.wavelets import (WaveletBasis, decay_and_regularity_report,
+                            kernel_of_projection, orthonormalize_level,
+                            pre_wavelets, save_basis, wavelet_decay_a)
 
 
 def test_pre_wavelets_fix_a_closed_form(bundle_a):
@@ -235,6 +237,21 @@ def test_sign_multiplier_is_a_contraction(bundle_b):
         signs = rng.choice([-1.0, 1.0], size=W.shape[0])
         symmetrized = sq[:, None] * (W.T @ (signs[:, None] * W)) * sq[None, :]
         assert abs(an.operator_norm(symmetrized) - 1.0) <= 1e-8
+
+
+def load_basis(space: FiniteSpace, path) -> WaveletBasis:
+    data = json.loads(Path(path).read_text())
+    members = data["members"]
+    return WaveletBasis(
+        space=space,
+        delta=float(data["delta"]),
+        k_coarse=int(data["k_coarse"]),
+        k_fine=int(data["k_fine"]),
+        values=np.asarray([m["values"] for m in members], dtype=float),
+        levels=np.asarray([m["level"] for m in members], dtype=int),
+        centers=np.asarray([m["center"] for m in members], dtype=int),
+        is_wavelet=np.asarray([m["kind"] == "wavelet" for m in members]),
+    )
 
 
 def test_basis_file_roundtrip(tmp_path, bundle_b):
