@@ -13,6 +13,7 @@ from .space import (
 )
 from .nets import (
     GeometryViolation,
+    Levels,
     NetHierarchy,
     ReferenceOrder,
     build_nets,
@@ -30,8 +31,6 @@ from .randomized import (
     verify_system,
 )
 from .splines import (
-    SplineTable,
-    TransitionSystem,
     build_transitions,
     compute_splines_exact,
     compute_splines_mc,
@@ -40,7 +39,6 @@ from .splines import (
     verify_spline_table,
 )
 from .mra import (
-    GramSystem,
     build_gram_system,
     decay_fit,
     inverse_and_sqrt,

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import NetHierarchy, ReferenceOrder, ancestors
+from .nets import Levels, NetHierarchy, ReferenceOrder, ancestors
 from .space import FiniteSpace, SpaceConstants, canonical_radii
-from .splines import SplineTable
 from .wavelets import WaveletBasis
 
 __all__ = [
@@ -65,6 +64,8 @@ def empty_annulus_dichotomy(space: FiniteSpace, constants: SpaceConstants,
     """Either the ball mass grows by 1 + 1/Cmu(3 A0^2), or an annulus is empty."""
     if not R > r > 0:
         raise ValueError("need R > r > 0")
+    if not 0 <= x < space.n:
+        raise ValueError(f"x={x} outside 0..{space.n - 1}")
     a0 = constants.A0
     eps = 1.0 / constants.cmu(3.0 * a0**2)
     growth = space.volume(x, R) >= (1.0 + eps) * space.volume(x, r)
@@ -347,10 +348,10 @@ def carleson_norm(space: FiniteSpace, h: NetHierarchy, order: ReferenceOrder,
     for ell in range(h.k_fine, h.k_coarse - 1, -1):
         if ell < h.k_fine:
             up = k1 > ell
-            p[up] = parent_maps[ell - h.k_coarse][p[up]]
+            p[up] = parent_maps.at(ell)[p[up]]
         n_cells = h.level(ell).size
         mass = np.zeros(n_cells)
-        np.add.at(mass, anc[ell - h.k_coarse], space.weights)
+        np.add.at(mass, anc.at(ell), space.weights)
         below = k1 >= ell
         acc = np.zeros(n_cells)
         np.add.at(acc, p[below], squares[below])  # in wavelet order
@@ -410,7 +411,7 @@ def bmo_carleson_roundtrip(space: FiniteSpace, h: NetHierarchy,
 # ---------------------------------------------------------------------------
 
 
-def paraproduct_matrix(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
+def paraproduct_matrix(space: FiniteSpace, h: NetHierarchy, table: Levels,
                        basis: WaveletBasis, beta: np.ndarray) -> np.ndarray:
     """Matrix of the paraproduct with symbol beta on weighted functions.
 

@@ -241,20 +241,11 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_run(args) -> int:
     config = PipelineConfig(space=args.space, delta=args.delta, mode=args.mode,
                             seed=args.seed, nsamples=args.nsamples,
                             out=str(args.out) if args.out else None,
                             suites=tuple(args.suite) if args.suite else SUITES)
-    result = run_pipeline(config)
-    print(result.format())
-    return 0 if result.ok else 1
-
-
-def _cmd_run(args) -> int:
-    config = PipelineConfig(space=args.space, delta=args.delta, mode=args.mode,
-                            seed=args.seed, nsamples=args.nsamples,
-                            out=str(args.out) if args.out else None)
     result = run_pipeline(config)
     print(result.format())
     n_fail = sum(not c.passed for c in result.checks)
@@ -316,15 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, default=None)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("verify", help="run verification suites")
-    _common(p)
-    p.add_argument("--nsamples", type=int, default=PipelineConfig.nsamples)
-    p.add_argument("--suite", action="append", choices=SUITES)
-    p.set_defaults(func=_cmd_verify)
-
     p = sub.add_parser("run", help="full pipeline with artifacts and report")
     _common(p)
     p.add_argument("--nsamples", type=int, default=PipelineConfig.nsamples)
+    p.add_argument("--suite", action="append", choices=SUITES)
     p.set_defaults(func=_cmd_run)
 
     return parser

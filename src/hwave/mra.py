@@ -17,13 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .nets import NetHierarchy
+from .nets import Levels, NetHierarchy
 from .space import FiniteSpace, SpaceConstants
-from .splines import SplineTable
 
 __all__ = [
     "GramLevel",
-    "GramSystem",
     "DecayProfile",
     "NotSPDError",
     "inverse_and_sqrt",
@@ -113,7 +111,7 @@ def _block_inverse(n: int, blocks, root: bool = False) -> np.ndarray:
 
 
 def _gram_level(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
-                table: SplineTable, k: int):
+                table: Levels, k: int):
     """Volume-normalized Gram matrix of the level-k splines and the volumes,
     plus its block eigendecomposition and Riesz bounds (``_eigh_blocks``)."""
     values = table.at(k)
@@ -247,19 +245,10 @@ class GramLevel:
     riesz: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class GramSystem:
-    k_coarse: int
-    k_fine: int
-    levels: tuple
-
-    def at(self, k: int) -> GramLevel:
-        return self.levels[k - self.k_coarse]
-
-
 def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
-                      h: NetHierarchy, table: SplineTable) -> GramSystem:
-    """Gram, dual and orthonormal data per level, with identities asserted."""
+                      h: NetHierarchy, table: Levels) -> Levels:
+    """Gram, dual and orthonormal data per level (a ``GramLevel`` each), with
+    identities asserted."""
     out = []
     for k in range(h.k_coarse, h.k_fine + 1):
         M, vol, blocks, riesz = _gram_level(space, constants, h, table, k)
@@ -281,7 +270,7 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
         out.append(GramLevel(k=k, M=M, volumes=vol, Minv=Minv, Misqrt=Misqrt,
                              stilde=stilde, phi=phi,
                              riesz=riesz))
-    return GramSystem(k_coarse=h.k_coarse, k_fine=h.k_fine, levels=tuple(out))
+    return Levels(h.k_coarse, tuple(out))
 
 
 def save_matrix_csv(matrix: np.ndarray, path, labels=None) -> None:
@@ -299,7 +288,7 @@ def save_matrix_csv(matrix: np.ndarray, path, labels=None) -> None:
                              repr(float(matrix[i, j]))])
 
 
-def save_gram_system(h: NetHierarchy, gramsys: GramSystem, out) -> None:
+def save_gram_system(h: NetHierarchy, gramsys: Levels, out) -> None:
     """``gram_level_<k>.csv`` per level, rows and columns named by point id."""
     for k in range(h.k_coarse, h.k_fine + 1):
         save_matrix_csv(gramsys.at(k).M, Path(out) / f"gram_level_{k}.csv",

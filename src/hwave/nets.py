@@ -18,6 +18,7 @@ from .report import CheckResult, check_flag, write_json
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
+    "Levels",
     "NetHierarchy",
     "ReferenceOrder",
     "NetError",
@@ -45,22 +46,51 @@ class GeometryViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
+class Levels:
+    """One item per level, from level ``k_coarse`` up: ``at(k)`` is the item
+    of level k.  A level outside the range raises ``KeyError`` naming it and
+    the range; iteration runs over the items, coarsest first."""
+
+    k_coarse: int
+    levels: tuple
+
+    @property
+    def k_fine(self) -> int:
+        return self.k_coarse + len(self.levels) - 1
+
+    def at(self, k: int):
+        if not self.k_coarse <= k <= self.k_fine:
+            raise KeyError(f"level {k} outside [{self.k_coarse}, {self.k_fine}]")
+        return self.levels[k - self.k_coarse]
+
+    def __iter__(self):
+        return iter(self.levels)
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+
+@dataclass(frozen=True)
 class NetHierarchy:
     delta: float
-    k_coarse: int
-    k_fine: int
-    levels: tuple  # per level: sorted int array of point ids
+    levels: Levels  # per level: sorted int array of point ids
     # ``verify_nets``'s records, which ``build_nets`` asserted
     checks: tuple = field(default=(), compare=False, repr=False)
 
     @property
+    def k_coarse(self) -> int:
+        return self.levels.k_coarse
+
+    @property
+    def k_fine(self) -> int:
+        return self.levels.k_fine
+
+    @property
     def num_levels(self) -> int:
-        return self.k_fine - self.k_coarse + 1
+        return len(self.levels)
 
     def level(self, k: int) -> np.ndarray:
-        if not self.k_coarse <= k <= self.k_fine:
-            raise KeyError(f"level {k} outside [{self.k_coarse}, {self.k_fine}]")
-        return self.levels[k - self.k_coarse]
+        return self.levels.at(k)
 
     def scale(self, k: int) -> float:
         return self.delta**k
@@ -129,9 +159,8 @@ def build_nets(space: FiniteSpace, constants: SpaceConstants, delta: float,
     sizes = [len(lv) for lv in all_levels]
     first, last = sizes.count(1) - 1, sizes.index(n)
     k0 = 1 - len(coarser)  # the level of all_levels[0]
-    h = NetHierarchy(delta=delta, k_coarse=k0 + first, k_fine=k0 + last,
-                     levels=tuple(np.asarray(lv, dtype=int)
-                                  for lv in all_levels[first:last + 1]))
+    h = NetHierarchy(delta=delta, levels=Levels(k0 + first, tuple(
+        np.asarray(lv, dtype=int) for lv in all_levels[first:last + 1])))
     checks = verify_nets(space, constants, h)
     if not all(c.passed for c in checks):
         raise GeometryViolation("net covering/separation failed: " + "; ".join(
@@ -180,31 +209,17 @@ class ReferenceOrder:
     """Parent maps between consecutive levels plus neighbour and label data.
 
     Internally everything is indexed by position within the sorted level
-    arrays of the hierarchy it was built from.
+    arrays of the hierarchy it was built from.  Every field but ``label2``
+    holds levels k_coarse .. k_fine-1.
     """
 
-    k_coarse: int
-    k_fine: int
-    parents: tuple      # parents[i]: level k_coarse+i+1 position -> level k_coarse+i position
-    children: tuple     # children[i][alpha]: positions at level k_coarse+i+1
-    neighbours: tuple   # neighbours[i][alpha]: same-level positions (k in [k_coarse, k_fine-1])
-    label1: tuple       # label1[i][alpha] in {0..L}, levels k_coarse..k_fine-1
-    label2: tuple       # label2[i][beta] in {1..M} for level k_coarse+1+i points
+    parents: Levels     # at(k): level k+1 position -> level k position
+    children: Levels    # at(k)[alpha]: positions at level k+1
+    neighbours: Levels  # at(k)[alpha]: same-level positions
+    label1: Levels      # at(k)[alpha] in {0..L}
+    label2: Levels      # at(k)[beta] in {1..M}, levels k_coarse+1 .. k_fine
     L: int
     M: int
-
-    def parent_at(self, k: int) -> np.ndarray:
-        return self.parents[k - self.k_coarse]
-
-    def children_at(self, k: int):
-        return self.children[k - self.k_coarse]
-
-    def label1_at(self, k: int) -> np.ndarray:
-        return self.label1[k - self.k_coarse]
-
-    def label2_at(self, k: int) -> np.ndarray:
-        """Sibling labels of the level-k points (k > k_coarse)."""
-        return self.label2[k - self.k_coarse - 1]
 
 
 def _neighbours(space: FiniteSpace, lev: np.ndarray, nxt: np.ndarray,
@@ -283,29 +298,28 @@ def build_reference_order(space: FiniteSpace, constants: SpaceConstants,
             lab2[kid] = np.arange(1, kid.size + 1)
         label2.append(lab2)
 
+    k0 = h.k_coarse
     return ReferenceOrder(
-        k_coarse=h.k_coarse,
-        k_fine=h.k_fine,
-        parents=tuple(parents),
-        children=tuple(children),
-        neighbours=tuple(neighbours),
-        label1=tuple(label1),
-        label2=tuple(label2),
+        parents=Levels(k0, tuple(parents)),
+        children=Levels(k0, tuple(children)),
+        neighbours=Levels(k0, tuple(neighbours)),
+        label1=Levels(k0, tuple(label1)),
+        label2=Levels(k0 + 1, tuple(label2)),
         L=L,
         M=M,
     )
 
 
-def ancestors(h: NetHierarchy, parents) -> tuple:
+def ancestors(h: NetHierarchy, parents) -> Levels:
     """Level-k ancestor position of every point, per level k_coarse..k_fine.
 
     ``parents`` holds one parent map per level pair, coarsest first: a
     reference order's or a sampled system's.
     """
     anc = [np.arange(h.level(h.k_fine).size)]
-    for parent in reversed(parents):
+    for parent in reversed(tuple(parents)):
         anc.append(parent[anc[-1]])
-    return tuple(reversed(anc))
+    return Levels(h.k_coarse, tuple(reversed(anc)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +367,16 @@ def load_nets(path, space: FiniteSpace, constants: SpaceConstants,
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise NetError(f"net file parse error: {exc}") from exc
-    h = NetHierarchy(
-        delta=float(data["delta"]),
-        k_coarse=int(data["k_coarse"]),
-        k_fine=int(data["k_fine"]),
-        levels=tuple(np.asarray(lv, dtype=int) for lv in data["levels"]),
-    )
+    h = NetHierarchy(delta=float(data["delta"]), levels=Levels(
+        int(data["k_coarse"]),
+        tuple(np.asarray(lv, dtype=int) for lv in data["levels"])))
+    k_fine = int(data["k_fine"])
     if h.delta != delta:
         raise NetError(f"net file has delta {h.delta}, the run has {delta}")
-    if h.num_levels != len(h.levels):
+    if h.k_fine != k_fine:
         raise NetError(
-            f"net file invariant violated: {len(h.levels)} levels for the "
-            f"range {h.k_coarse}..{h.k_fine}")
+            f"net file invariant violated: {h.num_levels} levels for the "
+            f"range {h.k_coarse}..{k_fine}")
     for k, lv in enumerate(h.levels, start=h.k_coarse):
         if (lv.ndim != 1 or lv.size == 0 or lv[0] < 0 or lv[-1] >= space.n
                 or np.any(np.diff(lv) <= 0)):

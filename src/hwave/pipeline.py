@@ -9,7 +9,7 @@ import numpy as np
 
 from . import analysis as an
 from .mra import build_gram_system, neumann_inverse_and_sqrt, save_gram_system
-from .nets import (NetHierarchy, ReferenceOrder, build_nets,
+from .nets import (Levels, NetHierarchy, ReferenceOrder, build_nets,
                    build_reference_order, save_nets)
 from .randomized import (CubeMachine, sample_omega, save_system,
                          theoretical_eta, verify_center_sandwich, verify_system)
@@ -57,9 +57,9 @@ class Bundle:
     hierarchy: NetHierarchy
     order: ReferenceOrder
     machine: CubeMachine
-    transitions: object
-    splines: object
-    gramsys: object
+    transitions: Levels
+    splines: Levels
+    gramsys: Levels
     basis: WaveletBasis
     eta: float
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import GeometryViolation, NetHierarchy, ReferenceOrder, ancestors
+from .nets import (GeometryViolation, Levels, NetHierarchy, ReferenceOrder,
+                   ancestors)
 from .report import CheckResult, check_flag, write_json
 from .space import FiniteSpace, SpaceConstants
 
@@ -46,8 +47,8 @@ class OmegaSample:
         return len(self.ell)
 
     def coord(self, k: int) -> tuple[int, int]:
-        i = k - self.k_coarse
-        return int(self.ell[i]), int(self.m[i])
+        return Levels(self.k_coarse, tuple(zip(self.ell.tolist(),
+                                               self.m.tolist()))).at(k)
 
 
 def _coord_rng(seed: int, level_offset: int, which: int) -> np.random.Generator:
@@ -65,29 +66,17 @@ def _sample_level(order: ReferenceOrder, seed: int, i: int, nsamples: int):
 
 def sample_omega(order: ReferenceOrder, seed: int) -> OmegaSample:
     """One draw: the first coordinates ``_sample_level`` draws per level."""
-    draws = [_sample_level(order, seed, i, 1)
-             for i in range(order.k_fine - order.k_coarse)]
+    draws = [_sample_level(order, seed, i, 1) for i in range(len(order.parents))]
     ell, m = np.array(draws, dtype=np.int64).reshape(-1, 2).T
-    return OmegaSample(k_coarse=order.k_coarse, ell=ell, m=m, seed=seed)
+    return OmegaSample(k_coarse=order.parents.k_coarse, ell=ell, m=m, seed=seed)
 
 
 @dataclass(frozen=True)
 class RandomizedSystem:
-    k_coarse: int
-    k_fine: int
     omega: OmegaSample
-    z: tuple        # per level: point ids of the new dyadic points
-    parents: tuple  # per level k in [k_coarse, k_fine-1]: positions at level k
-    cubes: tuple    # per level: ancestor position of every point of X
-
-    def z_at(self, k: int) -> np.ndarray:
-        return self.z[k - self.k_coarse]
-
-    def parents_at(self, k: int) -> np.ndarray:
-        return self.parents[k - self.k_coarse]
-
-    def cubes_at(self, k: int) -> np.ndarray:
-        return self.cubes[k - self.k_coarse]
+    z: Levels        # per level: point ids of the new dyadic points
+    parents: Levels  # per level k in [k_coarse, k_fine-1]: positions at level k
+    cubes: Levels    # per level: ancestor position of every point of X
 
 
 def _membership(cubes_k: np.ndarray, n_cells: int) -> np.ndarray:
@@ -114,12 +103,12 @@ def verify_system(space, constants, h, order, system) -> list[CheckResult]:
     for k in range(h.k_coarse, h.k_fine + 1):
         dk = h.scale(k)
         lev = h.level(k)
-        zk = system.z_at(k)
+        zk = system.z.at(k)
         if k < h.k_fine:
             # z must be the centre itself or one of its reference children
             nxt = h.level(k + 1)
             at = np.minimum(np.searchsorted(nxt, zk), nxt.size - 1)
-            child = (nxt[at] == zk) & (order.parent_at(k)[at] == np.arange(lev.size))
+            child = (nxt[at] == zk) & (order.parents.at(k)[at] == np.arange(lev.size))
             record(f"z-in-children level {k}", np.all(child | (zk == lev)))
         if zk.size > 1:
             sub = space.dist[np.ix_(zk, zk)]
@@ -130,7 +119,7 @@ def verify_system(space, constants, h, order, system) -> list[CheckResult]:
         record(f"z-covering level {k}", cov < 4 * a0**2 * dk,
                f"worst {cov:.3g} vs {4 * a0**2 * dk:.3g}")
 
-        cubes_k = system.cubes_at(k)
+        cubes_k = system.cubes.at(k)
         record(f"cube-partition level {k}",
                cubes_k.min() >= 0 and cubes_k.max() < lev.size)
         member = _membership(cubes_k, lev.size)
@@ -146,9 +135,9 @@ def verify_system(space, constants, h, order, system) -> list[CheckResult]:
 
     for k in range(h.k_coarse, h.k_fine):
         dk = h.scale(k)
-        zk = system.z_at(k)
-        znext = system.z_at(k + 1)
-        par = system.parents_at(k)
+        zk = system.z.at(k)
+        znext = system.z.at(k + 1)
+        par = system.parents.at(k)
         dmat = space.dist[np.ix_(znext, zk)]
         chosen = dmat[np.arange(znext.size), par]
         record(f"omega-parent-distance level {k}", np.all(chosen < 5 * a0**3 * dk),
@@ -157,8 +146,8 @@ def verify_system(space, constants, h, order, system) -> list[CheckResult]:
         rows, cols = np.nonzero(must)
         record(f"close-implies-parent level {k}", np.all(par[rows] == cols))
         if k > h.k_coarse:
-            ok_tile = np.array_equal(system.cubes_at(k),
-                                     system.parents_at(k)[system.cubes_at(k + 1)])
+            ok_tile = np.array_equal(system.cubes.at(k),
+                                     system.parents.at(k)[system.cubes.at(k + 1)])
         else:
             ok_tile = True
         record(f"child-tiling level {k}", ok_tile)
@@ -167,12 +156,12 @@ def verify_system(space, constants, h, order, system) -> list[CheckResult]:
     # level l are those of level l - 1 composed with one more parent map
     for k in range(h.k_coarse, h.k_fine + 1):
         dk = h.scale(k)
-        zk = system.z_at(k)
+        zk = system.z.at(k)
         cell_anc = np.arange(zk.size)
         for l in range(k, h.k_fine + 1):
             if l > k:
-                cell_anc = cell_anc[system.parents_at(l - 1)]
-            zl = system.z_at(l)
+                cell_anc = cell_anc[system.parents.at(l - 1)]
+            zl = system.z.at(l)
             dmat = space.dist[np.ix_(zl, zk)]
             desc_d = dmat[np.arange(zl.size), cell_anc]
             record(f"iterated-descendant-distance {l}->{k}",
@@ -193,7 +182,7 @@ def verify_center_sandwich(space, constants, h, system) -> list[CheckResult]:
     for k in range(h.k_coarse, h.k_fine + 1):
         dk = h.scale(k)
         lev = h.level(k)
-        member = _membership(system.cubes_at(k), lev.size)
+        member = _membership(system.cubes.at(k), lev.size)
         dx = space.dist[lev]
         spread = _spreads(dx, member)
         worst_outer = max(0.0, float(spread.max()))
@@ -237,11 +226,11 @@ def _outcome_tables(space: FiniteSpace, constants: SpaceConstants,
     dk = h.scale(k)
     L, M = order.L, order.M
     n_out = (L + 1) * M
-    kids = order.children_at(k)
+    kids = order.children.at(k)
     cell = np.repeat(np.arange(lev.size), [c.size for c in kids])
     child = np.concatenate(kids)
-    ell = order.label1_at(k)[cell]
-    m = order.label2_at(k + 1)[child]
+    ell = order.label1.at(k)[cell]
+    m = order.label2.at(k + 1)[child]
     out = ell * M + m - 1
     keep = np.flatnonzero((ell >= 0) & (ell <= L) & (m >= 1) & (m <= M))
     keep = keep[np.unique(out[keep] * lev.size + cell[keep], return_index=True)[1]]
@@ -279,7 +268,7 @@ def _outcome_tables(space: FiniteSpace, constants: SpaceConstants,
         bad = int(np.argmax(counts[o]))
         raise GeometryViolation(
             f"point {nxt[bad]} has {counts[o, bad]} near new parents at level {k}")
-    parents = np.where(counts == 1, at, order.parent_at(k)).astype(np.int32)
+    parents = np.where(counts == 1, at, order.parents.at(k)).astype(np.int32)
     return z, parents
 
 
@@ -316,7 +305,7 @@ class CubeMachine:
         if nsamples < 1:
             raise ValueError("nsamples must be >= 1")
         order = self.order
-        outcomes = np.empty((order.k_fine - order.k_coarse, nsamples), dtype=np.int64)
+        outcomes = np.empty((len(order.parents), nsamples), dtype=np.int64)
         for i in range(outcomes.shape[0]):
             outcomes[i] = self.outcome_index(*_sample_level(order, seed, i, nsamples))
         return outcomes
@@ -330,11 +319,10 @@ class CubeMachine:
             z.append(self.z_tables[k][idx])
             parents.append(self.parent_tables[k][idx])
         z.append(self.h.level(self.h.k_fine).copy())
-        return RandomizedSystem(
-            k_coarse=self.h.k_coarse, k_fine=self.h.k_fine,
-            omega=omega, z=tuple(z), parents=tuple(parents),
-            cubes=ancestors(self.h, parents),
-        )
+        k0 = self.h.k_coarse
+        return RandomizedSystem(omega=omega, z=Levels(k0, tuple(z)),
+                                parents=Levels(k0, tuple(parents)),
+                                cubes=ancestors(self.h, parents))
 
     def draw_classes(self, outcomes: np.ndarray, k: int):
         """Walk a batch of draws once, from level k_fine down to level k.
@@ -351,6 +339,7 @@ class CubeMachine:
         draws are never sorted.
         """
         h = self.h
+        h.level(k)  # KeyError naming the range unless k is a level
         nsamples = outcomes.shape[1]
         n = h.level(h.k_fine).size
         anc = np.arange(n, dtype=np.int32)[None, :]
@@ -373,7 +362,7 @@ class CubeMachine:
             anc = rows[np.unique(merged, return_index=True)[1]]
             yield kk, anc, counts, inverse
 
-    def _classes_at(self, outcomes: np.ndarray, k: int):
+    def _classes_down_to(self, outcomes: np.ndarray, k: int):
         for _, anc, counts, inverse in self.draw_classes(outcomes, k):
             pass
         return anc, counts, inverse
@@ -382,7 +371,7 @@ class CubeMachine:
         """Level-k ancestor positions of every point, one row per sample:
         the per-draw view ``anc[inverse]`` of ``draw_classes``, whose rows
         are the distinct level-k maps of the batch."""
-        anc, _, inverse = self._classes_at(outcomes, k)
+        anc, _, inverse = self._classes_down_to(outcomes, k)
         return anc[inverse]
 
 
@@ -427,8 +416,10 @@ def boundary_layer_probability(machine: CubeMachine, x: int, k: int, eps: float,
         raise ValueError("eps must be positive")
     if nsamples < 1:
         raise ValueError("nsamples must be >= 1")
+    if not 0 <= x < machine.space.n:
+        raise ValueError(f"x={x} outside 0..{machine.space.n - 1}")
     outcomes = machine.sample_outcomes(seed, nsamples)
-    anc, counts, _ = machine._classes_at(outcomes, k)
+    anc, counts, _ = machine._classes_down_to(outcomes, k)
     member = anc == anc[:, x][:, None]
     dx = machine.space.dist[x]
     masked = np.where(member, math.inf, dx[None, :])
@@ -444,8 +435,8 @@ def boundary_layer_probability(machine: CubeMachine, x: int, k: int, eps: float,
 
 def save_system(system: RandomizedSystem, path) -> None:
     write_json(path, {
-        "k_coarse": system.k_coarse,
-        "k_fine": system.k_fine,
+        "k_coarse": system.z.k_coarse,
+        "k_fine": system.z.k_fine,
         "seed": system.omega.seed,
         "ell": system.omega.ell.tolist(),
         "m": system.omega.m.tolist(),

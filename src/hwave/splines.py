@@ -13,14 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .nets import NetHierarchy
+from .nets import Levels, NetHierarchy
 from .randomized import CubeMachine
 from .report import CheckResult, check_flag
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
-    "TransitionSystem",
-    "SplineTable",
     "HolderProfile",
     "transition_probabilities",
     "build_transitions",
@@ -34,36 +32,13 @@ __all__ = [
 SPLINE_TOL = 1e-12  # float error allowed in the spline identities
 
 
-@dataclass(frozen=True)
-class TransitionSystem:
-    """Exact refinement matrices p^k indexed by level-k x level-(k+1) positions."""
-
-    k_coarse: int
-    k_fine: int
-    matrices: tuple
-
-    def at(self, k: int) -> np.ndarray:
-        return self.matrices[k - self.k_coarse]
-
-
-@dataclass(frozen=True)
-class SplineTable:
-    k_coarse: int
-    k_fine: int
-    tables: tuple  # per level k: (#level-k cells, n) values
-
-    def at(self, k: int) -> np.ndarray:
-        return self.tables[k - self.k_coarse]
-
-
 def transition_probabilities(machine: CubeMachine, k: int) -> np.ndarray:
     """p^k[alpha, beta] = probability that beta's omega-parent is alpha.
 
     Column sums equal one: every child has exactly one parent per outcome.
     """
     h = machine.h
-    if not h.k_coarse <= k < h.k_fine:
-        raise KeyError(f"level {k} has no transition")
+    machine.order.parents.at(k)  # KeyError naming the range unless k has one
     parents = machine.parent_tables[k]
     n_out, n_children = parents.shape
     n_parents = h.level(k).size
@@ -72,21 +47,22 @@ def transition_probabilities(machine: CubeMachine, k: int) -> np.ndarray:
     return counts.reshape(n_parents, n_children) / n_out
 
 
-def build_transitions(machine: CubeMachine) -> TransitionSystem:
+def build_transitions(machine: CubeMachine) -> Levels:
+    """The exact refinement matrices p^k, levels k_coarse .. k_fine-1, each
+    indexed by level-k x level-(k+1) positions."""
     h = machine.h
-    mats = tuple(transition_probabilities(machine, k)
-                 for k in range(h.k_coarse, h.k_fine))
-    return TransitionSystem(k_coarse=h.k_coarse, k_fine=h.k_fine, matrices=mats)
+    return Levels(h.k_coarse, tuple(transition_probabilities(machine, k)
+                                    for k in range(h.k_coarse, h.k_fine)))
 
 
-def compute_splines_exact(h: NetHierarchy, transitions: TransitionSystem) -> SplineTable:
-    """Backward recursion s^k = p^k s^{k+1} from singleton indicators."""
+def compute_splines_exact(h: NetHierarchy, transitions: Levels) -> Levels:
+    """Backward recursion s^k = p^k s^{k+1} from singleton indicators: per
+    level k, the (#level-k cells, n) spline values."""
     n = h.level(h.k_fine).size
     tables = [np.eye(n)]
     for k in range(h.k_fine - 1, h.k_coarse - 1, -1):
         tables.append(transitions.at(k) @ tables[-1])
-    tables.reverse()
-    return SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(tables))
+    return Levels(h.k_coarse, tuple(reversed(tables)))
 
 
 def compute_splines_mc(machine: CubeMachine, nsamples: int, seed: int):
@@ -111,10 +87,7 @@ def compute_splines_mc(machine: CubeMachine, nsamples: int, seed: int):
         table = draws.reshape(n_cells, n) / nsamples
         freq.append(table)
         errs.append(np.sqrt(table * (1.0 - table) / nsamples))
-    return (
-        SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(freq[::-1])),
-        SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(errs[::-1])),
-    )
+    return Levels(h.k_coarse, tuple(freq[::-1])), Levels(h.k_coarse, tuple(errs[::-1]))
 
 
 @dataclass(frozen=True)
@@ -125,7 +98,7 @@ class HolderProfile:
     witness: tuple | None  # (alpha position, x, y)
 
 
-def holder_profile(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
+def holder_profile(space: FiniteSpace, h: NetHierarchy, table: Levels,
                    k: int, eta: float) -> HolderProfile:
     """Smallest C with |s(x) - s(y)| <= C (d(x,y)/delta^k)^eta over all pairs."""
     values = table.at(k)
@@ -146,8 +119,8 @@ def holder_profile(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
 
 
 def verify_spline_table(space: FiniteSpace, constants: SpaceConstants,
-                        h: NetHierarchy, transitions: TransitionSystem,
-                        table: SplineTable) -> list[CheckResult]:
+                        h: NetHierarchy, transitions: Levels,
+                        table: Levels) -> list[CheckResult]:
     """Partition of unity, interpolation, refinement and support sandwich;
     the float identities hold to ``SPLINE_TOL``."""
     a0 = constants.A0
@@ -202,7 +175,7 @@ def verify_spline_table(space: FiniteSpace, constants: SpaceConstants,
     return checks
 
 
-def save_splines(h: NetHierarchy, table: SplineTable, path) -> None:
+def save_splines(h: NetHierarchy, table: Levels, path) -> None:
     """One TSV row per (level, centre, point) with the spline value."""
     with Path(path).open("w") as fh:
         fh.write("level\talpha_id\tpoint_id\tvalue\n")

@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mra import (DECAY_FLOOR, GramSystem, NotSPDError, _block_inverse,
-                  _eigh_blocks)
-from .nets import NetHierarchy
+from .mra import DECAY_FLOOR, NotSPDError, _block_inverse, _eigh_blocks
+from .nets import Levels, NetHierarchy
 from .report import check_error, check_flag, write_json
 from .space import FiniteSpace, SpaceConstants
-from .splines import SplineTable
 
 __all__ = [
     "WaveletBasis",
@@ -43,8 +41,8 @@ def wavelet_decay_a(constants: SpaceConstants) -> float:
     return 1.0 / (1.0 + 2.0 * math.log2(constants.A0))
 
 
-def pre_wavelets(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
-                 gramsys: GramSystem, k: int):
+def pre_wavelets(space: FiniteSpace, h: NetHierarchy, table: Levels,
+                 gramsys: Levels, k: int):
     """Level-k pre-wavelets: one per new point, orthogonal to the level span.
 
     Returns (values, center point ids); empty when the level adds no points.
@@ -125,8 +123,8 @@ class WaveletBasis:
         return self.values.T @ np.asarray(coeffs)
 
 
-def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
-                   gramsys: GramSystem) -> WaveletBasis:
+def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: Levels,
+                   gramsys: Levels) -> WaveletBasis:
     """Constant plus all level wavelets; verifies the family is orthonormal."""
     rows = [np.full((1, space.n), 1.0 / math.sqrt(space.total_mass))]
     levels = [h.k_coarse]
@@ -159,7 +157,7 @@ def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: SplineTable,
     )
 
 
-def kernel_of_projection(space: FiniteSpace, gramsys: GramSystem,
+def kernel_of_projection(space: FiniteSpace, gramsys: Levels,
                          basis: WaveletBasis, k: int, kind: str) -> np.ndarray:
     """Kernel matrix of P_k (scaling span) or Q_k (level-k wavelet span)."""
     if kind == "P":

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hwave.analysis import _wavelet_ball_volumes, volume_matrix
-from hwave.nets import ReferenceOrder
+from hwave.nets import Levels, ReferenceOrder
 from hwave.randomized import _sample_level
 from hwave.space import FiniteSpace, SpaceConstants
 from hwave.wavelets import WaveletBasis
@@ -39,10 +39,11 @@ def distinct_balls(space: FiniteSpace, x: int, radii: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(sizes, prepend=-1))
 
 
-def neighbours_at(order, k: int):
-    """The same-level neighbour positions of every level-k cell of a
-    reference order."""
-    return order.neighbours[k - order.k_coarse]
+def replace_level(levels: Levels, k: int, item) -> Levels:
+    """``levels`` with the item of level k replaced by ``item``."""
+    items = list(levels)
+    items[k - levels.k_coarse] = item
+    return Levels(levels.k_coarse, tuple(items))
 
 
 def riesz_bounds(M) -> tuple[float, float]:
@@ -132,7 +133,7 @@ def sample_omega_batch(order: ReferenceOrder, seed: int, nsamples: int):
     heads every batch."""
     if nsamples < 1:
         raise ValueError("nsamples must be >= 1")
-    nlev = order.k_fine - order.k_coarse
+    nlev = len(order.parents)
     ell = np.zeros((nlev, nsamples), dtype=np.int64)
     m = np.zeros((nlev, nsamples), dtype=np.int64)
     for i in range(nlev):

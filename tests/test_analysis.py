@@ -733,8 +733,8 @@ def test_carleson_single_unit_coefficient(bundle_b):
     for ell in range(b.hierarchy.k_coarse, k1 + 1):
         p = int(pos)
         for kk in range(k1 - 1, ell - 1, -1):
-            p = int(b.order.parent_at(kk)[p])
-        mass = float(b.space.weights[anc[ell - b.hierarchy.k_coarse] == p].sum())
+            p = int(b.order.parents.at(kk)[p])
+        mass = float(b.space.weights[anc.at(ell) == p].sum())
         best = min(best, mass)
     assert norm == pytest.approx(best ** -0.5)
 

@@ -62,10 +62,10 @@ def _new_points_level(h, order, k, ell_k, m_k):
     lev = h.level(k)
     nxt = h.level(k + 1)
     z = lev.copy()
-    lab1 = order.label1_at(k)
-    lab2 = order.label2_at(k + 1)
+    lab1 = order.label1.at(k)
+    lab2 = order.label2.at(k + 1)
     for alpha in np.nonzero(lab1 == ell_k)[0]:
-        kids = order.children_at(k)[alpha]
+        kids = order.children.at(k)[alpha]
         match = kids[lab2[kids] == m_k]
         if match.size:
             z[alpha] = nxt[match[0]]
@@ -95,7 +95,7 @@ def _new_order_level(space, constants, h, order, k, z_points):
         raise GeometryViolation(
             f"point {nxt[bad]} has {counts[bad]} near new parents at level {k}"
         )
-    fallback = order.parent_at(k)
+    fallback = order.parents.at(k)
     return np.where(counts == 1, np.argmax(close, axis=1), fallback)
 
 
@@ -218,7 +218,7 @@ def _message(build, *args):
 def _new_children(h, order, k):
     """(cell, child position) of the level-(k+1) points new at level k+1."""
     lev, nxt = h.level(k), h.level(k + 1)
-    return [(int(order.parent_at(k)[c]), int(c))
+    return [(int(order.parents.at(k)[c]), int(c))
             for c in np.flatnonzero(~np.isin(nxt, lev))]
 
 
@@ -234,7 +234,7 @@ def test_separation_violation_matches_the_oracle():
     lev, nxt = h.level(k), h.level(k + 1)
     # a new child promoted in the first outcome, (ell, m) = (0, 1)
     cell, c = next((a, c) for a, c in _new_children(h, order, k)
-                   if order.label1_at(k)[a] == 0 and order.label2_at(k + 1)[c] == 1)
+                   if order.label1.at(k)[a] == 0 and order.label2.at(k + 1)[c] == 1)
     z, _ = _outcome_tables_scan(space, constants, h, order)
     other = np.flatnonzero(z[k][0] == lev)[-1]
     need = h.scale(k) / (2.0 * constants.A0)
@@ -293,7 +293,7 @@ def test_corrupted_labels_match_the_oracle():
     # every cell of label1 0, so one outcome promotes a child in every cell
     space, constants, h, order = _built("grid(16,2)", 0.25)
     label1 = tuple(np.zeros_like(v) for v in order.label1)
-    bad = replace(order, label1=label1)
+    bad = replace(order, label1=replace(order.label1, levels=label1))
     got = _message(CubeMachine, space, constants, h, bad)
     assert got == _message(_outcome_tables_scan, space, constants, h, bad)
 
@@ -344,7 +344,8 @@ def test_out_of_range_and_repeated_labels_match_the_oracle(descriptor, delta):
     label2 = tuple(np.where(np.arange(v.size) % 4 == 0, order.M + 1,
                             np.where(np.arange(v.size) % 4 == 1, 0, 1))
                    for v in order.label2)
-    bad = replace(order, label1=label1, label2=label2)
+    bad = replace(order, label1=replace(order.label1, levels=label1),
+                  label2=replace(order.label2, levels=label2))
     z_want, p_want = _outcome_tables_scan(space, constants, h, bad)
     machine = CubeMachine(space, constants, h, bad)
     for k in z_want:

@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from hwave.analysis import carleson_norm
-from hwave.nets import ancestors, build_nets, build_reference_order
+from hwave.nets import Levels, ancestors, build_nets, build_reference_order
 from hwave.pipeline import build_bundle
 from hwave.randomized import (CubeMachine, sample_omega,
                               verify_center_sandwich, verify_system)
 from hwave.report import check_flag
 from hwave.space import FIXTURES, compute_constants, generate_space
-from hwave.splines import (SplineTable, transition_probabilities,
-                           verify_spline_table)
+from hwave.splines import transition_probabilities, verify_spline_table
+
+from helpers import replace_level
 
 SPACES = [
     (FIXTURES["FIX-B"], 0.25),
@@ -49,10 +50,10 @@ def _verify_system_loop(space, constants, h, order, system):
     for k in range(h.k_coarse, h.k_fine + 1):
         dk = h.scale(k)
         lev = h.level(k)
-        zk = system.z_at(k)
+        zk = system.z.at(k)
         if k < h.k_fine:
             nxt = h.level(k + 1)
-            allowed = [set(nxt[order.children_at(k)[a]]) | {lev[a]}
+            allowed = [set(nxt[order.children.at(k)[a]]) | {lev[a]}
                        for a in range(lev.size)]
             ok = all(zk[a] in allowed[a] for a in range(lev.size))
             record(f"z-in-children level {k}", ok)
@@ -65,7 +66,7 @@ def _verify_system_loop(space, constants, h, order, system):
         record(f"z-covering level {k}", cov < 4 * a0**2 * dk,
                f"worst {cov:.3g} vs {4 * a0**2 * dk:.3g}")
 
-        cubes_k = system.cubes_at(k)
+        cubes_k = system.cubes.at(k)
         record(f"cube-partition level {k}",
                cubes_k.min() >= 0 and cubes_k.max() < lev.size)
         for alpha in range(lev.size):
@@ -81,9 +82,9 @@ def _verify_system_loop(space, constants, h, order, system):
 
     for k in range(h.k_coarse, h.k_fine):
         dk = h.scale(k)
-        zk = system.z_at(k)
-        znext = system.z_at(k + 1)
-        par = system.parents_at(k)
+        zk = system.z.at(k)
+        znext = system.z.at(k + 1)
+        par = system.parents.at(k)
         dmat = space.dist[np.ix_(znext, zk)]
         chosen = dmat[np.arange(znext.size), par]
         record(f"omega-parent-distance level {k}", np.all(chosen < 5 * a0**3 * dk),
@@ -92,20 +93,20 @@ def _verify_system_loop(space, constants, h, order, system):
         rows, cols = np.nonzero(must)
         record(f"close-implies-parent level {k}", np.all(par[rows] == cols))
         if k > h.k_coarse:
-            ok_tile = np.array_equal(system.cubes_at(k),
-                                     system.parents_at(k)[system.cubes_at(k + 1)])
+            ok_tile = np.array_equal(system.cubes.at(k),
+                                     system.parents.at(k)[system.cubes.at(k + 1)])
         else:
             ok_tile = True
         record(f"child-tiling level {k}", ok_tile)
 
     for k in range(h.k_coarse, h.k_fine + 1):
         dk = h.scale(k)
-        zk = system.z_at(k)
+        zk = system.z.at(k)
         for l in range(k, h.k_fine + 1):
-            zl = system.z_at(l)
+            zl = system.z.at(l)
             cell_anc = np.arange(zl.size)
             for kk in range(l - 1, k - 1, -1):
-                cell_anc = system.parents_at(kk)[cell_anc]
+                cell_anc = system.parents.at(kk)[cell_anc]
             dmat = space.dist[np.ix_(zl, zk)]
             desc_d = dmat[np.arange(zl.size), cell_anc]
             record(f"iterated-descendant-distance {l}->{k}",
@@ -123,7 +124,7 @@ def _verify_center_sandwich_loop(space, constants, h, system):
     for k in range(h.k_coarse, h.k_fine + 1):
         dk = h.scale(k)
         lev = h.level(k)
-        cubes_k = system.cubes_at(k)
+        cubes_k = system.cubes.at(k)
         worst_inner = math.inf
         worst_outer = 0.0
         escapes = []
@@ -210,14 +211,14 @@ def _carleson_norm_loop(space, h, order, basis, coeffs, parent_maps=None):
         n_cells = h.level(ell).size
         acc = np.zeros(n_cells)
         mass = np.zeros(n_cells)
-        np.add.at(mass, anc[ell - h.k_coarse], space.weights)
+        np.add.at(mass, anc.at(ell), space.weights)
         for i in range(coeffs.size):
             k1 = int(levels[i]) + 1
             if k1 < ell:
                 continue
             p = int(pos[i])
             for kk in range(k1 - 1, ell - 1, -1):
-                p = int(parent_maps[kk - h.k_coarse][p])
+                p = int(parent_maps.at(kk)[p])
             acc[p] += coeffs[i] ** 2
         live = acc > 0
         if live.any():
@@ -243,13 +244,12 @@ def _scrambled(table, rng):
     """The table with a few entries per level set to 0, 1/2, 1 or 2, so
     that support checks fail at random cells."""
     tables = []
-    for values in table.tables:
+    for values in table:
         values = values.copy()
         hit = rng.random(values.shape) < 0.05
         values[hit] = rng.choice([0.0, 0.5, 1.0, 2.0], size=int(hit.sum()))
         tables.append(values)
-    return SplineTable(k_coarse=table.k_coarse, k_fine=table.k_fine,
-                       tables=tuple(tables))
+    return Levels(table.k_coarse, tuple(tables))
 
 
 def _assert_equal_to_loops(b, seeds):
@@ -341,15 +341,15 @@ def test_foreign_z_fails_z_in_children(cloud_bundle):
     system = b.machine.system(sample_omega(order, 5))
     k = h.k_fine - 2
     nxt = h.level(k + 1)
-    parent = order.parent_at(k)
+    parent = order.parents.at(k)
     # another cell's child; and a point off level k + 1, given to the cell
     # that owns the level-(k + 1) point it would sort in front of
     outsider = np.setdiff1d(np.arange(sp.n), nxt)[0]
     owner = parent[np.searchsorted(nxt, outsider)]
     for alpha, point in ((0, nxt[np.flatnonzero(parent != 0)[0]]), (owner, outsider)):
-        z = [a.copy() for a in system.z]
-        z[k - h.k_coarse][alpha] = point
-        moved = dataclasses.replace(system, z=tuple(z))
+        zk = system.z.at(k).copy()
+        zk[alpha] = point
+        moved = dataclasses.replace(system, z=replace_level(system.z, k, zk))
         records = verify_system(sp, c, h, order, moved)
         assert records == _verify_system_loop(sp, c, h, order, moved)
         assert (f"z-in-children level {k}", "") in _failed(records)
@@ -364,9 +364,10 @@ def test_moved_point_fails_all_four_cube_checks(grid_bundle):
     alpha = 0
     beta = int(np.argmax(sp.dist[lev[alpha], lev]))
     assert sp.dist[lev[alpha], lev[beta]] > 8 * c.A0**5 * h.scale(k)
-    cubes = [a.copy() for a in system.cubes]
-    cubes[k - h.k_coarse][lev[alpha]] = beta
-    moved = dataclasses.replace(system, cubes=tuple(cubes))
+    cubes = system.cubes.at(k).copy()
+    cubes[lev[alpha]] = beta
+    moved = dataclasses.replace(system,
+                                cubes=replace_level(system.cubes, k, cubes))
     records = verify_system(sp, c, h, order, moved)
     assert records == _verify_system_loop(sp, c, h, order, moved)
     cell = [f for f in _failed(records) if f[1].startswith("alpha=")]
@@ -391,9 +392,10 @@ def test_stolen_centre_escapes_both_balls(cloud_bundle):
     # ball: beta's escape comes first in the detail
     far = sp.dist[np.ix_(lev, lev)] > 8 * c.A0**5 * h.scale(k)
     alpha, beta = (int(i) for i in np.argwhere(np.tril(far))[0])
-    parents = [p.copy() for p in system.parents]
-    parents[k - h.k_coarse][h.position(k + 1, lev[alpha])] = beta
-    stolen = dataclasses.replace(system, parents=tuple(parents),
+    parent = system.parents.at(k).copy()
+    parent[h.position(k + 1, lev[alpha])] = beta
+    parents = replace_level(system.parents, k, parent)
+    stolen = dataclasses.replace(system, parents=parents,
                                  cubes=ancestors(h, parents))
     sandwich = verify_center_sandwich(sp, c, h, stolen)
     assert sandwich == _verify_center_sandwich_loop(sp, c, h, stolen)
@@ -417,9 +419,10 @@ def test_outer_balls_at_their_radius(grid_bundle):
     assert c.A0 == 1.0
     for radius in (6 * dk, 8 * dk):
         beta = int(np.flatnonzero(sp.dist[lev[0], lev] == radius)[0])
-        cubes = [a.copy() for a in system.cubes]
-        cubes[k - h.k_coarse][lev[0]] = beta
-        moved = dataclasses.replace(system, cubes=tuple(cubes))
+        cubes = system.cubes.at(k).copy()
+        cubes[lev[0]] = beta
+        moved = dataclasses.replace(system,
+                                    cubes=replace_level(system.cubes, k, cubes))
         records = verify_system(sp, c, h, order, moved)
         assert records == _verify_system_loop(sp, c, h, order, moved)
         sandwich = verify_center_sandwich(sp, c, h, moved)
@@ -430,11 +433,9 @@ def test_outer_balls_at_their_radius(grid_bundle):
 
 
 def _spline_failures(b, k, alpha, x, value):
-    tables = list(b.splines.tables)
-    tables[k - b.hierarchy.k_coarse] = tables[k - b.hierarchy.k_coarse].copy()
-    tables[k - b.hierarchy.k_coarse][alpha, x] = value
-    table = SplineTable(k_coarse=b.splines.k_coarse, k_fine=b.splines.k_fine,
-                        tables=tuple(tables))
+    values = b.splines.at(k).copy()
+    values[alpha, x] = value
+    table = replace_level(b.splines, k, values)
     args = (b.space, b.constants, b.hierarchy, b.transitions, table)
     records = verify_spline_table(*args)
     assert records == _verify_spline_table_loop(*args)

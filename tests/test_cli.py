@@ -129,6 +129,28 @@ def test_analyze_commands(capsys):
     assert main(["analyze", "operator", "--space", "FIX-B"]) == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["cubes", "boundary", "--nsamples", "100"],
+    ["analyze", "dichotomy", "--r", "0.0625", "--R", "0.5"],
+])
+@pytest.mark.parametrize("x", [-1, 16])
+def test_point_ids_outside_the_space_are_refused(capsys, command, x):
+    # FIX-B has 16 points: neither end wraps around or reaches numpy
+    assert main([*command, "--space", "FIX-B", "--x", str(x)]) == 2
+    assert capsys.readouterr().err == f"error: x={x} outside 0..15\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["cubes", "boundary", "--nsamples", "100", "--k"],
+    ["splines", "holder", "--level"],
+])
+@pytest.mark.parametrize("k", [-5, -1, 3, 5, 9])
+def test_levels_outside_the_hierarchy_are_refused(capsys, command, k):
+    # FIX-B has levels 0..2
+    assert main([*command, str(k), "--space", "FIX-B"]) == 2
+    assert capsys.readouterr().err == f"error: 'level {k} outside [0, 2]'\n"
+
+
 def test_analyze_bmo_prints_both_centred_norms(tmp_path, capsys):
     desc = "cycle(20, weights=uniform)"
     sp = resolve_space(desc)
@@ -141,14 +163,19 @@ def test_analyze_bmo_prints_both_centred_norms(tmp_path, capsys):
     assert med <= avg <= 2 * med
 
 
-def test_verify_selected_suite(capsys):
-    rc = main(["verify", "--space", "FIX-A", "--suite", "nets",
+def test_run_selected_suite(capsys):
+    rc = main(["run", "--space", "FIX-A", "--suite", "nets",
                "--suite", "splines"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "net-covering" in out
     assert "partition-of-unity" in out
     assert "basis-orthonormality" not in out
+    # the selected suites' records, then the count line
+    result = run_pipeline(PipelineConfig(space="FIX-A",
+                                         suites=("nets", "splines")))
+    n = len(result.checks)
+    assert out == f"{result.format()}\n{n}/{n} checks passed\n"
 
 
 def test_run_pipeline_artifacts_and_exit_code(tmp_path, capsys):
@@ -436,7 +463,8 @@ def test_net_file_keeps_the_runs_mode_and_delta(tmp_path, capsys, extra,
     ["wavelets", "build"], ["wavelets", "verify"], ["wavelets", "transform"],
     ["analyze", "sums"], ["analyze", "bmo"], ["analyze", "carleson"],
     ["analyze", "paraproduct"], ["analyze", "operator"],
-    ["verify", "--nsamples", "100"], ["run", "--nsamples", "100"],
+    ["run", "--nsamples", "100"],
+    ["run", "--nsamples", "100", "--suite", "nets", "--suite", "splines"],
 ])
 def test_every_subcommand_runs_on_one_point(tmp_path, capsys, command):
     function = tmp_path / "f.json"

@@ -35,7 +35,7 @@ def _assert_same_build(a, b):
         sb = b.machine.system(sample_omega(b.order, seed))
         assert all(np.array_equal(x, y) for x, y in zip(sa.cubes, sb.cubes))
     assert all(np.array_equal(x, y)
-               for x, y in zip(a.splines.tables, b.splines.tables))
+               for x, y in zip(a.splines, b.splines))
 
 
 @pytest.mark.parametrize("delta", DELTAS)

@@ -16,9 +16,9 @@ import pytest
 from hwave.pipeline import PipelineConfig, _suite_splines, build_bundle
 from hwave.randomized import boundary_layer_probability
 from hwave.space import FIXTURES, generate_space
-from hwave.splines import SplineTable, compute_splines_mc
+from hwave.splines import compute_splines_mc
 
-from helpers import sample_omega_batch
+from helpers import replace_level, sample_omega_batch
 
 SPACES = [
     (FIXTURES["FIX-A"], 0.25),
@@ -195,12 +195,10 @@ def _move_one_entry(b, by=0.05):
     """The bundle with its most uncertain level-(k_fine - 1) entry moved."""
     h = b.hierarchy
     k = h.k_fine - 1
-    tables = [t.copy() for t in b.splines.tables]
-    moved = tables[k - h.k_coarse]
+    moved = b.splines.at(k).copy()
     alpha, x = np.unravel_index(np.argmax(moved * (1.0 - moved)), moved.shape)
     moved[alpha, x] += by
-    splines = SplineTable(k_coarse=h.k_coarse, k_fine=h.k_fine, tables=tuple(tables))
-    return dataclasses.replace(b, splines=splines)
+    return dataclasses.replace(b, splines=replace_level(b.splines, k, moved))
 
 
 def test_spline_sampling_agreement_can_fail(bundle_c16):

@@ -1,15 +1,17 @@
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from hwave.nets import (GeometryViolation, NetError, NetHierarchy, ancestors,
-                        build_nets, build_reference_order, load_nets,
-                        save_nets, verify_nets)
-from hwave.space import FiniteSpace, compute_constants, generate_space
-
-from helpers import neighbours_at
+from hwave.nets import (GeometryViolation, Levels, NetError, NetHierarchy,
+                        ancestors, build_nets, build_reference_order,
+                        load_nets, save_nets, verify_nets)
+from hwave.pipeline import build_bundle
+from hwave.randomized import sample_omega
+from hwave.space import FIXTURES, FiniteSpace, compute_constants, generate_space
+from hwave.splines import compute_splines_mc, transition_probabilities
 
 
 def test_fix_a_hierarchy(bundle_a):
@@ -65,8 +67,8 @@ def test_verify_nets_fix_b_margins(fix_b, constants_b, bundle_b):
 
 def test_verify_nets_catches_missing_point(fix_b, constants_b, bundle_b):
     h = bundle_b.hierarchy
-    broken = NetHierarchy(delta=h.delta, k_coarse=h.k_coarse, k_fine=h.k_fine,
-                          levels=(h.level(0), h.level(1), h.level(2)[:-1]))
+    broken = NetHierarchy(delta=h.delta, levels=Levels(
+        h.k_coarse, (h.level(0), h.level(1), h.level(2)[:-1])))
     failed = [c for c in verify_nets(fix_b, constants_b, broken) if not c.passed]
     assert failed
     assert any("covering" in c.name or "finest" in c.detail for c in failed)
@@ -81,8 +83,8 @@ def test_covering_at_the_bound_fails():
     sp = FiniteSpace(dist=dist, weights=np.ones(4))
     c = compute_constants(sp)
     assert c.A0 == 4.0
-    h = NetHierarchy(delta=0.5, k_coarse=-3, k_fine=0,
-                     levels=tuple(np.arange(m) for m in (1, 2, 3, 4)))
+    h = NetHierarchy(delta=0.5, levels=Levels(
+        -3, tuple(np.arange(m) for m in (1, 2, 3, 4))))
     failed = [r for r in verify_nets(sp, c, h) if not r.passed]
     assert [r.name for r in failed] == ["net-covering level -3"]
     assert failed[0].tolerance == 64.0 and failed[0].margin == 0.0
@@ -100,24 +102,24 @@ def test_verify_nets_single_point_vacuous():
 
 def test_fix_a_reference_order(bundle_a):
     order = bundle_a.order
-    assert order.parent_at(-1).tolist() == [0, 0, 0, 0]
+    assert order.parents.at(-1).tolist() == [0, 0, 0, 0]
     assert order.M == 4
     assert order.L == 0
-    kids = order.children_at(-1)[0]
+    kids = order.children.at(-1)[0]
     assert bundle_a.hierarchy.level(0)[kids].tolist() == [0, 1, 2, 3]
-    assert order.label2_at(0).tolist() == [1, 2, 3, 4]
+    assert order.label2.at(0).tolist() == [1, 2, 3, 4]
 
 
 def test_fix_b_reference_order(bundle_b):
     h, order = bundle_b.hierarchy, bundle_b.order
     # all four level-1 points descend from the single root
-    assert order.parent_at(0).tolist() == [0, 0, 0, 0]
+    assert order.parents.at(0).tolist() == [0, 0, 0, 0]
     # nearest-parent with lowest-id tie-break: point 2 is equidistant from
     # centers 0 and 4 and goes to 0
     lev2 = h.level(2)
-    parent_of_2 = order.parent_at(1)[np.where(lev2 == 2)[0][0]]
+    parent_of_2 = order.parents.at(1)[np.where(lev2 == 2)[0][0]]
     assert h.level(1)[parent_of_2] == 0
-    blocks = [h.level(2)[c].tolist() for c in order.children_at(1)]
+    blocks = [h.level(2)[c].tolist() for c in order.children.at(1)]
     assert blocks == [[0, 1, 2, 14, 15], [3, 4, 5, 6], [7, 8, 9, 10], [11, 12, 13]]
     assert (order.L, order.M) == (2, 5)
 
@@ -128,18 +130,18 @@ def test_self_parenting(bundle_b):
         lev, nxt = h.level(k), h.level(k + 1)
         for alpha, point in enumerate(lev):
             pos = np.where(nxt == point)[0][0]
-            assert order.parent_at(k)[pos] == alpha
+            assert order.parents.at(k)[pos] == alpha
 
 
 def test_labels_distinguish(bundle_b):
     h, order = bundle_b.hierarchy, bundle_b.order
     for k in range(h.k_coarse, h.k_fine):
-        lab1 = order.label1_at(k)
+        lab1 = order.label1.at(k)
         assert lab1.max() <= order.L
-        for alpha, nbrs in enumerate(neighbours_at(order, k)):
+        for alpha, nbrs in enumerate(order.neighbours.at(k)):
             assert all(lab1[b] != lab1[alpha] for b in nbrs)
-        lab2 = order.label2_at(k + 1)
-        for kids in order.children_at(k):
+        lab2 = order.label2.at(k + 1)
+        for kids in order.children.at(k):
             vals = lab2[kids]
             assert len(set(vals.tolist())) == kids.size
             assert vals.min() >= 1 and vals.max() <= order.M
@@ -150,7 +152,7 @@ def test_neighbour_distance_bound(bundle_b):
     a0 = bundle_b.constants.A0
     for k in range(h.k_coarse, h.k_fine):
         lev = h.level(k)
-        for alpha, nbrs in enumerate(neighbours_at(order, k)):
+        for alpha, nbrs in enumerate(order.neighbours.at(k)):
             for b in nbrs:
                 assert bundle_b.space.dist[lev[alpha], lev[b]] < 5 * a0**3 * h.scale(k)
 
@@ -160,11 +162,62 @@ def test_descendant_chains_total(bundle_b):
     anc = ancestors(h, order.parents)
     assert len(anc) == h.num_levels
     for k in range(h.k_coarse, h.k_fine + 1):
-        cells = anc[k - h.k_coarse]
+        cells = anc.at(k)
         assert cells.shape == (16,)
         assert cells.min() >= 0
         assert cells.max() < h.level(k).size
-    assert np.all(anc[0] == 0)
+    assert np.all(anc.at(h.k_coarse) == 0)
+
+
+# Every per-level lookup of a bundle and of one sampled system, with its
+# first and last level as offsets from k_coarse and from k_fine: a parent
+# map, a transition and a coordinate belong to the coarser level of their
+# pair, the sibling labels to the finer one.
+PER_LEVEL = {
+    "levels": (lambda b, s: b.hierarchy.level, 0, 0),
+    "parents": (lambda b, s: b.order.parents.at, 0, -1),
+    "children": (lambda b, s: b.order.children.at, 0, -1),
+    "neighbours": (lambda b, s: b.order.neighbours.at, 0, -1),
+    "label1": (lambda b, s: b.order.label1.at, 0, -1),
+    "label2": (lambda b, s: b.order.label2.at, 1, 0),
+    "ancestors": (lambda b, s: ancestors(b.hierarchy, b.order.parents).at, 0, 0),
+    "coord": (lambda b, s: s.omega.coord, 0, -1),
+    "z": (lambda b, s: s.z.at, 0, 0),
+    "system-parents": (lambda b, s: s.parents.at, 0, -1),
+    "cubes": (lambda b, s: s.cubes.at, 0, 0),
+    "transitions": (lambda b, s: b.transitions.at, 0, -1),
+    "transition_probabilities": (
+        lambda b, s: partial(transition_probabilities, b.machine), 0, -1),
+    "splines": (lambda b, s: b.splines.at, 0, 0),
+    "splines-mc": (lambda b, s: compute_splines_mc(b.machine, 10, 1)[0].at, 0, 0),
+    "gramsys": (lambda b, s: b.gramsys.at, 0, 0),
+}
+
+
+@pytest.fixture(scope="module", params=[(FIXTURES["FIX-B"], 0.25),
+                                        ("cycle(16, scale=1)", 0.2)],
+                ids=["FIX-B", "cycle(16, scale=1)"])
+def bundle_and_system(request):
+    descriptor, delta = request.param
+    b = build_bundle(generate_space(descriptor), delta)
+    return b, b.machine.system(sample_omega(b.order, 1))
+
+
+@pytest.mark.parametrize("field", PER_LEVEL)
+def test_per_level_fields_refuse_levels_outside_their_range(bundle_and_system,
+                                                            field):
+    b, system = bundle_and_system
+    get, first, last = PER_LEVEL[field]
+    lookup = get(b, system)
+    first += b.hierarchy.k_coarse
+    last += b.hierarchy.k_fine
+    assert first < last
+    lookup(first), lookup(last)
+    for k in (first - 1, last + 1):
+        with pytest.raises(KeyError, match=re.escape(
+                f"level {k} outside [{first}, {last}]")):
+            lookup(k)
+    assert not hasattr(Levels, "__getitem__")  # a position is never a level
 
 
 def test_rebuild_determinism(fix_b, constants_b):

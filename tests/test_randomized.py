@@ -10,7 +10,7 @@ from hwave.randomized import (OmegaSample, RandomizedSystem,
 from hwave.space import FiniteSpace
 from hwave.pipeline import build_bundle
 
-from helpers import sample_omega_batch
+from helpers import replace_level, sample_omega_batch
 
 
 def test_sample_determinism(bundle_b):
@@ -58,21 +58,21 @@ def test_new_points_fix_a(bundle_a):
     # label1 of the single coarse point is 0; secondary label 2 marks point 1
     omega = OmegaSample(k_coarse=-1, ell=np.array([0]), m=np.array([2]))
     z = machine.system(omega).z
-    assert z[0].tolist() == [1]
+    assert z.at(-1).tolist() == [1]
     if order.L == 0:
         # with L = 0 the primary label always matches; label2 = 4 marks point 3
         omega = OmegaSample(k_coarse=-1, ell=np.array([0]), m=np.array([4]))
         z = machine.system(omega).z
-        assert z[0].tolist() == [3]
+        assert z.at(-1).tolist() == [3]
 
 
 def test_new_points_label_mismatch(bundle_b):
     h, order = bundle_b.hierarchy, bundle_b.order
-    lab = order.label1_at(1)
+    lab = order.label1.at(1)
     miss = int(set(range(order.L + 1)).difference(lab.tolist()).pop())
     omega = OmegaSample(k_coarse=0, ell=np.array([0, miss]), m=np.array([1, 1]))
     z = bundle_b.machine.system(omega).z
-    assert z[1].tolist() == h.level(1).tolist()
+    assert z.at(1).tolist() == h.level(1).tolist()
 
 
 def test_chosen_point_probability(bundle_b):
@@ -84,7 +84,7 @@ def test_chosen_point_probability(bundle_b):
     z_tab = machine.z_tables[k][outcomes[k - h.k_coarse]]
     lev, nxt = h.level(k), h.level(k + 1)
     for alpha in range(lev.size):
-        for pos in bundle_b.order.children_at(k)[alpha]:
+        for pos in bundle_b.order.children.at(k)[alpha]:
             freq = (z_tab[:, alpha] == nxt[pos]).mean()
             sigma = math.sqrt(tau * (1 - tau) / n)
             assert freq >= tau - 4 * sigma
@@ -106,21 +106,20 @@ def test_identity_above_capture_scale(bundle_b):
     h, order = bundle_b.hierarchy, bundle_b.order
     omega = sample_omega(order, 3)
     system = bundle_b.machine.system(omega)
-    assert np.array_equal(system.parents_at(1), order.parent_at(1))
+    assert np.array_equal(system.parents.at(1), order.parents.at(1))
 
 
 def test_corrupted_parent_map_reported(bundle_b):
     sp, c, h = bundle_b.space, bundle_b.constants, bundle_b.hierarchy
     omega = sample_omega(bundle_b.order, 7)
     system = bundle_b.machine.system(omega)
-    bad_parents = [p.copy() for p in system.parents]
+    parent = system.parents.at(1).copy()
     pos4 = np.where(h.level(2) == 4)[0][0]
-    bad_parents[1][pos4] = 0  # steal the centre of cube (1, 1)
+    parent[pos4] = 0  # steal the centre of cube (1, 1)
+    bad_parents = replace_level(system.parents, 1, parent)
     from hwave.nets import ancestors
-    corrupted = RandomizedSystem(
-        k_coarse=system.k_coarse, k_fine=system.k_fine, omega=omega,
-        z=system.z, parents=tuple(bad_parents),
-        cubes=ancestors(h, bad_parents))
+    corrupted = RandomizedSystem(omega=omega, z=system.z, parents=bad_parents,
+                                 cubes=ancestors(h, bad_parents))
     failed = [r for r in verify_center_sandwich(sp, c, h, corrupted) if not r.passed]
     assert failed
     assert any("inner ball" in r.detail for r in failed)
@@ -132,14 +131,14 @@ def test_omega_locality(bundle_b):
     base = sample_omega(order, 1)
     other = sample_omega(order, 2)
     k = 1
-    i = k - order.k_coarse
+    i = k - order.parents.k_coarse
     ell = other.ell.copy()
     m = other.m.copy()
     ell[i], m[i] = base.ell[i], base.m[i]
-    spliced = OmegaSample(k_coarse=order.k_coarse, ell=ell, m=m)
+    spliced = OmegaSample(k_coarse=order.parents.k_coarse, ell=ell, m=m)
     s1 = bundle_b.machine.system(base)
     s2 = bundle_b.machine.system(spliced)
-    assert np.array_equal(s1.parents_at(k), s2.parents_at(k))
+    assert np.array_equal(s1.parents.at(k), s2.parents.at(k))
 
 
 def test_theoretical_eta_closed_form(bundle_b):
@@ -198,7 +197,7 @@ def test_randomness_actually_moves_cubes(bundle_random):
     """At delta = 0.2 on the unscaled cycle the partitions differ across seeds."""
     order = bundle_random.order
     partitions = {
-        tuple(bundle_random.machine.system(sample_omega(order, s)).cubes_at(-1).tolist())
+        tuple(bundle_random.machine.system(sample_omega(order, s)).cubes.at(-1).tolist())
         for s in range(30)
     }
     assert len(partitions) > 1

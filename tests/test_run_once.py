@@ -10,12 +10,15 @@ every module by name, so a refactor that renames or drops one of them fails
 here first.
 """
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 from hwave import nets, pipeline
+from hwave.mra import neumann_inverse_and_sqrt
 from hwave.pipeline import PipelineConfig, run_pipeline
 from hwave.randomized import CubeMachine
-from hwave.space import FiniteSpace
+from hwave.space import FiniteSpace, canonical_radii
+from hwave.splines import compute_splines_mc
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -60,10 +63,15 @@ def test_each_identity_is_computed_once(monkeypatch, tmp_path):
                               if c.name.startswith("net-")]
 
 
-def test_benchmark_hooks_record_their_counts(tmp_path):
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_hooks_record_their_counts(tmp_path):
+    spans = _load_spans()
     before = pipeline.run_pipeline
     tracer = spans.Tracer()
     with tracer:
@@ -87,3 +95,44 @@ def test_benchmark_hooks_record_their_counts(tmp_path):
     h = result.bundle.hierarchy
     steps = h.k_fine - h.k_coarse
     assert calls["wavelets.kernel_of_projection"] == 2 * steps + 1
+
+
+def test_every_count_hook_reads_a_fix_b_build(bundle_b):
+    """Each hook called as the tracer calls it, with the arguments and the
+    return value of the call it wraps, writes its counts."""
+    spans = _load_spans()
+    b = bundle_b
+    h, order = b.hierarchy, b.order
+    radii = canonical_radii(b.space)
+    mc = compute_splines_mc(b.machine, 200, 1)
+    neumann = neumann_inverse_and_sqrt(b.gramsys.at(1).M)
+    outcomes = (order.L + 1) * order.M * (h.num_levels - 1)
+    # name: (args, kwargs, return value, the counts the hook writes)
+    calls = {
+        "analysis.canonical_radii": (
+            (b.space,), {}, radii, {"analysis.radii": radii.size}),
+        "randomized.CubeMachine": (
+            (b.machine, b.space, b.constants, h, order), {}, None,
+            {"randomized.outcomes": outcomes, "nets.L": order.L,
+             "nets.M": order.M}),
+        "nets.build_nets": (
+            (b.space, b.constants, h.delta), {}, h, {"nets.levels": 3}),
+        "splines.compute_splines_mc": (
+            (b.machine,), {"nsamples": 200, "seed": 1}, mc,
+            {"splines.mc_draws": 200}),
+        "mra.neumann_inverse_and_sqrt": (
+            (b.gramsys.at(1).M,), {}, neumann,
+            {"mra.neumann_terms": neumann[3]}),
+        "mra.build_gram_system": (
+            (b.space, b.constants, h, b.splines), {}, b.gramsys,
+            {"mra.gram_dim_max": 16, "mra.gram_dim_sum": 1 + 4 + 16}),
+    }
+    assert set(calls) == set(spans._ON_RETURN)
+    for name, (args, kwargs, out, want) in calls.items():
+        counts = defaultdict(int)
+        spans._ON_RETURN[name](counts, args, kwargs, out)
+        assert dict(counts) == want, name
+    counts = defaultdict(int)
+    spans._ON_RETURN["splines.compute_splines_mc"](
+        counts, (b.machine, 200, 1), {}, mc)
+    assert counts == {"splines.mc_draws": 200}

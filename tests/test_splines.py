@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hwave.nets import NetHierarchy
+from hwave.nets import Levels, NetHierarchy
 from hwave.randomized import CubeMachine
 from hwave.space import FiniteSpace, SpaceConstants
-from hwave.splines import (SplineTable, compute_splines_mc, holder_profile,
+from hwave.splines import (compute_splines_mc, holder_profile,
                            transition_probabilities, verify_spline_table)
 
 
@@ -168,7 +168,7 @@ class Bump:
 
 
 def build_bump(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
-               table: SplineTable, F, G) -> Bump:
+               table: Levels, F, G) -> Bump:
     """Partition-of-unity bump with 1_F <= phi <= 1_G.
 
     The working scale is the smallest k with 16 A0^6 delta^k <= d(F, G^c),

@@ -275,7 +275,7 @@ def test_haar_wavelets_vanish_exactly_off_their_cube(descriptor):
     basis = b.basis
     for row, k, y in zip(basis.wavelet_values, basis.wavelet_levels,
                          basis.wavelet_centers):
-        cube = system.cubes_at(k)
+        cube = system.cubes.at(k)
         assert np.all(row[cube != cube[y]] == 0.0), (k, y)
 
 
