@@ -161,7 +161,7 @@ def _cmd_wavelets(args) -> int:
     if args.action == "build":
         target = (args.out / "basis.json") if args.out else Path("basis.json")
         target.parent.mkdir(parents=True, exist_ok=True)
-        save_basis(basis, target)
+        save_basis(bundle.hierarchy, basis, target)
         print(f"{basis.n_members}-member basis written to {target}")
         return 0
     if args.action == "verify":

@@ -235,7 +235,6 @@ def biorthogonal_and_orthonormal(space: FiniteSpace, table_values: np.ndarray,
 
 @dataclass(frozen=True)
 class GramLevel:
-    k: int
     M: np.ndarray
     volumes: np.ndarray
     Minv: np.ndarray
@@ -267,9 +266,8 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
                 f"level {k} dual-system identities failed "
                 f"(bio {err_bio:.2e}, ortho {err_ortho:.2e}, mass {err_mass:.2e})"
             )
-        out.append(GramLevel(k=k, M=M, volumes=vol, Minv=Minv, Misqrt=Misqrt,
-                             stilde=stilde, phi=phi,
-                             riesz=riesz))
+        out.append(GramLevel(M=M, volumes=vol, Minv=Minv, Misqrt=Misqrt,
+                             stilde=stilde, phi=phi, riesz=riesz))
     return Levels(h.k_coarse, tuple(out))
 
 

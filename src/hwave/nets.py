@@ -214,7 +214,6 @@ class ReferenceOrder:
     """
 
     parents: Levels     # at(k): level k+1 position -> level k position
-    children: Levels    # at(k)[alpha]: positions at level k+1
     neighbours: Levels  # at(k)[alpha]: same-level positions
     label1: Levels      # at(k)[alpha] in {0..L}
     label2: Levels      # at(k)[beta] in {1..M}, levels k_coarse+1 .. k_fine
@@ -249,7 +248,6 @@ def build_reference_order(space: FiniteSpace, constants: SpaceConstants,
                           h: NetHierarchy) -> ReferenceOrder:
     a0 = constants.A0
     parents = []
-    children = []
     neighbours = []
     label1 = []
     label2 = []
@@ -275,10 +273,8 @@ def build_reference_order(space: FiniteSpace, constants: SpaceConstants,
                 f"child {nxt[bad]} has several near parents at level {k}"
             )
         parents.append(parent)
-
-        kids = [np.nonzero(parent == a)[0] for a in range(lev.size)]
-        children.append(tuple(kids))
-        M = max(M, max((len(c) for c in kids), default=1))
+        sizes = np.bincount(parent, minlength=lev.size)
+        M = max(M, int(sizes.max()))
 
         nbrs = _neighbours(space, lev, nxt, parent, k, dk, a0)
         neighbours.append(nbrs)
@@ -293,15 +289,16 @@ def build_reference_order(space: FiniteSpace, constants: SpaceConstants,
             colors[a] = c
         label1.append(colors)
 
-        lab2 = np.zeros(nxt.size, dtype=int)
-        for kid in kids:
-            lab2[kid] = np.arange(1, kid.size + 1)
+        # each child's rank among its siblings by ascending position, from 1
+        child = np.argsort(parent, kind="stable")
+        first = np.cumsum(sizes) - sizes  # where each cell's children start
+        lab2 = np.empty(nxt.size, dtype=int)
+        lab2[child] = np.arange(1, nxt.size + 1) - first[parent[child]]
         label2.append(lab2)
 
     k0 = h.k_coarse
     return ReferenceOrder(
         parents=Levels(k0, tuple(parents)),
-        children=Levels(k0, tuple(children)),
         neighbours=Levels(k0, tuple(neighbours)),
         label1=Levels(k0, tuple(label1)),
         label2=Levels(k0 + 1, tuple(label2)),

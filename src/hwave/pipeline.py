@@ -242,8 +242,8 @@ def _write_artifacts(result: PipelineResult, out: Path, system) -> None:
     save_space(b.space, out / "space.json")
     write_json(out / "constants.json", {
         "A0": b.constants.A0,
-        "diam": b.constants.diam,
-        "min_sep": b.constants.min_sep if math.isfinite(b.constants.min_sep) else None,
+        "diam": b.space.diam,
+        "min_sep": b.space.min_sep if math.isfinite(b.space.min_sep) else None,
         "cmu2": b.constants.cmu(2.0),
         "eta": b.eta if math.isfinite(b.eta) else None,
     })
@@ -251,7 +251,7 @@ def _write_artifacts(result: PipelineResult, out: Path, system) -> None:
     save_system(system, out / "system.json")
     save_splines(b.hierarchy, b.splines, out / "splines.tsv")
     save_gram_system(b.hierarchy, b.gramsys, out)
-    save_basis(b.basis, out / "basis.json")
+    save_basis(b.hierarchy, b.basis, out / "basis.json")
     write_report(result.checks, out / "report.json")
 
 

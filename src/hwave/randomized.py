@@ -47,8 +47,9 @@ class OmegaSample:
         return len(self.ell)
 
     def coord(self, k: int) -> tuple[int, int]:
-        return Levels(self.k_coarse, tuple(zip(self.ell.tolist(),
-                                               self.m.tolist()))).at(k)
+        """(ell_k, m_k), looked up in place: ``Levels`` over each array."""
+        return (int(Levels(self.k_coarse, self.ell).at(k)),
+                int(Levels(self.k_coarse, self.m).at(k)))
 
 
 def _coord_rng(seed: int, level_offset: int, which: int) -> np.random.Generator:
@@ -226,9 +227,9 @@ def _outcome_tables(space: FiniteSpace, constants: SpaceConstants,
     dk = h.scale(k)
     L, M = order.L, order.M
     n_out = (L + 1) * M
-    kids = order.children.at(k)
-    cell = np.repeat(np.arange(lev.size), [c.size for c in kids])
-    child = np.concatenate(kids)
+    parent = order.parents.at(k)
+    child = np.argsort(parent, kind="stable")  # grouped by cell, ascending
+    cell = parent[child]
     ell = order.label1.at(k)[cell]
     m = order.label2.at(k + 1)[child]
     out = ell * M + m - 1
@@ -268,7 +269,7 @@ def _outcome_tables(space: FiniteSpace, constants: SpaceConstants,
         bad = int(np.argmax(counts[o]))
         raise GeometryViolation(
             f"point {nxt[bad]} has {counts[o, bad]} near new parents at level {k}")
-    parents = np.where(counts == 1, at, order.parents.at(k)).astype(np.int32)
+    parents = np.where(counts == 1, at, parent).astype(np.int32)
     return z, parents
 
 

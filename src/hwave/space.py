@@ -78,7 +78,6 @@ class FiniteSpace:
 
     dist: np.ndarray
     weights: np.ndarray
-    coords: np.ndarray | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -114,10 +113,6 @@ class FiniteSpace:
             raise ValidationError(f"weight must be positive at index {i}")
         object.__setattr__(self, "dist", _freeze(dist))
         object.__setattr__(self, "weights", _freeze(weights))
-        if self.coords is not None:
-            object.__setattr__(
-                self, "coords", _freeze(np.asarray(self.coords, dtype=float))
-            )
 
     @property
     def n(self) -> int:
@@ -192,11 +187,9 @@ def canonical_radii(space: FiniteSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceConstants:
-    """Quasi-triangle constant, extremes, and lazily the doubling constants."""
+    """Quasi-triangle constant and lazily the doubling constants."""
 
     A0: float
-    diam: float
-    min_sep: float
     a0_witness: tuple[int, int, int] | None
     _space: FiniteSpace = field(repr=False, compare=False)
     _cmu_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -306,7 +299,7 @@ def _greedy_doubling(space: FiniteSpace) -> int:
 
 
 def compute_constants(space: FiniteSpace) -> SpaceConstants:
-    """Exact A0 (max over ordered triples) and the distance extremes.
+    """Exact A0 (max over ordered triples) and its witness.
 
     A0 is the largest d(x, y) / (d(x, z) + d(z, y)) over distinct x, y, z,
     read off one symmetric min-plus square taken over its upper triangle.
@@ -315,13 +308,7 @@ def compute_constants(space: FiniteSpace) -> SpaceConstants:
     z of least detour.
     """
     a0, witness = _quasi_triangle_constant(space)
-    return SpaceConstants(
-        A0=a0,
-        diam=space.diam,
-        min_sep=space.min_sep,
-        a0_witness=witness,
-        _space=space,
-    )
+    return SpaceConstants(A0=a0, a0_witness=witness, _space=space)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +337,22 @@ def _from_coords_1d(coords: np.ndarray, power: float = 1.0) -> np.ndarray:
     return diff**power
 
 
+def _euclidean(pts: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``pts``, symmetric with a zero
+    diagonal."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    dist = np.minimum(dist, dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
 def _gen_line(n: int, scale: float = 1.0, weights=None) -> FiniteSpace:
     if n < 1:
         raise ValidationError("line needs n >= 1")
-    coords = np.arange(n, dtype=float)
     return FiniteSpace(
-        dist=_from_coords_1d(coords) * scale,
+        dist=_from_coords_1d(np.arange(n, dtype=float)) * scale,
         weights=_weights_for(weights, n),
-        coords=coords[:, None] * scale,
         name=f"line({n})",
     )
 
@@ -382,16 +377,14 @@ def _gen_grid(m: int, dim: int, metric: str = "linf", weights=None) -> FiniteSpa
         raise ValidationError("grid needs m >= 1 and dim >= 1")
     axes = [np.arange(m, dtype=float)] * dim
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    diff = pts[:, None, :] - pts[None, :, :]
     if metric == "linf":
-        dist = np.abs(diff).max(axis=-1)
+        dist = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=-1)
     elif metric == "l2":
-        dist = np.sqrt((diff**2).sum(axis=-1))
+        dist = _euclidean(pts)
     else:
         raise ValidationError(f"unknown grid metric {metric!r}")
-    dist = np.minimum(dist, dist.T)
     return FiniteSpace(dist=dist, weights=_weights_for(weights, len(pts)),
-                       coords=pts, name=f"grid({m},{dim})")
+                       name=f"grid({m},{dim})")
 
 
 def _gen_power_line(n: int, r: float, weights=None) -> FiniteSpace:
@@ -399,11 +392,9 @@ def _gen_power_line(n: int, r: float, weights=None) -> FiniteSpace:
         raise ValidationError("power_line needs n >= 1")
     if r < 1:
         raise ValidationError("power_line exponent must satisfy r >= 1")
-    coords = np.arange(n, dtype=float)
     return FiniteSpace(
-        dist=_from_coords_1d(coords, power=r),
+        dist=_from_coords_1d(np.arange(n, dtype=float), power=r),
         weights=_weights_for(weights, n),
-        coords=coords[:, None],
         name=f"power_line({n},{r:g})",
     )
 
@@ -422,7 +413,6 @@ def _gen_two_cluster(n: int, gap: float, weights=None) -> FiniteSpace:
     return FiniteSpace(
         dist=_from_coords_1d(coords),
         weights=_weights_for(weights, n),
-        coords=coords[:, None],
         name=f"two_cluster({n},{gap:g})",
     )
 
@@ -432,38 +422,26 @@ def _gen_tree(depth: int, weights=None) -> FiniteSpace:
     if depth < 0:
         raise ValidationError("tree depth must be >= 0")
     n = 2 ** (depth + 1) - 1
-    dist = np.zeros((n, n))
-
-    def ancestors(i):
-        chain = [i]
-        while i > 0:
-            i = (i - 1) // 2
-            chain.append(i)
-        return chain
-
-    anc = [ancestors(i) for i in range(n)]
-    depths = [len(a) - 1 for a in anc]
-    for i in range(n):
-        seti = set(anc[i])
-        for j in range(i + 1, n):
-            common = next(a for a in anc[j] if a in seti)
-            d = depths[i] + depths[j] - 2 * depths[common]
-            dist[i, j] = dist[j, i] = float(d)
-    return FiniteSpace(dist=dist, weights=_weights_for(weights, n),
+    # node i has the 1-based heap label i + 1: its parent's label is the label
+    # halved and its depth the label's bit length less one.  Halving the
+    # deeper label of a pair to the other's depth leaves two labels whose
+    # common leading bits are the label of their lowest common ancestor
+    label = np.arange(1, n + 1)
+    level = np.frexp(label)[1] - 1
+    up = np.minimum(level[:, None], level[None, :])
+    a = label[:, None] >> (level[:, None] - up)
+    b = label[None, :] >> (level[None, :] - up)
+    dist = level[:, None] + level[None, :] - 2 * (up - np.frexp(a ^ b)[1])
+    return FiniteSpace(dist=dist.astype(float), weights=_weights_for(weights, n),
                        name=f"tree({depth})")
 
 
 def _gen_random_cloud(n: int, dim: int, seed: int, weights=None) -> FiniteSpace:
     if n < 1 or dim < 1:
         raise ValidationError("random_cloud needs n >= 1 and dim >= 1")
-    rng = np.random.default_rng(int(seed))
-    pts = rng.uniform(size=(n, dim))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    dist = np.minimum(dist, dist.T)
-    np.fill_diagonal(dist, 0.0)
-    return FiniteSpace(dist=dist, weights=_weights_for(weights, n),
-                       coords=pts, name=f"random_cloud({n},{dim},{seed})")
+    pts = np.random.default_rng(int(seed)).uniform(size=(n, dim))
+    return FiniteSpace(dist=_euclidean(pts), weights=_weights_for(weights, n),
+                       name=f"random_cloud({n},{dim},{seed})")
 
 
 _GENERATORS = {
@@ -541,7 +519,6 @@ def load_space(path) -> FiniteSpace:
     metric = data.get("metric", "explicit")
     scale = float(data.get("scale", 1.0))
     n = data.get("n")
-    coords = None
     if metric == "explicit":
         if "distances" not in data:
             raise ValidationError("explicit metric requires a distances matrix")
@@ -554,16 +531,12 @@ def load_space(path) -> FiniteSpace:
         coords = np.asarray(data["coords"], dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1)) * scale
-        dist = np.minimum(dist, dist.T)
-        np.fill_diagonal(dist, 0.0)
+        dist = _euclidean(coords) * scale
     elif metric == "power":
         if "coords" not in data or "r" not in data:
             raise ValidationError("power metric requires coords and r")
         coords = np.asarray(data["coords"], dtype=float).reshape(-1)
         dist = _from_coords_1d(coords, power=float(data["r"])) * scale
-        coords = coords[:, None]
     else:
         raise ValidationError(f"unknown metric kind {metric!r}")
     m = dist.shape[0]
@@ -571,7 +544,7 @@ def load_space(path) -> FiniteSpace:
     if weights is None:
         weights = np.ones(m)
     return FiniteSpace(dist=dist, weights=np.asarray(weights, dtype=float),
-                       coords=coords, name=str(data.get("name", "")))
+                       name=str(data.get("name", "")))
 
 
 def save_space(space: FiniteSpace, path) -> None:

@@ -91,8 +91,6 @@ def orthonormalize_level(space: FiniteSpace, tilde_psi: np.ndarray,
 class WaveletBasis:
     space: FiniteSpace
     delta: float
-    k_coarse: int
-    k_fine: int
     values: np.ndarray      # one row per member, evaluated on all points
     levels: np.ndarray      # level of each member (coarse member: k_coarse)
     centers: np.ndarray     # point id each member concentrates at
@@ -150,8 +148,8 @@ def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: Levels,
     if not ortho.passed:
         raise NotSPDError(ortho.line())
     return WaveletBasis(
-        space=space, delta=h.delta, k_coarse=h.k_coarse, k_fine=h.k_fine,
-        values=values, levels=np.asarray(levels), centers=np.asarray(centers),
+        space=space, delta=h.delta, values=values, levels=np.asarray(levels),
+        centers=np.asarray(centers),
         is_wavelet=np.arange(space.n) > 0,  # member 0 is the constant
         checks=(ortho, count),
     )
@@ -231,7 +229,7 @@ def decay_and_regularity_report(space: FiniteSpace, constants: SpaceConstants,
     return reports
 
 
-def save_basis(basis: WaveletBasis, path) -> None:
+def save_basis(h: NetHierarchy, basis: WaveletBasis, path) -> None:
     members = ({
         "level": int(basis.levels[i]),
         "center": int(basis.centers[i]),
@@ -241,7 +239,7 @@ def save_basis(basis: WaveletBasis, path) -> None:
     write_json(path, {
         "n": basis.space.n,
         "delta": basis.delta,
-        "k_coarse": basis.k_coarse,
-        "k_fine": basis.k_fine,
+        "k_coarse": h.k_coarse,
+        "k_fine": h.k_fine,
         "members": members,
     })

@@ -39,6 +39,14 @@ def distinct_balls(space: FiniteSpace, x: int, radii: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(sizes, prepend=-1))
 
 
+def children(order: ReferenceOrder, k: int) -> tuple:
+    """Per level-k cell, the ascending positions of its children at level
+    k + 1: the per-cell scan of the parent map."""
+    parent = order.parents.at(k)
+    return tuple(np.nonzero(parent == a)[0]
+                 for a in range(order.label1.at(k).size))
+
+
 def replace_level(levels: Levels, k: int, item) -> Levels:
     """``levels`` with the item of level k replaced by ``item``."""
     items = list(levels)

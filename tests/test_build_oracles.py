@@ -65,7 +65,7 @@ def _new_points_level(h, order, k, ell_k, m_k):
     lab1 = order.label1.at(k)
     lab2 = order.label2.at(k + 1)
     for alpha in np.nonzero(lab1 == ell_k)[0]:
-        kids = order.children.at(k)[alpha]
+        kids = helpers.children(order, k)[alpha]
         match = kids[lab2[kids] == m_k]
         if match.size:
             z[alpha] = nxt[match[0]]
@@ -178,9 +178,16 @@ def test_reference_order_equals_the_pair_loop(descriptor, delta):
     for got_level, want_level in zip(order.neighbours, want.neighbours,
                                      strict=True):
         _assert_same_arrays(got_level, want_level)
-    for got_level, want_level in zip(order.children, want.children,
-                                     strict=True):
-        _assert_same_arrays(got_level, want_level)
+    # M and the sibling ranks against the per-cell scan of the parent maps
+    sizes = [1]
+    for k in range(h.k_coarse, h.k_fine):
+        kids = helpers.children(order, k)
+        label2 = np.zeros(h.level(k + 1).size, dtype=int)
+        for kid in kids:
+            label2[kid] = np.arange(1, kid.size + 1)
+        _assert_same_arrays([order.label2.at(k + 1)], [label2])
+        sizes += [kid.size for kid in kids]
+    assert order.M == max(sizes)
 
 
 @pytest.mark.parametrize("descriptor,delta", SPACES)

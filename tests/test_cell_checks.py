@@ -23,7 +23,7 @@ from hwave.report import check_flag
 from hwave.space import FIXTURES, compute_constants, generate_space
 from hwave.splines import transition_probabilities, verify_spline_table
 
-from helpers import replace_level
+from helpers import children, replace_level
 
 SPACES = [
     (FIXTURES["FIX-B"], 0.25),
@@ -53,7 +53,7 @@ def _verify_system_loop(space, constants, h, order, system):
         zk = system.z.at(k)
         if k < h.k_fine:
             nxt = h.level(k + 1)
-            allowed = [set(nxt[order.children.at(k)[a]]) | {lev[a]}
+            allowed = [set(nxt[children(order, k)[a]]) | {lev[a]}
                        for a in range(lev.size)]
             ok = all(zk[a] in allowed[a] for a in range(lev.size))
             record(f"z-in-children level {k}", ok)

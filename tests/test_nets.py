@@ -13,6 +13,8 @@ from hwave.randomized import sample_omega
 from hwave.space import FIXTURES, FiniteSpace, compute_constants, generate_space
 from hwave.splines import compute_splines_mc, transition_probabilities
 
+from helpers import children
+
 
 def test_fix_a_hierarchy(bundle_a):
     h = bundle_a.hierarchy
@@ -105,7 +107,7 @@ def test_fix_a_reference_order(bundle_a):
     assert order.parents.at(-1).tolist() == [0, 0, 0, 0]
     assert order.M == 4
     assert order.L == 0
-    kids = order.children.at(-1)[0]
+    kids = children(order, -1)[0]
     assert bundle_a.hierarchy.level(0)[kids].tolist() == [0, 1, 2, 3]
     assert order.label2.at(0).tolist() == [1, 2, 3, 4]
 
@@ -119,7 +121,7 @@ def test_fix_b_reference_order(bundle_b):
     lev2 = h.level(2)
     parent_of_2 = order.parents.at(1)[np.where(lev2 == 2)[0][0]]
     assert h.level(1)[parent_of_2] == 0
-    blocks = [h.level(2)[c].tolist() for c in order.children.at(1)]
+    blocks = [h.level(2)[c].tolist() for c in children(order, 1)]
     assert blocks == [[0, 1, 2, 14, 15], [3, 4, 5, 6], [7, 8, 9, 10], [11, 12, 13]]
     assert (order.L, order.M) == (2, 5)
 
@@ -141,7 +143,7 @@ def test_labels_distinguish(bundle_b):
         for alpha, nbrs in enumerate(order.neighbours.at(k)):
             assert all(lab1[b] != lab1[alpha] for b in nbrs)
         lab2 = order.label2.at(k + 1)
-        for kids in order.children.at(k):
+        for kids in children(order, k):
             vals = lab2[kids]
             assert len(set(vals.tolist())) == kids.size
             assert vals.min() >= 1 and vals.max() <= order.M
@@ -176,7 +178,6 @@ def test_descendant_chains_total(bundle_b):
 PER_LEVEL = {
     "levels": (lambda b, s: b.hierarchy.level, 0, 0),
     "parents": (lambda b, s: b.order.parents.at, 0, -1),
-    "children": (lambda b, s: b.order.children.at, 0, -1),
     "neighbours": (lambda b, s: b.order.neighbours.at, 0, -1),
     "label1": (lambda b, s: b.order.label1.at, 0, -1),
     "label2": (lambda b, s: b.order.label2.at, 1, 0),

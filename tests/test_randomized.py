@@ -1,16 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from hwave.randomized import (OmegaSample, RandomizedSystem,
+from hwave.nets import build_nets, build_reference_order
+from hwave.randomized import (CubeMachine, OmegaSample, RandomizedSystem,
                               boundary_layer_probability, boundary_theory_bound,
                               sample_omega, theoretical_eta,
                               verify_center_sandwich, verify_system)
-from hwave.space import FiniteSpace
+from hwave.space import FiniteSpace, compute_constants, generate_space
 from hwave.pipeline import build_bundle
 
-from helpers import replace_level, sample_omega_batch
+from helpers import children, replace_level, sample_omega_batch
 
 
 def test_sample_determinism(bundle_b):
@@ -84,7 +86,7 @@ def test_chosen_point_probability(bundle_b):
     z_tab = machine.z_tables[k][outcomes[k - h.k_coarse]]
     lev, nxt = h.level(k), h.level(k + 1)
     for alpha in range(lev.size):
-        for pos in bundle_b.order.children.at(k)[alpha]:
+        for pos in children(bundle_b.order, k)[alpha]:
             freq = (z_tab[:, alpha] == nxt[pos]).mean()
             sigma = math.sqrt(tau * (1 - tau) / n)
             assert freq >= tau - 4 * sigma
@@ -123,6 +125,29 @@ def test_corrupted_parent_map_reported(bundle_b):
     failed = [r for r in verify_center_sandwich(sp, c, h, corrupted) if not r.passed]
     assert failed
     assert any("inner ball" in r.detail for r in failed)
+
+
+def test_system_reads_each_levels_own_coordinate():
+    """Over hundreds of levels every level reads the outcome-table row of its
+    own coordinate, and the draw refuses a level outside its range."""
+    space = generate_space("line(64)")
+    constants = compute_constants(space)
+    h = build_nets(space, constants, 0.99)
+    order = build_reference_order(space, constants, h)
+    machine = CubeMachine(space, constants, h, order)
+    omega = sample_omega(order, 1)
+    assert h.num_levels == 346
+    system = machine.system(omega)
+    for i, k in enumerate(range(h.k_coarse, h.k_fine)):
+        row = omega.ell[i] * order.M + omega.m[i] - 1
+        assert np.array_equal(system.z.at(k), machine.z_tables[k][row])
+        assert np.array_equal(system.parents.at(k),
+                              machine.parent_tables[k][row])
+    assert np.array_equal(system.z.at(h.k_fine), h.level(h.k_fine))
+    for k in (h.k_coarse - 1, h.k_fine):
+        with pytest.raises(KeyError, match=re.escape(
+                f"level {k} outside [{h.k_coarse}, {h.k_fine - 1}]")):
+            omega.coord(k)
 
 
 def test_omega_locality(bundle_b):

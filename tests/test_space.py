@@ -326,6 +326,59 @@ def test_tree_path_metric():
     assert sp.dist[3, 6] == 4.0  # across the root
 
 
+def _tree_pair_loop(depth):
+    """Path distances of the complete binary tree, pair by pair through the
+    lowest common ancestor found in each node's chain of ancestors."""
+    n = 2 ** (depth + 1) - 1
+
+    def ancestors(i):
+        chain = [i]
+        while i > 0:
+            i = (i - 1) // 2
+            chain.append(i)
+        return chain
+
+    anc = [ancestors(i) for i in range(n)]
+    depths = [len(a) - 1 for a in anc]
+    dist = np.zeros((n, n))
+    for i in range(n):
+        seti = set(anc[i])
+        for j in range(i + 1, n):
+            common = next(a for a in anc[j] if a in seti)
+            dist[i, j] = dist[j, i] = depths[i] + depths[j] - 2 * depths[common]
+    return dist
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_tree_equals_the_pair_loop(depth):
+    assert np.array_equal(generate_space(f"tree({depth})").dist,
+                          _tree_pair_loop(depth))
+
+
+@pytest.mark.parametrize("scale", [None, 0.3])
+def test_euclidean_file_equals_the_random_cloud(tmp_path, scale):
+    """A space file and ``random_cloud`` share one Euclidean metric; a file's
+    scale multiplies it after it is symmetrized."""
+    pts = np.random.default_rng(3).uniform(size=(14, 2))
+    data = {"metric": "euclidean", "coords": pts.tolist()}
+    if scale is not None:
+        data["scale"] = scale
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps(data))
+    want = generate_space("random_cloud(14, 2, 3)").dist
+    if scale is not None:
+        want = want * scale
+    assert np.array_equal(load_space(path).dist, want)
+
+
+def test_euclidean_file_equals_the_l2_grid(tmp_path):
+    lattice = [[i, j] for i in range(4) for j in range(4)]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"metric": "euclidean", "coords": lattice}))
+    assert np.array_equal(load_space(path).dist,
+                          generate_space("grid(4, 2, metric=l2)").dist)
+
+
 def test_load_euclidean_and_power_metrics(tmp_path):
     path = tmp_path / "euc.json"
     path.write_text(json.dumps({"metric": "euclidean",

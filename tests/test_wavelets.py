@@ -245,8 +245,6 @@ def load_basis(space: FiniteSpace, path) -> WaveletBasis:
     return WaveletBasis(
         space=space,
         delta=float(data["delta"]),
-        k_coarse=int(data["k_coarse"]),
-        k_fine=int(data["k_fine"]),
         values=np.asarray([m["values"] for m in members], dtype=float),
         levels=np.asarray([m["level"] for m in members], dtype=int),
         centers=np.asarray([m["center"] for m in members], dtype=int),
@@ -256,13 +254,13 @@ def load_basis(space: FiniteSpace, path) -> WaveletBasis:
 
 def test_basis_file_roundtrip(tmp_path, bundle_b):
     path = tmp_path / "basis.json"
-    save_basis(bundle_b.basis, path)
+    save_basis(bundle_b.hierarchy, bundle_b.basis, path)
     loaded = load_basis(bundle_b.space, path)
     np.testing.assert_array_equal(loaded.values, bundle_b.basis.values)
     np.testing.assert_array_equal(loaded.levels, bundle_b.basis.levels)
     np.testing.assert_array_equal(loaded.centers, bundle_b.basis.centers)
     first = path.read_bytes()
-    save_basis(loaded, path)
+    save_basis(bundle_b.hierarchy, loaded, path)
     assert path.read_bytes() == first
 
 
