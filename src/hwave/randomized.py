@@ -94,7 +94,19 @@ def _spreads(dist_rows: np.ndarray, member: np.ndarray) -> np.ndarray:
 def verify_system(space, constants, h, order, system) -> list[CheckResult]:
     """Every per-sample conclusion: separation, covering, tiling and the
     sandwiches around the new points z.  The sandwich around the reference
-    centres is ``verify_center_sandwich``'s."""
+    centres is ``verify_center_sandwich``'s.
+
+    The iterated bounds (a level-l descendant within 6 A0^4 delta^k of its
+    level-k point z; a point within delta^k A0^-4 / 6 of z a descendant) are
+    decided for the pair k_fine -> k alone, along the composed parent maps:
+    - each z_l[i] is a point of X;
+    - ``cube-inner-ball level l`` already puts z_l[i] in its own cube, as
+      d(z, z) = 0 is inside the inner radius;
+    - so the level-k ancestor of z_l[i] along the l-chain is the point's own,
+      and each l -> k statement is a special case of k_fine -> k;
+    - for l = k the distance is 0, and ``z-separation`` implies the close
+      bound, since delta^k A0^-4 / 6 < delta^k / (2 A0).
+    """
     a0 = constants.A0
     checks = []
 
@@ -153,24 +165,16 @@ def verify_system(space, constants, h, order, system) -> list[CheckResult]:
             ok_tile = True
         record(f"child-tiling level {k}", ok_tile)
 
-    # iterated two-sided bounds across level gaps: the level-k ancestors of
-    # level l are those of level l - 1 composed with one more parent map
-    for k in range(h.k_coarse, h.k_fine + 1):
+    fine = system.z.at(h.k_fine)
+    for k, anc in zip(range(h.k_coarse, h.k_fine + 1), ancestors(h, system.parents)):
         dk = h.scale(k)
-        zk = system.z.at(k)
-        cell_anc = np.arange(zk.size)
-        for l in range(k, h.k_fine + 1):
-            if l > k:
-                cell_anc = cell_anc[system.parents.at(l - 1)]
-            zl = system.z.at(l)
-            dmat = space.dist[np.ix_(zl, zk)]
-            desc_d = dmat[np.arange(zl.size), cell_anc]
-            record(f"iterated-descendant-distance {l}->{k}",
-                   np.all(desc_d < 6 * a0**4 * dk), f"max {desc_d.max():.3g}")
-            must = dmat < dk * a0**-4 / 6.0
-            r2, c2 = np.nonzero(must)
-            record(f"iterated-close-implies-descendant {l}->{k}",
-                   np.all(cell_anc[r2] == c2))
+        dmat = space.dist[np.ix_(fine, system.z.at(k))]
+        desc_d = dmat[np.arange(fine.size), anc]
+        record(f"iterated-descendant-distance {h.k_fine}->{k}",
+               np.all(desc_d < 6 * a0**4 * dk), f"max {desc_d.max():.3g}")
+        rows, cols = np.nonzero(dmat < dk * a0**-4 / 6.0)
+        record(f"iterated-close-implies-descendant {h.k_fine}->{k}",
+               np.all(anc[rows] == cols))
     return checks
 
 
@@ -299,17 +303,14 @@ class CubeMachine:
         """Table row of the coordinate (ell, m); elementwise on arrays."""
         return ell * self.order.M + (m - 1)
 
-    def sample_outcomes(self, seed: int, nsamples: int) -> np.ndarray:
-        """Table rows of a batch of draws, shape (num_levels, nsamples): the
-        outcome index of ``_sample_level``'s coordinates, one level at a
-        time."""
+    def sample_outcomes(self, seed: int, nsamples: int, k: int) -> np.ndarray:
+        """Table rows of level k for a batch of draws: the outcome index of
+        ``_sample_level``'s coordinates."""
         if nsamples < 1:
             raise ValueError("nsamples must be >= 1")
-        order = self.order
-        outcomes = np.empty((len(order.parents), nsamples), dtype=np.int64)
-        for i in range(outcomes.shape[0]):
-            outcomes[i] = self.outcome_index(*_sample_level(order, seed, i, nsamples))
-        return outcomes
+        self.order.parents.at(k)  # KeyError naming the range
+        return self.outcome_index(*_sample_level(self.order, seed,
+                                                 k - self.h.k_coarse, nsamples))
 
     def system(self, omega: OmegaSample) -> RandomizedSystem:
         """The sampled system of one omega draw, read off the outcome tables."""
@@ -325,8 +326,9 @@ class CubeMachine:
                                 parents=Levels(k0, tuple(parents)),
                                 cubes=ancestors(self.h, parents))
 
-    def draw_classes(self, outcomes: np.ndarray, k: int):
-        """Walk a batch of draws once, from level k_fine down to level k.
+    def draw_classes(self, seed: int, nsamples: int, k: int):
+        """Walk a batch of draws once, from level k_fine down to level k,
+        drawing each level's outcomes (``sample_outcomes``) as it is reached.
 
         Yields ``(level, anc, counts, inverse)``, finest level first.  Draws
         whose outcomes at levels ``level`` .. k_fine - 1 compose to the same
@@ -341,7 +343,6 @@ class CubeMachine:
         """
         h = self.h
         h.level(k)  # KeyError naming the range unless k is a level
-        nsamples = outcomes.shape[1]
         n = h.level(h.k_fine).size
         anc = np.arange(n, dtype=np.int32)[None, :]
         counts = np.array([nsamples])
@@ -349,7 +350,7 @@ class CubeMachine:
         yield h.k_fine, anc, counts, inverse
         for kk in range(h.k_fine - 1, k - 1, -1):
             table = self.parent_tables[kk]
-            key = inverse * self.n_outcomes + outcomes[kk - h.k_coarse]
+            key = inverse * self.n_outcomes + self.sample_outcomes(seed, nsamples, kk)
             size = counts.size * self.n_outcomes
             pairs = np.flatnonzero(np.bincount(key, minlength=size))
             prev, out = np.divmod(pairs, self.n_outcomes)
@@ -363,16 +364,16 @@ class CubeMachine:
             anc = rows[np.unique(merged, return_index=True)[1]]
             yield kk, anc, counts, inverse
 
-    def _classes_down_to(self, outcomes: np.ndarray, k: int):
-        for _, anc, counts, inverse in self.draw_classes(outcomes, k):
+    def _classes_down_to(self, seed: int, nsamples: int, k: int):
+        for _, anc, counts, inverse in self.draw_classes(seed, nsamples, k):
             pass
         return anc, counts, inverse
 
-    def ancestors_batch(self, outcomes: np.ndarray, k: int) -> np.ndarray:
+    def ancestors_batch(self, seed: int, nsamples: int, k: int) -> np.ndarray:
         """Level-k ancestor positions of every point, one row per sample:
         the per-draw view ``anc[inverse]`` of ``draw_classes``, whose rows
         are the distinct level-k maps of the batch."""
-        anc, _, inverse = self._classes_down_to(outcomes, k)
+        anc, _, inverse = self._classes_down_to(seed, nsamples, k)
         return anc[inverse]
 
 
@@ -419,8 +420,7 @@ def boundary_layer_probability(machine: CubeMachine, x: int, k: int, eps: float,
         raise ValueError("nsamples must be >= 1")
     if not 0 <= x < machine.space.n:
         raise ValueError(f"x={x} outside 0..{machine.space.n - 1}")
-    outcomes = machine.sample_outcomes(seed, nsamples)
-    anc, counts, _ = machine._classes_down_to(outcomes, k)
+    anc, counts, _ = machine._classes_down_to(seed, nsamples, k)
     member = anc == anc[:, x][:, None]
     dx = machine.space.dist[x]
     masked = np.where(member, math.inf, dx[None, :])

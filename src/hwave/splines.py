@@ -76,11 +76,10 @@ def compute_splines_mc(machine: CubeMachine, nsamples: int, seed: int):
         raise ValueError("nsamples must be >= 1")
     h = machine.h
     n = h.level(h.k_fine).size
-    outcomes = machine.sample_outcomes(seed, nsamples)
     cols = np.arange(n)
     freq = []
     errs = []
-    for k, anc, counts, _ in machine.draw_classes(outcomes, h.k_coarse):
+    for k, anc, counts, _ in machine.draw_classes(seed, nsamples, h.k_coarse):
         n_cells = h.level(k).size
         draws = np.bincount((anc * n + cols).ravel(),
                             weights=np.repeat(counts, n), minlength=n_cells * n)

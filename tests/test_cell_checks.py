@@ -118,6 +118,28 @@ def _verify_system_loop(space, constants, h, order, system):
     return checks
 
 
+def _iterated_pair(name):
+    """(kind, l, k) of an ``iterated-* l->k`` record name, else None."""
+    kind, _, pair = name.partition(" ")
+    if not kind.startswith("iterated-"):
+        return None
+    l, k = map(int, pair.split("->"))
+    return kind, l, k
+
+
+def _dropped(name, h):
+    """An iterated pair l -> k with l < k_fine, which ``verify_system``
+    decides from the pair k_fine -> k alone."""
+    pair = _iterated_pair(name)
+    return pair is not None and pair[1] < h.k_fine
+
+
+def _finest_pairs_oracle(space, constants, h, order, system):
+    """The loop's records minus the dropped pairs."""
+    return [r for r in _verify_system_loop(space, constants, h, order, system)
+            if not _dropped(r.name, h)]
+
+
 def _verify_center_sandwich_loop(space, constants, h, system):
     a0 = constants.A0
     checks = []
@@ -264,7 +286,7 @@ def _assert_equal_to_loops(b, seeds):
     for seed in seeds:
         system = b.machine.system(sample_omega(order, seed))
         assert (verify_system(sp, c, h, order, system)
-                == _verify_system_loop(sp, c, h, order, system))
+                == _finest_pairs_oracle(sp, c, h, order, system))
         assert (verify_center_sandwich(sp, c, h, system)
                 == _verify_center_sandwich_loop(sp, c, h, system))
         rng = np.random.default_rng(seed)
@@ -289,21 +311,60 @@ def test_checks_equal_the_loops_on_clouds(n):
         _assert_equal_to_loops(b, [s])
 
 
-@pytest.mark.parametrize("desc, delta", [("line(64)", 0.9),
-                                         ("power_line(17, 2)", 0.6)])
-def test_system_checks_equal_the_loop_across_many_levels(desc, delta):
-    """The iterated bounds compose one parent map per level step; the loop
-    re-walks the maps from l down to k for every pair of levels."""
+MANY_LEVELS = [("line(64)", 0.9), ("power_line(17, 2)", 0.6)]
+
+
+def _cube_machine(desc, delta):
     sp = generate_space(desc)
     c = compute_constants(sp)
     h = build_nets(sp, c, delta)
     order = build_reference_order(sp, c, h)
-    machine = CubeMachine(sp, c, h, order)
+    return sp, c, h, order, CubeMachine(sp, c, h, order)
+
+
+@pytest.mark.parametrize("desc, delta", MANY_LEVELS)
+def test_system_checks_equal_the_loop_across_many_levels(desc, delta):
+    """The iterated bounds compose the parent maps once from k_fine down; the
+    loop re-walks the maps from l down to k for every pair of levels."""
+    sp, c, h, order, machine = _cube_machine(desc, delta)
     assert h.num_levels > 10
     for seed in (1, 2, 3):
         system = machine.system(sample_omega(order, seed))
         assert (verify_system(sp, c, h, order, system)
-                == _verify_system_loop(sp, c, h, order, system))
+                == _finest_pairs_oracle(sp, c, h, order, system))
+
+
+@pytest.mark.parametrize("desc, delta", SPACES + MANY_LEVELS,
+                         ids=[d for d, _ in SPACES + MANY_LEVELS])
+def test_finest_pairs_decide_every_pair(desc, delta):
+    """Dropping the pairs l -> k with l < k_fine keeps the verdict, and each
+    dropped failure comes with a kept failure: the pair k_fine -> k of the
+    same kind, or the inner ball of z at level l."""
+    sp, c, h, order, machine = _cube_machine(desc, delta)
+    for seed in SEEDS:
+        system = machine.system(sample_omega(order, seed))
+        every = _verify_system_loop(sp, c, h, order, system)
+        kept = verify_system(sp, c, h, order, system)
+        assert all(r.passed for r in kept) == all(r.passed for r in every)
+        failed = {r.name for r in kept if not r.passed}
+        for r in every:
+            if r.passed or not _dropped(r.name, h):
+                continue
+            kind, l, k = _iterated_pair(r.name)
+            assert (f"{kind} {h.k_fine}->{k}" in failed
+                    or f"cube-inner-ball level {l}" in failed), (seed, r.name)
+
+
+def test_system_checks_linear_in_the_levels():
+    """Nine records per level, plus one per failing (cell, kind): 346 levels
+    once gave two iterated records per pair of levels, 120,062 in all."""
+    sp, c, h, order, machine = _cube_machine("line(64)", 0.99)
+    assert h.num_levels == 346
+    records = verify_system(sp, c, h, order,
+                            machine.system(sample_omega(order, 1)))
+    cells = [r for r in records if r.detail.startswith("alpha=")]
+    assert all(not r.passed for r in cells)
+    assert len(records) <= 9 * h.num_levels + len(cells)
 
 
 def test_relaxed_run_fails_cube_checks():
@@ -351,7 +412,7 @@ def test_foreign_z_fails_z_in_children(cloud_bundle):
         zk[alpha] = point
         moved = dataclasses.replace(system, z=replace_level(system.z, k, zk))
         records = verify_system(sp, c, h, order, moved)
-        assert records == _verify_system_loop(sp, c, h, order, moved)
+        assert records == _finest_pairs_oracle(sp, c, h, order, moved)
         assert (f"z-in-children level {k}", "") in _failed(records)
 
 
@@ -369,7 +430,7 @@ def test_moved_point_fails_all_four_cube_checks(grid_bundle):
     moved = dataclasses.replace(system,
                                 cubes=replace_level(system.cubes, k, cubes))
     records = verify_system(sp, c, h, order, moved)
-    assert records == _verify_system_loop(sp, c, h, order, moved)
+    assert records == _finest_pairs_oracle(sp, c, h, order, moved)
     cell = [f for f in _failed(records) if f[1].startswith("alpha=")]
     assert cell == [(f"cube-inner-ball level {k}", f"alpha={alpha}"),
                     (f"cube-outer-ball level {k}", f"alpha={beta}")]
@@ -403,7 +464,7 @@ def test_stolen_centre_escapes_both_balls(cloud_bundle):
     assert detail.endswith(f"; cube leaves outer ball alpha {beta}"
                            f"; inner ball escapes cube alpha {alpha}")
     records = verify_system(sp, c, h, order, stolen)
-    assert records == _verify_system_loop(sp, c, h, order, stolen)
+    assert records == _finest_pairs_oracle(sp, c, h, order, stolen)
     assert not [r for r in records if r.name.startswith("centre-")]
 
 
@@ -424,7 +485,7 @@ def test_outer_balls_at_their_radius(grid_bundle):
         moved = dataclasses.replace(system,
                                     cubes=replace_level(system.cubes, k, cubes))
         records = verify_system(sp, c, h, order, moved)
-        assert records == _verify_system_loop(sp, c, h, order, moved)
+        assert records == _finest_pairs_oracle(sp, c, h, order, moved)
         sandwich = verify_center_sandwich(sp, c, h, moved)
         assert sandwich == _verify_center_sandwich_loop(sp, c, h, moved)
         failed = _failed(records)

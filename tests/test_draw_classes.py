@@ -13,8 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hwave.pipeline import PipelineConfig, _suite_splines, build_bundle
-from hwave.randomized import boundary_layer_probability
+from hwave.pipeline import (PipelineConfig, _suite_splines, build_bundle,
+                            run_pipeline)
+from hwave.randomized import CubeMachine, boundary_layer_probability
 from hwave.space import FIXTURES, generate_space
 from hwave.splines import compute_splines_mc
 
@@ -41,14 +42,14 @@ def bundle_c16():
     return build_bundle(generate_space("cycle(16, scale=1)"), 0.2)
 
 
-def _ancestors_per_draw(machine, outcomes, k):
+def _ancestors_per_draw(machine, seed, nsamples, k):
     """Level-k ancestors of every point, each draw walked from the finest level."""
     h = machine.h
-    nsamples = outcomes.shape[1]
     n = h.level(h.k_fine).size
     anc = np.broadcast_to(np.arange(n, dtype=np.int32), (nsamples, n)).copy()
     for kk in range(h.k_fine - 1, k - 1, -1):
-        anc = machine.parent_tables[kk][outcomes[kk - h.k_coarse][:, None], anc]
+        outcomes = machine.sample_outcomes(seed, nsamples, kk)
+        anc = machine.parent_tables[kk][outcomes[:, None], anc]
     return anc
 
 
@@ -56,10 +57,9 @@ def _splines_per_cell(machine, nsamples, seed):
     """Membership frequency of every cell, one mean over the draws per cell."""
     h = machine.h
     n = h.level(h.k_fine).size
-    outcomes = machine.sample_outcomes(seed, nsamples)
     freq, errs = [], []
     for k in range(h.k_coarse, h.k_fine + 1):
-        anc = _ancestors_per_draw(machine, outcomes, k)
+        anc = _ancestors_per_draw(machine, seed, nsamples, k)
         table = np.zeros((h.level(k).size, n))
         for alpha in range(table.shape[0]):
             table[alpha] = (anc == alpha).mean(axis=0)
@@ -70,7 +70,7 @@ def _splines_per_cell(machine, nsamples, seed):
 
 def _boundary_per_draw(machine, x, k, eps, nsamples, seed):
     """Share of draws whose level-k cube of x has a foreign point within eps delta^k."""
-    anc = _ancestors_per_draw(machine, machine.sample_outcomes(seed, nsamples), k)
+    anc = _ancestors_per_draw(machine, seed, nsamples, k)
     member = anc == anc[:, x][:, None]
     masked = np.where(member, math.inf, machine.space.dist[x][None, :])
     return float((masked.min(axis=1) < eps * machine.h.scale(k)).mean())
@@ -88,10 +88,9 @@ def test_splines_mc_equals_per_cell_oracle(bundle, nsamples):
 
 def test_ancestors_batch_equals_per_draw_walk(bundle):
     h, machine = bundle.hierarchy, bundle.machine
-    outcomes = machine.sample_outcomes(3, 500)
     for k in range(h.k_coarse, h.k_fine + 1):
-        got = machine.ancestors_batch(outcomes, k)
-        want = _ancestors_per_draw(machine, outcomes, k)
+        got = machine.ancestors_batch(3, 500, k)
+        want = _ancestors_per_draw(machine, 3, 500, k)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), k
 
@@ -115,9 +114,8 @@ def test_boundary_layer_equals_per_draw_oracle(bundle):
 def test_draw_classes_partition_the_draws(bundle):
     h, machine = bundle.hierarchy, bundle.machine
     nsamples = 3000
-    outcomes = machine.sample_outcomes(1, nsamples)
     levels = []
-    for k, anc, counts, inverse in machine.draw_classes(outcomes, h.k_coarse):
+    for k, anc, counts, inverse in machine.draw_classes(1, nsamples, h.k_coarse):
         levels.append(k)
         read = h.k_fine - k
         assert counts.sum() == nsamples
@@ -127,7 +125,7 @@ def test_draw_classes_partition_the_draws(bundle):
         # one class per distinct map: rows pairwise distinct, as many as the
         # per-draw walk has distinct rows
         assert np.unique(anc, axis=0).shape[0] == counts.size
-        oracle = _ancestors_per_draw(machine, outcomes, k)
+        oracle = _ancestors_per_draw(machine, 1, nsamples, k)
         assert np.unique(oracle, axis=0).shape[0] == counts.size
     assert levels == list(range(h.k_fine, h.k_coarse - 1, -1))
 
@@ -140,19 +138,40 @@ def test_class_counts_pinned(desc, delta, nsamples, want):
     """Haar-type cubes at delta 1/4 leave one map per level; on cycle(64) at
     0.2 the 9,261 outcome histories of three levels give 23 maps."""
     machine = build_bundle(generate_space(desc), delta).machine
-    outcomes = machine.sample_outcomes(1, nsamples)
     got = [counts.size for _, _, counts, _ in
-           machine.draw_classes(outcomes, machine.h.k_coarse)]
+           machine.draw_classes(1, nsamples, machine.h.k_coarse)]
     assert got == want
 
 
 @pytest.mark.parametrize("nsamples", [1, 7, 1000])
 def test_sample_outcomes_equal_coordinate_draws(bundle, nsamples):
-    machine = bundle.machine
-    got = machine.sample_outcomes(9, nsamples)
+    machine, h = bundle.machine, bundle.hierarchy
     want = machine.outcome_index(*sample_omega_batch(bundle.order, 9, nsamples))
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    for i, k in enumerate(range(h.k_coarse, h.k_fine)):
+        got = machine.sample_outcomes(9, nsamples, k)
+        assert got.shape == want[i].shape
+        assert np.array_equal(got, want[i]), k
+
+
+def test_outcomes_drawn_one_level_at_a_time(monkeypatch):
+    """The walk draws each level's row of outcomes when it reaches the level:
+    no call returns the (levels x draws) matrix, 2.6 GiB at 3,466 levels."""
+    shapes = []
+    draw = CubeMachine.sample_outcomes
+
+    def recorded(self, *args):
+        rows = draw(self, *args)
+        shapes.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(CubeMachine, "sample_outcomes", recorded)
+    config = PipelineConfig(space="line(64)", delta=0.9, nsamples=500)
+    machine = run_pipeline(config).bundle.machine
+    h = machine.h
+    boundary_layer_probability(machine, 0, h.k_coarse, 0.5, 500, 1)
+    machine.ancestors_batch(1, 500, h.k_coarse)
+    assert len(shapes) == 3 * (h.num_levels - 1)
+    assert set(shapes) == {(500,)}
 
 
 @pytest.mark.parametrize("desc,delta,limit_mb", [

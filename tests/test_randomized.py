@@ -81,9 +81,8 @@ def test_chosen_point_probability(bundle_b):
     h, order, machine = bundle_b.hierarchy, bundle_b.order, bundle_b.machine
     tau = 1.0 / ((order.L + 1) * order.M)
     n = 100_000
-    outcomes = machine.sample_outcomes(11, n)
     k = 1
-    z_tab = machine.z_tables[k][outcomes[k - h.k_coarse]]
+    z_tab = machine.z_tables[k][machine.sample_outcomes(11, n, k)]
     lev, nxt = h.level(k), h.level(k + 1)
     for alpha in range(lev.size):
         for pos in children(bundle_b.order, k)[alpha]:
