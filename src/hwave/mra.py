@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .nets import Levels, NetHierarchy
+from .report import float_rows
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -281,9 +282,9 @@ def save_matrix_csv(matrix: np.ndarray, path, labels=None) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "value"])
-        for i, j in zip(*np.nonzero(matrix)):
-            writer.writerow([int(labels[i]), int(labels[j]),
-                             repr(float(matrix[i, j]))])
+        rows, cols = np.nonzero(matrix)
+        texts = (text for text, in float_rows(matrix[rows, cols][:, None]))
+        writer.writerows(zip(labels[rows].tolist(), labels[cols].tolist(), texts))
 
 
 def save_gram_system(h: NetHierarchy, gramsys: Levels, out) -> None:

@@ -6,6 +6,14 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
+# Entries of a float table formatted per block: the block's distinct values
+# and their texts are all a writer holds at a time.
+BLOCK_ENTRIES = 1 << 16
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -34,26 +42,77 @@ def check_flag(name: str, detail: str, ok: bool) -> CheckResult:
                        margin=0.0 if ok else -1.0, passed=bool(ok))
 
 
-def write_json(path, payload: dict) -> None:
-    """Write ``json.dumps(payload, sort_keys=True) + "\n"`` to ``path``.
+def float_rows(a: np.ndarray, for_json: bool = False) -> Iterator[np.ndarray]:
+    """The text of every entry of the 2-D float array ``a``, one row at a
+    time as an object array of str: ``repr`` of the entry, or with ``for_json``
+    what ``json.dumps`` writes for it (``NaN``, ``Infinity``, ``-Infinity``).
 
-    A top-level value that is an iterator is written as a list, one item
-    encoded at a time, so an n x n matrix is never held whole as Python
-    floats and as text at once.
+    Every float an artifact table holds is formatted here, one block of at
+    most BLOCK_ENTRIES entries at a time.  Each distinct bit pattern of a
+    block is formatted once and every entry looks its text up, so a table of
+    few distinct values costs few ``repr`` calls.  Bit patterns, not values,
+    so that 0.0 and -0.0 keep their own texts.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    step = max(1, BLOCK_ENTRIES // max(1, a.shape[1]))
+    for start in range(0, a.shape[0], step):
+        block = a[start:start + step]
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64)
+        texts = np.empty(values.size, dtype=object)
+        texts[:] = list(map(repr, values.tolist()))
+        if for_json and not np.isfinite(values).all():
+            texts[:] = [_JSON_NONFINITE.get(t, t) for t in texts.tolist()]
+        yield from texts[inverse].reshape(block.shape)
+
+
+class JsonText(str):
+    """Text already in JSON form, which ``write_json`` writes as it is."""
+
+
+def json_rows(a: np.ndarray) -> Iterator[JsonText]:
+    """``json.dumps(row.tolist())`` for every row of the 2-D float array ``a``."""
+    for texts in float_rows(a, for_json=True):
+        yield JsonText(f"[{', '.join(texts.tolist())}]")
+
+
+def _json_pieces(value) -> Iterator[str]:
+    """``json.dumps(value, sort_keys=True)`` in pieces.  A dict is written one
+    value at a time, an iterator as a list one item at a time, a float
+    ndarray as its ``json_rows`` and ``JsonText`` as it is."""
+    if isinstance(value, JsonText):
+        yield value
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        rows = json_rows(np.atleast_2d(value))
+        yield from rows if value.ndim == 1 else _json_pieces(rows)
+    elif isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_pieces(value[key])
+        yield "}"
+    elif isinstance(value, Iterator):
+        yield "["
+        for j, item in enumerate(value):
+            if j:
+                yield ", "
+            yield from _json_pieces(item)
+        yield "]"
+    else:
+        yield json.dumps(value, sort_keys=True)
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``json.dumps(payload, sort_keys=True) + "\n"`` to ``path``, where
+    an iterator stands for the list of its items and a float ndarray for
+    ``tolist()`` of it.
+
+    The file is written in pieces (``_json_pieces``), so an n x n matrix is
+    never held whole as Python floats or as text.
     """
     with open(path, "w") as fh:
-        fh.write("{")
-        for i, key in enumerate(sorted(payload)):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            value = payload[key]
-            if isinstance(value, Iterator):
-                fh.write("[")
-                for j, item in enumerate(value):
-                    fh.write(f"{', ' if j else ''}{json.dumps(item, sort_keys=True)}")
-                fh.write("]")
-            else:
-                fh.write(json.dumps(value, sort_keys=True))
-        fh.write("}\n")
+        fh.writelines(_json_pieces(payload))
+        fh.write("\n")
 
 
 def write_report(checks, path) -> None:

@@ -551,8 +551,8 @@ def save_space(space: FiniteSpace, path) -> None:
     write_json(path, {
         "n": space.n,
         "metric": "explicit",
-        "distances": (row.tolist() for row in space.dist),
-        "weights": space.weights.tolist(),
+        "distances": space.dist,
+        "weights": space.weights,
         "scale": 1.0,
         "name": space.name,
     })

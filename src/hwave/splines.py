@@ -15,7 +15,7 @@ import numpy as np
 
 from .nets import Levels, NetHierarchy
 from .randomized import CubeMachine
-from .report import CheckResult, check_flag
+from .report import CheckResult, check_flag, float_rows
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -180,10 +180,14 @@ def save_splines(h: NetHierarchy, table: Levels, path) -> None:
         fh.write("level\talpha_id\tpoint_id\tvalue\n")
         for k in range(h.k_coarse, h.k_fine + 1):
             vals = table.at(k)
-            points = [f"\t{x}\t" for x in range(vals.shape[1])]
-            # one row of Python floats at a time: a whole level would add
-            # ~2 MB to the peak at n = 256
-            for center, row in zip(h.level(k).tolist(), vals):
-                head = f"{k}\t{center}"
-                fh.write("".join([f"{head}{p}{v!r}\n"
-                                  for p, v in zip(points, row.tolist())]))
+            # the file rows of one centre: (head, point, value, newline)
+            # pieces, joined once (an object array's elementwise + is
+            # slower); only one centre's text and one block's value texts
+            # are held at a time
+            pieces = np.empty((vals.shape[1], 4), dtype=object)
+            pieces[:, 1] = [f"\t{x}\t" for x in range(vals.shape[1])]
+            pieces[:, 3] = "\n"
+            for center, texts in zip(h.level(k).tolist(), float_rows(vals)):
+                pieces[:, 0] = f"{k}\t{center}"
+                pieces[:, 2] = texts
+                fh.write("".join(pieces.ravel().tolist()))

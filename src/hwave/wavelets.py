@@ -15,7 +15,7 @@ import numpy as np
 
 from .mra import DECAY_FLOOR, NotSPDError, _block_inverse, _eigh_blocks
 from .nets import Levels, NetHierarchy
-from .report import check_error, check_flag, write_json
+from .report import check_error, check_flag, json_rows, write_json
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -231,11 +231,13 @@ def decay_and_regularity_report(space: FiniteSpace, constants: SpaceConstants,
 
 def save_basis(h: NetHierarchy, basis: WaveletBasis, path) -> None:
     members = ({
-        "level": int(basis.levels[i]),
-        "center": int(basis.centers[i]),
-        "kind": "wavelet" if bool(basis.is_wavelet[i]) else "scaling",
-        "values": basis.values[i].tolist(),
-    } for i in range(basis.n_members))
+        "level": level,
+        "center": center,
+        "kind": "wavelet" if wavelet else "scaling",
+        "values": values,
+    } for level, center, wavelet, values in zip(
+        basis.levels.tolist(), basis.centers.tolist(),
+        basis.is_wavelet.tolist(), json_rows(basis.values)))
     write_json(path, {
         "n": basis.space.n,
         "delta": basis.delta,

@@ -1,6 +1,9 @@
 """Small helpers that only the tests read."""
+import csv
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -197,3 +200,53 @@ def size_redundancy_check(space: FiniteSpace, basis: WaveletBasis,
     vol = volume_matrix(space)
     mask = ~np.eye(space.n, dtype=bool)
     return float((np.abs(K) * vol)[mask].max())
+
+
+# The artifact writers as they were before every float of a table went
+# through ``report.float_rows``: each entry formatted on its own by ``repr``
+# or ``json.dumps``.  The writers must reproduce these bytes.
+
+def save_space_oracle(space: FiniteSpace, path) -> None:
+    Path(path).write_text(json.dumps({
+        "n": space.n,
+        "metric": "explicit",
+        "distances": space.dist.tolist(),
+        "weights": space.weights.tolist(),
+        "scale": 1.0,
+        "name": space.name,
+    }, sort_keys=True) + "\n")
+
+
+def save_basis_oracle(h, basis: WaveletBasis, path) -> None:
+    Path(path).write_text(json.dumps({
+        "n": basis.space.n,
+        "delta": basis.delta,
+        "k_coarse": h.k_coarse,
+        "k_fine": h.k_fine,
+        "members": [{
+            "level": int(basis.levels[i]),
+            "center": int(basis.centers[i]),
+            "kind": "wavelet" if bool(basis.is_wavelet[i]) else "scaling",
+            "values": basis.values[i].tolist(),
+        } for i in range(basis.n_members)],
+    }, sort_keys=True) + "\n")
+
+
+def save_splines_oracle(h, table: Levels, path) -> None:
+    with Path(path).open("w") as fh:
+        fh.write("level\talpha_id\tpoint_id\tvalue\n")
+        for k in range(h.k_coarse, h.k_fine + 1):
+            for center, row in zip(h.level(k).tolist(), table.at(k)):
+                for x, v in enumerate(row.tolist()):
+                    fh.write(f"{k}\t{center}\t{x}\t{v!r}\n")
+
+
+def save_matrix_csv_oracle(matrix: np.ndarray, path, labels=None) -> None:
+    if labels is None:
+        labels = np.arange(matrix.shape[0])
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "col", "value"])
+        for i, j in zip(*np.nonzero(matrix)):
+            writer.writerow([int(labels[i]), int(labels[j]),
+                             repr(float(matrix[i, j]))])

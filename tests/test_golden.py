@@ -37,11 +37,17 @@ GOLDEN = {
         "constants.json": "0bdfeb9456812eb5edefeefc15728eec8f3fe295763d0e569e66d93d9de75978",
         "nets.json": "6a859df35859a35cfa56665ea8f0fa0f51fa71f6c7d2f5fe25119ac5d49b58e7",
         "system.json": "d204dcaa8c9a03ca67ddc65d4420c54680323728cd05008dd96f7c1792faaf8f",
+        # recorded before each distinct float of a table was formatted once
+        # per block, as the two below
+        "space.json": "a28bfa76feb920da93c41a3fdc8b564ab7eca3c80ee5da88352b1810521467c5",
     },
     ("grid(16,2)", 0.25): {
         "constants.json": "cb6e8989586638d5287f145f8c6e47e3f6b5d2d146f23a3feb17910ded19f74d",
         "nets.json": "8d3eebe7d7a3bc3d9f02226bf93d12add39f8cc14113fd3db8ded8c1f43fb06e",
         "system.json": "0a49dd930d041234cadd37cc8fadbcb1943131d4ad5d9c7dd47e8852a5b98127",
+        # integer distances and 0/1 splines: no BLAS in either
+        "space.json": "e997359ae39e8ddb5967e1689d50ee286ce718548b480245ad22d0921342b205",
+        "splines.tsv": "826111fc25273f92ead8465f4c0a01c18ff1320edb59fb482f81de92b9e5d183",
     },
 }
 
