@@ -329,9 +329,6 @@ class CubeMachine:
     def draw_classes(self, seed: int, nsamples: int, k: int):
         """Walk a batch of draws once, from level k_fine down to level k,
         drawing each level's outcomes (``sample_outcomes``) as it is reached.
-        A level whose outcomes all give one parent map is not drawn: its map
-        applies to every class.  Each level has its own random stream, so the
-        other levels' draws do not change.
 
         Yields ``(level, anc, counts, inverse)``, finest level first.  Draws
         whose outcomes at levels ``level`` .. k_fine - 1 compose to the same
@@ -353,14 +350,10 @@ class CubeMachine:
         yield h.k_fine, anc, counts, inverse
         for kk in range(h.k_fine - 1, k - 1, -1):
             table = self.parent_tables[kk]
-            if (table == table[0]).all():
-                key, n_out = inverse, 1
-            else:
-                n_out = self.n_outcomes
-                key = inverse * n_out + self.sample_outcomes(seed, nsamples, kk)
-            size = counts.size * n_out
+            key = inverse * self.n_outcomes + self.sample_outcomes(seed, nsamples, kk)
+            size = counts.size * self.n_outcomes
             pairs = np.flatnonzero(np.bincount(key, minlength=size))
-            prev, out = np.divmod(pairs, n_out)
+            prev, out = np.divmod(pairs, self.n_outcomes)
             rows = table[out[:, None], anc[prev]]
             first = {}
             merged = [first.setdefault(row.tobytes(), len(first)) for row in rows]
