@@ -283,6 +283,7 @@ def save_matrix_csv(matrix: np.ndarray, path, labels=None) -> None:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "value"])
         rows, cols = np.nonzero(matrix)
+        # one value per row, so a block holds BLOCK_ENTRIES of them
         texts = (text for text, in float_rows(matrix[rows, cols][:, None]))
         writer.writerows(zip(labels[rows].tolist(), labels[cols].tolist(), texts))
 

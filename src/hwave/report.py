@@ -1,4 +1,6 @@
-"""Self-describing verification report records shared by the pipeline and CLI."""
+"""Self-describing verification report records shared by the pipeline and
+CLI, and the writers that format every float of an artifact table and every
+JSON artifact."""
 from __future__ import annotations
 
 import json
@@ -42,10 +44,10 @@ def check_flag(name: str, detail: str, ok: bool) -> CheckResult:
                        margin=0.0 if ok else -1.0, passed=bool(ok))
 
 
-def float_rows(a: np.ndarray, for_json: bool = False) -> Iterator[np.ndarray]:
+def float_rows(a: np.ndarray, for_json: bool = False) -> Iterator[list]:
     """The text of every entry of the 2-D float array ``a``, one row at a
-    time as an object array of str: ``repr`` of the entry, or with ``for_json``
-    what ``json.dumps`` writes for it (``NaN``, ``Infinity``, ``-Infinity``).
+    time as a list of str: ``repr`` of the entry, or with ``for_json`` what
+    ``json.dumps`` writes for it (``NaN``, ``Infinity``, ``-Infinity``).
 
     Every float an artifact table holds is formatted here, one block of at
     most BLOCK_ENTRIES entries at a time.  Each distinct bit pattern of a
@@ -59,11 +61,10 @@ def float_rows(a: np.ndarray, for_json: bool = False) -> Iterator[np.ndarray]:
         block = a[start:start + step]
         bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
         values = bits.view(np.float64)
-        texts = np.empty(values.size, dtype=object)
-        texts[:] = list(map(repr, values.tolist()))
+        texts = list(map(repr, values.tolist()))
         if for_json and not np.isfinite(values).all():
-            texts[:] = [_JSON_NONFINITE.get(t, t) for t in texts.tolist()]
-        yield from texts[inverse].reshape(block.shape)
+            texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+        yield from np.array(texts, dtype=object)[inverse].reshape(block.shape).tolist()
 
 
 class JsonText(str):
@@ -73,46 +74,44 @@ class JsonText(str):
 def json_rows(a: np.ndarray) -> Iterator[JsonText]:
     """``json.dumps(row.tolist())`` for every row of the 2-D float array ``a``."""
     for texts in float_rows(a, for_json=True):
-        yield JsonText(f"[{', '.join(texts.tolist())}]")
+        yield JsonText(f"[{', '.join(texts)}]")
 
 
-def _json_pieces(value) -> Iterator[str]:
-    """``json.dumps(value, sort_keys=True)`` in pieces.  A dict is written one
-    value at a time, an iterator as a list one item at a time, a float
-    ndarray as its ``json_rows`` and ``JsonText`` as it is."""
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True)``, where ``JsonText``, alone or as
+    a value of a dict, is written as it is."""
     if isinstance(value, JsonText):
-        yield value
-    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
-        rows = json_rows(np.atleast_2d(value))
-        yield from rows if value.ndim == 1 else _json_pieces(rows)
-    elif isinstance(value, dict):
-        yield "{"
-        for i, key in enumerate(sorted(value)):
-            yield f"{', ' if i else ''}{json.dumps(key)}: "
-            yield from _json_pieces(value[key])
-        yield "}"
-    elif isinstance(value, Iterator):
-        yield "["
-        for j, item in enumerate(value):
-            if j:
-                yield ", "
-            yield from _json_pieces(item)
-        yield "]"
-    else:
-        yield json.dumps(value, sort_keys=True)
+        return value
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_json_text(value[key])}"
+                               for key in sorted(value)) + "}"
+    return json.dumps(value, sort_keys=True)
 
 
 def write_json(path, payload: dict) -> None:
-    """Write ``json.dumps(payload, sort_keys=True) + "\n"`` to ``path``, where
-    an iterator stands for the list of its items and a float ndarray for
-    ``tolist()`` of it.
+    """Write ``json.dumps(payload, sort_keys=True) + "\n"`` to ``path``.
 
-    The file is written in pieces (``_json_pieces``), so an n x n matrix is
-    never held whole as Python floats or as text.
+    A top-level value that is an iterator is written as a list, one item
+    encoded at a time (``_json_text``), and one that is a float ndarray as
+    its ``tolist()``, one row at a time (``json_rows``), so an n x n matrix
+    is never held whole as Python floats or as text.
     """
     with open(path, "w") as fh:
-        fh.writelines(_json_pieces(payload))
-        fh.write("\n")
+        fh.write("{")
+        for i, key in enumerate(sorted(payload)):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            value = payload[key]
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                rows = json_rows(np.atleast_2d(value))
+                value = rows if value.ndim == 2 else next(rows)
+            if isinstance(value, Iterator):
+                fh.write("[")
+                for j, item in enumerate(value):
+                    fh.write(f"{', ' if j else ''}{_json_text(item)}")
+                fh.write("]")
+            else:
+                fh.write(_json_text(value))
+        fh.write("}\n")
 
 
 def write_report(checks, path) -> None:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hwave.report import write_json
+from hwave.report import JsonText, json_rows, write_json
 
 
 def _members(n):
@@ -26,11 +26,14 @@ def _members(n):
     lambda: {"m": np.array([[0.0, -0.0, math.nan], [math.inf, -math.inf, 1e16]]),
              "w": np.array([1e-7, 5e-324, -1.5]), "n": 2},
     lambda: {"none": np.zeros((0, 3)), "empty": np.zeros(0)},
-    lambda: {"members": iter([{"values": np.array([math.nan, -0.0]), "k": 1}]),
-             "rows": iter(np.eye(2))},
+    lambda: {"members": iter([{"values": next(json_rows(np.array([[math.nan, -0.0]]))),
+                               "k": 1}]),
+             "rows": json_rows(np.eye(2))},
 ])
 def test_write_json_equals_dumps(tmp_path, payload_of):
     def listed(value):
+        if isinstance(value, JsonText):
+            return json.loads(value)
         if isinstance(value, np.ndarray):
             return value.tolist()
         if isinstance(value, dict):

@@ -108,8 +108,8 @@ def test_tables_of_several_blocks_equal_oracles(tmp_path):
                 Levels(0, (table,)))
     rows = list(json_rows(table))
     assert rows == [json.dumps(row) for row in table.tolist()]
-    texts = np.concatenate(list(float_rows(table)))
-    assert texts.tolist() == [repr(v) for v in table.ravel().tolist()]
+    texts = [text for row in float_rows(table) for text in row]
+    assert texts == [repr(v) for v in table.ravel().tolist()]
 
 
 def test_save_space_streams(tmp_path):
