@@ -277,8 +277,7 @@ def save_matrix_csv(matrix: np.ndarray, path, labels=None) -> None:
 
     ``labels`` names the rows and columns (default: their indices).
     """
-    if labels is None:
-        labels = np.arange(matrix.shape[0])
+    labels = np.arange(matrix.shape[0]) if labels is None else np.asarray(labels)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "value"])
