@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .nets import Levels, NetHierarchy
-from .report import float_rows
+from .report import nonzero_entries
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -53,6 +54,12 @@ def decay_exponent_s(constants: SpaceConstants) -> float:
     if constants.A0 <= 1.0:
         return 1.0
     return 1.0 / (1.0 + math.log2(constants.A0))
+
+
+def _flat(idx: np.ndarray, n: int) -> np.ndarray:
+    """Positions in the ravel of an n x n matrix of the (c, s, s) blocks on
+    the index groups ``idx`` (c, s)."""
+    return idx[:, :, None] * n + idx[:, None, :]
 
 
 def _eigh_blocks(M: np.ndarray, name: str):
@@ -90,8 +97,7 @@ def _eigh_blocks(M: np.ndarray, name: str):
     blocks = []
     lo, hi = math.inf, -math.inf
     for start, stop in zip(cuts, cuts[1:]):
-        idx = order[start:stop].reshape(-1, size[start])
-        flat = idx[:, :, None] * n + idx[:, None, :]
+        flat = _flat(order[start:stop].reshape(-1, size[start]), n)
         w, U = np.linalg.eigh(M.take(flat))
         lo, hi = min(lo, w[:, 0].min()), max(hi, w[:, -1].max())
         blocks.append((flat, w, U))
@@ -142,39 +148,54 @@ def inverse_and_sqrt(M: np.ndarray):
     return _block_inverse(n, blocks), _block_inverse(n, blocks, root=True)
 
 
-def neumann_inverse_and_sqrt(M: np.ndarray):
+def neumann_inverse_and_sqrt(M: np.ndarray, groups=None):
     """Series route: write M = h (I - A) and sum powers of A.
 
     Returns (inverse, inverse square root, contraction ratio r, #terms).
     The square-root series uses the central binomial coefficients, which are
     bounded by one, so both tails are controlled by r^(N+1) / (1 - r).
+
+    ``groups`` are the index groups (c, s) of M's connected components, one
+    array per size (``GramLevel.groups``); default all of M as one.  The
+    series runs on each (c, s, s) stack at once, with the h and r of all of
+    M from the eigenvalues of every stack, and is 0.0 between components.
     """
     M = np.asarray(M, dtype=float)
-    eigs = np.linalg.eigvalsh(M)
-    if eigs[0] <= 0.0:
-        raise NotSPDError("Neumann route needs a positive definite matrix")
-    norm_m = float(eigs[-1])
-    norm_minv = 1.0 / float(eigs[0])
-    hconst = 0.5 * (norm_m + norm_minv)
     n = M.shape[0]
-    A = np.eye(n) - M / hconst
-    r = float(np.abs(np.linalg.eigvalsh(A)).max())
+    flats = [_flat(idx, n) for idx in ((np.arange(n)[None],) if groups is None
+                                       else groups)]
+    stacks = [M.take(flat) for flat in flats]
+    eigs = [np.linalg.eigvalsh(S) for S in stacks]
+    least = min(float(e[:, 0].min()) for e in eigs)
+    if least <= 0.0:
+        raise NotSPDError("Neumann route needs a positive definite matrix")
+    norm_m = max(float(e[:, -1].max()) for e in eigs)
+    hconst = 0.5 * (norm_m + 1.0 / least)
+    A = [np.eye(S.shape[1]) - S / hconst for S in stacks]
+    r = max(float(np.abs(np.linalg.eigvalsh(a)).max()) for a in A)
     if r >= 1.0:
         raise NotSPDError("series does not contract")
-    inv_sum = np.eye(n)
-    sqrt_sum = np.eye(n)
-    power = np.eye(n)
-    c = 1.0
     terms = 0
     while r ** (terms + 1) / (1.0 - r) >= SERIES_TOL:
-        power = power @ A
-        c = c * (2 * terms + 1) / (2 * terms + 2)
-        inv_sum += power
-        sqrt_sum += c * power
         terms += 1
         if terms > SERIES_MAX_TERMS:
             raise NotSPDError("series did not converge within the term budget")
-    return inv_sum / hconst, sqrt_sum / math.sqrt(hconst), r, terms
+    inverse, isqrt = np.zeros(n * n), np.zeros(n * n)
+    for flat, a in zip(flats, A):
+        # blocks of one entry multiply elementwise, as matmul would
+        mul = np.matmul if a.shape[1] > 1 else np.multiply
+        power = np.eye(a.shape[1])
+        inv_sum = np.zeros_like(a) + power
+        sqrt_sum = inv_sum.copy()
+        c = 1.0
+        for t in range(terms):
+            power = mul(power, a)
+            c = c * (2 * t + 1) / (2 * t + 2)
+            inv_sum += power
+            sqrt_sum += c * power
+        inverse[flat] = inv_sum / hconst
+        isqrt[flat] = sqrt_sum / math.sqrt(hconst)
+    return inverse.reshape(n, n), isqrt.reshape(n, n), r, terms
 
 
 @dataclass(frozen=True)
@@ -243,6 +264,15 @@ class GramLevel:
     stilde: np.ndarray
     phi: np.ndarray
     riesz: tuple[float, float]
+    groups: tuple  # index groups (c, s) of M's components, one per size s
+
+    def stacks(self, *matrices: np.ndarray) -> Iterator[tuple]:
+        """Per index group, the (c, s, s) blocks of each n x n matrix on
+        those components; M, Minv and Misqrt are 0.0 off the components."""
+        n = self.M.shape[0]
+        for idx in self.groups:
+            flat = _flat(idx, n)
+            yield tuple(m.take(flat) for m in matrices)
 
 
 def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
@@ -267,8 +297,11 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
                 f"level {k} dual-system identities failed "
                 f"(bio {err_bio:.2e}, ortho {err_ortho:.2e}, mass {err_mass:.2e})"
             )
+        # each block's index rows, from the positions of its first row
+        groups = tuple(flat[:, 0] % n for flat, _, _ in blocks)
         out.append(GramLevel(M=M, volumes=vol, Minv=Minv, Misqrt=Misqrt,
-                             stilde=stilde, phi=phi, riesz=riesz))
+                             stilde=stilde, phi=phi, riesz=riesz,
+                             groups=groups))
     return Levels(h.k_coarse, tuple(out))
 
 
@@ -281,10 +314,9 @@ def save_matrix_csv(matrix: np.ndarray, path, labels=None) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "value"])
-        rows, cols = np.nonzero(matrix)
-        # one value per row, so a block holds BLOCK_ENTRIES of them
-        texts = (text for text, in float_rows(matrix[rows, cols][:, None]))
-        writer.writerows(zip(labels[rows].tolist(), labels[cols].tolist(), texts))
+        for rows, cols, texts in nonzero_entries(matrix):
+            writer.writerows(zip(labels[rows].tolist(), labels[cols].tolist(),
+                                 texts))
 
 
 def save_gram_system(h: NetHierarchy, gramsys: Levels, out) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .nets import Levels, NetHierarchy
 from .randomized import CubeMachine
-from .report import CheckResult, check_flag, float_rows
+from .report import CheckResult, check_flag, nonzero_entries
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -175,19 +175,22 @@ def verify_spline_table(space: FiniteSpace, constants: SpaceConstants,
 
 
 def save_splines(h: NetHierarchy, table: Levels, path) -> None:
-    """One TSV row per (level, centre, point) with the spline value."""
+    """One TSV row per (level, centre, point) where the spline value is
+    ``!= 0.0``; an absent row reads 0.0."""
     with Path(path).open("w") as fh:
         fh.write("level\talpha_id\tpoint_id\tvalue\n")
         for k in range(h.k_coarse, h.k_fine + 1):
             vals = table.at(k)
-            # the file rows of one centre: (head, point, value, newline)
-            # pieces, joined once (an object array's elementwise + is
-            # slower); only one centre's text and one block's value texts
-            # are held at a time
-            pieces = np.empty((vals.shape[1], 4), dtype=object)
-            pieces[:, 1] = [f"\t{x}\t" for x in range(vals.shape[1])]
-            pieces[:, 3] = "\n"
-            for center, texts in zip(h.level(k).tolist(), float_rows(vals)):
-                pieces[:, 0] = f"{k}\t{center}"
+            heads = np.array([f"{k}\t{center}\t"
+                              for center in h.level(k).tolist()], dtype=object)
+            points = np.array([f"{x}\t" for x in range(vals.shape[1])],
+                              dtype=object)
+            # a block's rows from (head, point, value, newline) pieces,
+            # joined once: no string is made per row
+            for rows, cols, texts in nonzero_entries(vals):
+                pieces = np.empty((len(texts), 4), dtype=object)
+                pieces[:, 0] = heads[rows]
+                pieces[:, 1] = points[cols]
                 pieces[:, 2] = texts
+                pieces[:, 3] = "\n"
                 fh.write("".join(pieces.ravel().tolist()))

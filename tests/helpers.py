@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 
 from hwave.analysis import _wavelet_ball_volumes, volume_matrix
+from hwave.mra import neumann_inverse_and_sqrt
 from hwave.nets import Levels, ReferenceOrder
 from hwave.randomized import _sample_level
+from hwave.report import check_error
 from hwave.space import FiniteSpace, SpaceConstants
 from hwave.wavelets import WaveletBasis
 
@@ -250,3 +252,39 @@ def save_matrix_csv_oracle(matrix: np.ndarray, path, labels=None) -> None:
         for i, j in zip(*np.nonzero(matrix)):
             writer.writerow([int(labels[i]), int(labels[j]),
                              repr(float(matrix[i, j]))])
+
+
+def suite_mra_oracle(b, rng):
+    """The mra suite as it was before its checks ran per Gram component:
+    residuals from products of whole n x n matrices and the series on all
+    of M.  The per-component suite must give the same records."""
+    checks = []
+    h = b.hierarchy
+    for k in range(h.k_coarse, h.k_fine + 1):
+        lv = b.gramsys.at(k)
+        n = lv.M.shape[0]
+        err_inv = float(np.abs(lv.Minv @ lv.M - np.eye(n)).max())
+        err_sqrt = float(np.abs(lv.Misqrt @ lv.Misqrt @ lv.M - np.eye(n)).max())
+        checks.append(check_error(f"gram-inverse level {k}", "residual of M^-1 M",
+                                  err_inv, 1e-10))
+        checks.append(check_error(f"gram-inverse-sqrt level {k}",
+                                  "residual of (M^-1/2)^2 M", err_sqrt, 1e-10))
+        ninv, nsqrt, r, terms = neumann_inverse_and_sqrt(lv.M)
+        agree = max(float(np.abs(ninv - lv.Minv).max()),
+                    float(np.abs(nsqrt - lv.Misqrt).max()))
+        checks.append(check_error(
+            f"series-vs-eigen level {k}",
+            f"ratio {r:.3g}, {terms} terms", agree, 1e-10))
+        lo, hi = lv.riesz
+        worst = 0.0
+        lams = rng.normal(size=(100, n))
+        for lam, f in zip(lams, lams @ b.splines.at(k)):
+            lhs = b.space.inner(f, f)
+            mass = float((lam**2 * lv.volumes).sum())
+            worst = max(worst,
+                        (lo * mass - lhs) / max(lhs, 1e-30),
+                        (lhs - hi * mass) / max(lhs, 1e-30))
+        checks.append(check_error(f"riesz-bounds level {k}",
+                                  f"[{lo:.4g}, {hi:.4g}] on 100 random vectors",
+                                  worst, 1e-10))
+    return checks

@@ -93,7 +93,9 @@ def test_splines_build_writes_tsv(tmp_path):
                  "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "splines.tsv").read_text().strip().splitlines()
     assert rows[0] == "level\talpha_id\tpoint_id\tvalue"
-    assert len(rows) == 1 + 4 + 16  # one coarse row block plus the identity
+    # only nonzero values: the one coarse spline on all 4 points, then
+    # the identity's diagonal
+    assert len(rows) == 1 + 4 + 4
 
 
 def test_mra_commands(tmp_path, capsys):

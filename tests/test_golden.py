@@ -22,8 +22,10 @@ GOLDEN = {
         "constants.json": "edb54e655af3ad45d711b1f3339246b4a5d3a917570d5b81306b30661e7d7b1c",
         "nets.json": "c01270f6e68b19c6df4845d2545b1ddda16680fc3103505cf84b99ab636e237b",
         "system.json": "db1bdda3344a4610595b630e85e7aadf5eca400b7fa6302abd7dc9aabe6f0b88",
-        # values written as Python floats (1.0, not np.float64(1.0))
-        "splines.tsv": "abe965a81d8a83efa34e6874aa1e888f4245ff4da3468c22bddb4abdf871c054",
+        # values written as Python floats (1.0, not np.float64(1.0)); re-pinned
+        # when the file kept only its nonzero rows: the earlier file
+        # (abe965a8...) with its 0.0 rows removed
+        "splines.tsv": "0ec2c4d6931250afe5eadda81a70d24720393fcf7dface56c5551c470cca3fd4",
     },
     ("cycle(16, scale=1)", 0.2): {
         "nets.json": "497cd7ee9bafffd8023cb8518f4cadc204e2bb0d1a40d9df9ba6848da7029e79",
@@ -47,7 +49,9 @@ GOLDEN = {
         "system.json": "0a49dd930d041234cadd37cc8fadbcb1943131d4ad5d9c7dd47e8852a5b98127",
         # integer distances and 0/1 splines: no BLAS in either
         "space.json": "e997359ae39e8ddb5967e1689d50ee286ce718548b480245ad22d0921342b205",
-        "splines.tsv": "826111fc25273f92ead8465f4c0a01c18ff1320edb59fb482f81de92b9e5d183",
+        # re-pinned when the file kept only its nonzero rows: the earlier
+        # file (826111fc...) with its 0.0 rows removed, 768 of 69,888 left
+        "splines.tsv": "37424d931a8fedc7630225fade91ec1cc60c24887fb5424f189cddc8ceff4daa",
     },
 }
 

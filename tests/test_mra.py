@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 from hwave.mra import (NotSPDError, decay_exponent_s, decay_fit,
                        fit_decay_exponent, inverse_and_sqrt,
                        neumann_inverse_and_sqrt)
-from hwave.space import (FiniteSpace, compute_constants, generate_space,
-                         resolve_space)
-from hwave.pipeline import build_bundle
+from hwave.space import (FIXTURES, FiniteSpace, compute_constants,
+                         generate_space, resolve_space)
+from hwave.pipeline import _suite_mra, build_bundle
 
-from helpers import (chain_constants, rescale, riesz_bounds,
-                     separated_sum_check)
+from helpers import (chain_constants, replace_level, rescale, riesz_bounds,
+                     separated_sum_check, suite_mra_oracle)
 
 SETTINGS = dict(deadline=None, max_examples=20)
 
@@ -127,6 +128,84 @@ def test_neumann_route_agrees():
 def test_neumann_rejects_indefinite():
     with pytest.raises(NotSPDError):
         neumann_inverse_and_sqrt(np.diag([1.0, -1.0]))
+
+
+# ---------------------------------------------------------------------------
+# The mra suite, one pass per Gram component
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("descriptor,delta", [
+    (FIXTURES["FIX-B"], 0.25),
+    ("grid(16,2)", 0.25),
+    ("cycle(64, scale=1)", 0.2),
+    ("random_cloud(64,2,3)", 0.1),
+    ("power_line(33,2)", 0.05),
+])
+def test_suite_mra_equals_the_dense_oracle(descriptor, delta):
+    b = build_bundle(generate_space(descriptor), delta)
+    got = _suite_mra(b, np.random.default_rng(7))
+    assert got == suite_mra_oracle(b, np.random.default_rng(7))
+    assert all(c.passed for c in got)
+
+
+def _interleaved_gram(rng, sizes):
+    """A block-diagonal SPD matrix with components of the given sizes, its
+    indices shuffled so that the components interleave; and its index
+    groups as ``GramLevel.groups`` holds them: one (c, s) array per size s,
+    ascending, each component's indices ascending, components by least
+    index."""
+    n = sum(sizes)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    M = np.zeros((n, n))
+    for j, size in enumerate(sizes):
+        A = rng.normal(size=(size, size)) * 0.15
+        M[np.ix_(label == j, label == j)] = np.eye(size) + 0.5 * (A + A.T)
+    perm = rng.permutation(n)
+    M, label = M[np.ix_(perm, perm)], label[perm]
+    members = sorted((np.flatnonzero(label == j) for j in range(len(sizes))),
+                     key=lambda idx: idx[0])
+    groups = tuple(np.array([idx for idx in members if idx.size == s])
+                   for s in sorted(set(sizes)))
+    return M, groups
+
+
+def test_series_per_component_equals_the_dense_series():
+    M, groups = _interleaved_gram(np.random.default_rng(11), [1, 2, 3, 2, 3, 1])
+    assert [g.shape for g in groups] == [(2, 1), (2, 2), (2, 3)]
+    assert np.diff(groups[2], axis=1).max() > 1  # interleaved, not contiguous
+    ninv, nsqrt, r, terms = neumann_inverse_and_sqrt(M, groups)
+    dinv, dsqrt, dr, dterms = neumann_inverse_and_sqrt(M)
+    # eigvalsh of the whole matrix and of its blocks may round r apart by a
+    # few ulps (up to 14 over 200 seeds); the term count is the same
+    assert terms == dterms > 10
+    assert r == pytest.approx(dr, rel=1e-14, abs=0)
+    np.testing.assert_allclose(ninv, dinv, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(nsqrt, dsqrt, rtol=0, atol=1e-15)
+    assert np.all(ninv[M == 0.0] == 0.0) and np.all(nsqrt[M == 0.0] == 0.0)
+    inv, isqrt = inverse_and_sqrt(M)
+    np.testing.assert_allclose(ninv, inv, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(nsqrt, isqrt, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("descriptor,delta,k,group,component", [
+    ("grid(16,2)", 0.25, -1, 0, 5),       # one of 16 components of size 1
+    ("cycle(64, scale=1)", 0.2, -1, 0, 0),  # the one component of size 12
+])
+def test_suite_mra_fails_on_one_perturbed_component(descriptor, delta, k,
+                                                    group, component):
+    b = build_bundle(generate_space(descriptor), delta)
+    lv = b.gramsys.at(k)
+    idx = lv.groups[group][component]
+    Minv = lv.Minv.copy()
+    Minv[np.ix_(idx, idx)] += 1e-8
+    broken = dataclasses.replace(b, gramsys=replace_level(
+        b.gramsys, k, dataclasses.replace(lv, Minv=Minv)))
+    checks = {c.name: c for c in _suite_mra(broken, np.random.default_rng(7))}
+    assert not checks[f"gram-inverse level {k}"].passed
+    assert not checks[f"series-vs-eigen level {k}"].passed
+    assert checks[f"gram-inverse-sqrt level {k}"].passed
+    assert all(c.passed for name, c in checks.items() if f"level {k}" not in name)
 
 
 def test_nonsymmetric_inverse_route():

@@ -1,14 +1,18 @@
 """The artifact writers against the per-entry oracles in ``helpers``.
 
 Every float of ``space.json``, ``basis.json``, ``splines.tsv`` and the CSV
-tables goes through ``report.float_rows``, which formats each distinct bit
-pattern of a block once.  The files must be the oracles' bytes, on real
-bundles and on tables with injected values and several blocks.
+tables goes through ``report.float_rows`` or ``report.nonzero_entries``,
+which format one block at a time.  The files must be the oracles' bytes, on
+real bundles and on tables with injected values and several blocks;
+``splines.tsv`` holds the oracle's rows whose value is not 0.0, as the CSV
+tables always have.
 """
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +45,15 @@ SPACES = [
 INJECTED = [-0.0, 5e-324, 1e16, 1e-7, math.nan]
 
 
+def save_splines_nonzero_oracle(h, table: Levels, path) -> None:
+    """The per-entry oracle's file without its ``value == 0.0`` rows: the
+    -0.0 rows go, the NaN rows stay."""
+    save_splines_oracle(h, table, path)
+    head, *rows = Path(path).read_text().splitlines(keepends=True)
+    Path(path).write_text(head + "".join(
+        row for row in rows if float(row.split("\t")[3]) != 0.0))
+
+
 def _same_bytes(tmp_path, write, oracle, *args):
     write(*args, tmp_path / "got")
     oracle(*args, tmp_path / "want")
@@ -58,7 +71,8 @@ def test_writers_equal_oracles(tmp_path, bundle):
     h = bundle.hierarchy
     _same_bytes(tmp_path, save_space, save_space_oracle, bundle.space)
     _same_bytes(tmp_path, save_basis, save_basis_oracle, h, bundle.basis)
-    _same_bytes(tmp_path, save_splines, save_splines_oracle, h, bundle.splines)
+    _same_bytes(tmp_path, save_splines, save_splines_nonzero_oracle, h,
+                bundle.splines)
     save_gram_system(h, bundle.gramsys, tmp_path)
     for k in range(h.k_coarse, h.k_fine + 1):
         save_matrix_csv_oracle(bundle.gramsys.at(k).M, tmp_path / "want.csv",
@@ -90,7 +104,10 @@ def test_injected_values_equal_oracles(tmp_path, bundle_b):
     _same_bytes(tmp_path, save_basis, save_basis_oracle, h, basis)
     splines = Levels(h.k_coarse, tuple(_injected(t.shape, 2 + i)
                                        for i, t in enumerate(bundle_b.splines)))
-    _same_bytes(tmp_path, save_splines, save_splines_oracle, h, splines)
+    _same_bytes(tmp_path, save_splines, save_splines_nonzero_oracle, h, splines)
+    values = [row.split("\t")[3] for row in
+              (tmp_path / "got").read_text().splitlines()[1:]]
+    assert "nan" in values and "-0.0" not in values
     _same_bytes(tmp_path, save_matrix_csv, save_matrix_csv_oracle,
                 _injected((8, 8), 9))
 
@@ -104,7 +121,7 @@ def test_tables_of_several_blocks_equal_oracles(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == \
         (tmp_path / "want.csv").read_bytes()
     h = SimpleNamespace(k_coarse=0, k_fine=0, level=lambda k: np.arange(600))
-    _same_bytes(tmp_path, save_splines, save_splines_oracle, h,
+    _same_bytes(tmp_path, save_splines, save_splines_nonzero_oracle, h,
                 Levels(0, (table,)))
     rows = list(json_rows(table))
     assert rows == [json.dumps(row) for row in table.tolist()]
@@ -119,6 +136,21 @@ def test_save_space_streams(tmp_path):
     tracemalloc.start()
     try:
         save_space(space, tmp_path / "space.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, peak
+
+
+def test_save_splines_streams():
+    """A dense 2048 x 2048 level, every value nonzero: one block's entries
+    and texts at a time, where the level's nonzero indices alone would take
+    67 MB."""
+    table = np.random.default_rng(4).integers(1, 64, size=(2048, 2048)) / 64.0
+    h = SimpleNamespace(k_coarse=0, k_fine=0, level=lambda k: np.arange(2048))
+    tracemalloc.start()
+    try:
+        save_splines(h, Levels(0, (table,)), os.devnull)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
