@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ __all__ = [
     "GramLevel",
     "DecayProfile",
     "NotSPDError",
+    "component_positions",
     "inverse_and_sqrt",
     "neumann_inverse_and_sqrt",
     "decay_fit",
@@ -56,25 +56,17 @@ def decay_exponent_s(constants: SpaceConstants) -> float:
     return 1.0 / (1.0 + math.log2(constants.A0))
 
 
-def _flat(idx: np.ndarray, n: int) -> np.ndarray:
-    """Positions in the ravel of an n x n matrix of the (c, s, s) blocks on
-    the index groups ``idx`` (c, s)."""
-    return idx[:, :, None] * n + idx[:, None, :]
-
-
-def _eigh_blocks(M: np.ndarray, name: str):
-    """Eigendecomposition of a symmetric M per connected component of its
-    symmetric nonzero pattern, and its extreme eigenvalues (the Riesz
-    bounds); ``NotSPDError`` naming ``name`` unless they are positive.
-
-    One ``(flat, w, U)`` per component size s, smallest first, for the c
-    components of that size ordered by their least index: ``flat`` (c, s, s)
-    holds the positions of their blocks in ``M.ravel()``, indices ascending,
-    and ``w`` (c, s), ``U`` (c, s, s) their ascending eigenvalues and
-    eigenvectors from one batched ``eigh``.
-    """
+def component_positions(M: np.ndarray) -> list[np.ndarray]:
+    """The blocks of the connected components of a square M's symmetric
+    nonzero pattern, as positions in ``M.ravel()``: one (c, s, s) array per
+    component size s, smallest first, for the c components of that size
+    ordered by their least index, indices ascending."""
     n = M.shape[0]
     pattern = M != 0.0
+    if np.count_nonzero(pattern) == np.count_nonzero(pattern.diagonal()):
+        # nothing off the diagonal, as in every Gram at delta 1/4: n
+        # components of one index, without the labelling rounds
+        return [(np.arange(n) * (n + 1))[:, None, None]]
     pattern |= pattern.T
     # labels are indices of the same component, each at most its own index:
     # every label takes the least label next to any index carrying it, then
@@ -94,10 +86,26 @@ def _eigh_blocks(M: np.ndarray, name: str):
     order = np.argsort(size * n + lab, kind="stable")
     size = size[order]
     cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), n]
+    positions = []
+    for start, stop in zip(cuts, cuts[1:]):
+        idx = order[start:stop].reshape(-1, size[start])
+        positions.append(idx[:, :, None] * n + idx[:, None, :])
+    return positions
+
+
+def _eigh_blocks(M: np.ndarray, name: str):
+    """Eigendecomposition of a symmetric M per connected component of its
+    symmetric nonzero pattern, and its extreme eigenvalues (the Riesz
+    bounds); ``NotSPDError`` naming ``name`` unless they are positive.
+
+    One ``(flat, w, U)`` per component size s (``component_positions``):
+    ``flat`` (c, s, s) holds the positions of the blocks in ``M.ravel()``,
+    and ``w`` (c, s), ``U`` (c, s, s) their ascending eigenvalues and
+    eigenvectors from one batched ``eigh``.
+    """
     blocks = []
     lo, hi = math.inf, -math.inf
-    for start, stop in zip(cuts, cuts[1:]):
-        flat = _flat(order[start:stop].reshape(-1, size[start]), n)
+    for flat in component_positions(M):
         w, U = np.linalg.eigh(M.take(flat))
         lo, hi = min(lo, w[:, 0].min()), max(hi, w[:, -1].max())
         blocks.append((flat, w, U))
@@ -148,22 +156,20 @@ def inverse_and_sqrt(M: np.ndarray):
     return _block_inverse(n, blocks), _block_inverse(n, blocks, root=True)
 
 
-def neumann_inverse_and_sqrt(M: np.ndarray, groups=None):
+def neumann_inverse_and_sqrt(M: np.ndarray):
     """Series route: write M = h (I - A) and sum powers of A.
 
     Returns (inverse, inverse square root, contraction ratio r, #terms).
     The square-root series uses the central binomial coefficients, which are
     bounded by one, so both tails are controlled by r^(N+1) / (1 - r).
 
-    ``groups`` are the index groups (c, s) of M's connected components, one
-    array per size (``GramLevel.groups``); default all of M as one.  The
-    series runs on each (c, s, s) stack at once, with the h and r of all of
+    The series runs on the (c, s, s) stack of M's connected components of
+    each size at once (``component_positions``), with the h and r of all of
     M from the eigenvalues of every stack, and is 0.0 between components.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    flats = [_flat(idx, n) for idx in ((np.arange(n)[None],) if groups is None
-                                       else groups)]
+    flats = component_positions(M)
     stacks = [M.take(flat) for flat in flats]
     eigs = [np.linalg.eigvalsh(S) for S in stacks]
     least = min(float(e[:, 0].min()) for e in eigs)
@@ -264,15 +270,6 @@ class GramLevel:
     stilde: np.ndarray
     phi: np.ndarray
     riesz: tuple[float, float]
-    groups: tuple  # index groups (c, s) of M's components, one per size s
-
-    def stacks(self, *matrices: np.ndarray) -> Iterator[tuple]:
-        """Per index group, the (c, s, s) blocks of each n x n matrix on
-        those components; M, Minv and Misqrt are 0.0 off the components."""
-        n = self.M.shape[0]
-        for idx in self.groups:
-            flat = _flat(idx, n)
-            yield tuple(m.take(flat) for m in matrices)
 
 
 def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
@@ -297,11 +294,8 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
                 f"level {k} dual-system identities failed "
                 f"(bio {err_bio:.2e}, ortho {err_ortho:.2e}, mass {err_mass:.2e})"
             )
-        # each block's index rows, from the positions of its first row
-        groups = tuple(flat[:, 0] % n for flat, _, _ in blocks)
         out.append(GramLevel(M=M, volumes=vol, Minv=Minv, Misqrt=Misqrt,
-                             stilde=stilde, phi=phi, riesz=riesz,
-                             groups=groups))
+                             stilde=stilde, phi=phi, riesz=riesz))
     return Levels(h.k_coarse, tuple(out))
 
 

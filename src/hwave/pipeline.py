@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
-from .mra import build_gram_system, neumann_inverse_and_sqrt, save_gram_system
+from .mra import (build_gram_system, component_positions,
+                  neumann_inverse_and_sqrt, save_gram_system)
 from .nets import (Levels, NetHierarchy, ReferenceOrder, build_nets,
                    build_reference_order, save_nets)
 from .randomized import (CubeMachine, sample_omega, save_system,
@@ -124,19 +125,30 @@ def _suite_mra(b: Bundle, rng: np.random.Generator):
     for k in range(h.k_coarse, h.k_fine + 1):
         lv = b.gramsys.at(k)
         n = lv.M.shape[0]
-        # per component: M, M^-1 and M^-1/2 are 0.0 between components, so
-        # the residuals there are exactly 0.0
-        err_inv = err_sqrt = 0.0
-        for M, Minv, Misqrt in lv.stacks(lv.M, lv.Minv, lv.Misqrt):
-            eye = np.eye(M.shape[1])
-            err_inv = max(err_inv, float(np.abs(Minv @ M - eye).max()))
-            err_sqrt = max(err_sqrt,
-                           float(np.abs(Misqrt @ Misqrt @ M - eye).max()))
+        # the residuals per connected component of M, by batched products;
+        # between components M, M^-1 and M^-1/2 must be 0.0, and an entry
+        # there counts by its size (one of M, from a split component, in
+        # both residuals)
+        positions = component_positions(lv.M)
+        between = np.ones(n * n, dtype=bool)
+        for flat in positions:
+            between[flat] = False
+        between = between.reshape(n, n)
+        stray = [np.max(np.abs(m), where=between, initial=0.0)
+                 for m in (lv.M, lv.Minv, lv.Misqrt)]
+        err_inv, err_sqrt = [stray[0], stray[1]], [stray[0], stray[2]]
+        for flat in positions:
+            M, Minv, Misqrt = (m.take(flat) for m in (lv.M, lv.Minv, lv.Misqrt))
+            eye = np.eye(flat.shape[1])
+            err_inv.append(np.abs(Minv @ M - eye).max())
+            err_sqrt.append(np.abs(Misqrt @ Misqrt @ M - eye).max())
+        # np.max, not max: a NaN residual must fail the check
+        err_inv, err_sqrt = float(np.max(err_inv)), float(np.max(err_sqrt))
         checks.append(check_error(f"gram-inverse level {k}", "residual of M^-1 M",
                                   err_inv, 1e-10))
         checks.append(check_error(f"gram-inverse-sqrt level {k}",
                                   "residual of (M^-1/2)^2 M", err_sqrt, 1e-10))
-        ninv, nsqrt, r, terms = neumann_inverse_and_sqrt(lv.M, lv.groups)
+        ninv, nsqrt, r, terms = neumann_inverse_and_sqrt(lv.M)
         agree = max(float(np.abs(ninv - lv.Minv).max()),
                     float(np.abs(nsqrt - lv.Misqrt).max()))
         checks.append(check_error(

@@ -13,13 +13,6 @@ import numpy as np
 # Entries of a float table formatted per block: the block's distinct values
 # and their texts are all a writer holds at a time.
 BLOCK_ENTRIES = 1 << 16
-# How a block's entries find their texts, by its count of distinct bit
-# patterns (measured on artifact tables of up to 2^16 entries): a binary
-# search ranks up to about a thousand patterns faster than an argsort, and
-# one repr per pattern and a lookup per entry cost less than a repr per
-# entry below about 0.9 of the entries distinct (17-digit floats).
-FEW_PATTERNS = 1024
-DISTINCT_SHARE = 0.9
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -51,40 +44,22 @@ def check_flag(name: str, detail: str, ok: bool) -> CheckResult:
                        margin=0.0 if ok else -1.0, passed=bool(ok))
 
 
-def _format(values: np.ndarray, for_json: bool) -> list:
-    """``repr`` of every entry of the 1-D float array ``values``, or with
-    ``for_json`` what ``json.dumps`` writes (``NaN``, ``Infinity``,
-    ``-Infinity``)."""
+def _texts(block: np.ndarray, for_json: bool) -> list:
+    """The text of every entry of the 2-D float array ``block``, as a list
+    of rows: ``repr`` of the entry, or with ``for_json`` what ``json.dumps``
+    writes for it (``NaN``, ``Infinity``, ``-Infinity``).
+
+    Each distinct bit pattern of the block is formatted once and every entry
+    looks its text up, so a table of few distinct values costs few ``repr``
+    calls.  Bit patterns, not values, so that 0.0 and -0.0 keep their own
+    texts.
+    """
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
     texts = list(map(repr, values.tolist()))
     if for_json and not np.isfinite(values).all():
         texts = [_JSON_NONFINITE.get(t, t) for t in texts]
-    return texts
-
-
-def _texts(block: np.ndarray, for_json: bool) -> list:
-    """The text of every entry of the 2-D float array ``block``, at most
-    BLOCK_ENTRIES of them, as a list of rows (``_format``).
-
-    The distinct bit patterns are counted by a sort.  Unless nearly every
-    entry is distinct, each is formatted once and every entry looks its text
-    up, by its pattern's rank: a binary search into the sorted patterns where
-    they are few, else the rank at the entry's place in an argsort.  Bit
-    patterns, not values, so that 0.0 and -0.0 keep their own texts.
-    """
-    bits = block.ravel().view(np.int64)
-    patterns = np.sort(bits)
-    first = np.concatenate(([True], patterns[1:] != patterns[:-1]))
-    count = np.count_nonzero(first)
-    if count > DISTINCT_SHARE * bits.size:
-        return [_format(row, for_json) for row in block]
-    patterns = patterns[first]
-    if count <= FEW_PATTERNS:
-        rank = np.searchsorted(patterns, bits)
-    else:
-        rank = np.empty(bits.size, dtype=np.intp)
-        rank[np.argsort(bits)] = np.cumsum(first) - 1
-    texts = np.array(_format(patterns.view(np.float64), for_json), dtype=object)
-    return texts[rank].reshape(block.shape).tolist()
+    return np.array(texts, dtype=object)[inverse].reshape(block.shape).tolist()
 
 
 def _blocks(a: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from pathlib import Path
@@ -338,22 +337,11 @@ def _from_coords_1d(coords: np.ndarray, power: float = 1.0) -> np.ndarray:
     return diff**power
 
 
-def _axis_differences(pts: np.ndarray, f) -> Iterator[np.ndarray]:
-    """``f`` of the n x n differences of each coordinate of ``pts``."""
-    for j in range(pts.shape[1]):
-        yield f(pts[:, None, j] - pts[None, :, j])
-
-
 def _euclidean(pts: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``pts``, symmetric with a zero
     diagonal."""
-    if pts.shape[1] < 8:
-        # squares added one axis at a time: the order in which numpy sums
-        # fewer than 8 terms, without the (n, n, dim) array of differences
-        dist = np.sqrt(sum(_axis_differences(pts, np.square)))
-    else:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0.0)
     return dist
@@ -390,7 +378,10 @@ def _gen_grid(m: int, dim: int, metric: str = "linf", weights=None) -> FiniteSpa
     axes = [np.arange(m, dtype=float)] * dim
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     if metric == "linf":
-        dist = reduce(np.maximum, _axis_differences(pts, np.abs))
+        # one coordinate at a time: no (n, n, dim) array of differences,
+        # and max is exact, so the same distances as a reduction over it
+        dist = reduce(np.maximum, (np.abs(pts[:, None, j] - pts[None, :, j])
+                                   for j in range(dim)))
     elif metric == "l2":
         dist = _euclidean(pts)
     else:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from hwave.analysis import _wavelet_ball_volumes, volume_matrix
-from hwave.mra import neumann_inverse_and_sqrt
+from hwave.mra import SERIES_MAX_TERMS, SERIES_TOL, NotSPDError
 from hwave.nets import Levels, ReferenceOrder
 from hwave.randomized import _sample_level
 from hwave.report import check_error
@@ -254,6 +254,33 @@ def save_matrix_csv_oracle(matrix: np.ndarray, path, labels=None) -> None:
                              repr(float(matrix[i, j]))])
 
 
+def neumann_dense_oracle(M):
+    """``mra.neumann_inverse_and_sqrt`` as it was before it ran per
+    connected component: h and r from ``eigvalsh`` of all of M, and the
+    series summed in n x n products."""
+    eigs = np.linalg.eigvalsh(M)
+    if eigs[0] <= 0.0:
+        raise NotSPDError("Neumann route needs a positive definite matrix")
+    hconst = 0.5 * (float(eigs[-1]) + 1.0 / float(eigs[0]))
+    n = M.shape[0]
+    A = np.eye(n) - M / hconst
+    r = float(np.abs(np.linalg.eigvalsh(A)).max())
+    if r >= 1.0:
+        raise NotSPDError("series does not contract")
+    inv_sum, sqrt_sum, power = np.eye(n), np.eye(n), np.eye(n)
+    c = 1.0
+    terms = 0
+    while r ** (terms + 1) / (1.0 - r) >= SERIES_TOL:
+        power = power @ A
+        c = c * (2 * terms + 1) / (2 * terms + 2)
+        inv_sum += power
+        sqrt_sum += c * power
+        terms += 1
+        if terms > SERIES_MAX_TERMS:
+            raise NotSPDError("series did not converge within the term budget")
+    return inv_sum / hconst, sqrt_sum / math.sqrt(hconst), r, terms
+
+
 def suite_mra_oracle(b, rng):
     """The mra suite as it was before its checks ran per Gram component:
     residuals from products of whole n x n matrices and the series on all
@@ -269,7 +296,7 @@ def suite_mra_oracle(b, rng):
                                   err_inv, 1e-10))
         checks.append(check_error(f"gram-inverse-sqrt level {k}",
                                   "residual of (M^-1/2)^2 M", err_sqrt, 1e-10))
-        ninv, nsqrt, r, terms = neumann_inverse_and_sqrt(lv.M)
+        ninv, nsqrt, r, terms = neumann_dense_oracle(lv.M)
         agree = max(float(np.abs(ninv - lv.Minv).max()),
                     float(np.abs(nsqrt - lv.Misqrt).max()))
         checks.append(check_error(

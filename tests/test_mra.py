@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwave.mra import (NotSPDError, decay_exponent_s, decay_fit,
-                       fit_decay_exponent, inverse_and_sqrt,
+from hwave import pipeline
+from hwave.mra import (NotSPDError, component_positions, decay_exponent_s,
+                       decay_fit, fit_decay_exponent, inverse_and_sqrt,
                        neumann_inverse_and_sqrt)
 from hwave.space import (FIXTURES, FiniteSpace, compute_constants,
                          generate_space, resolve_space)
 from hwave.pipeline import _suite_mra, build_bundle
 
-from helpers import (chain_constants, replace_level, rescale, riesz_bounds,
-                     separated_sum_check, suite_mra_oracle)
+from helpers import (chain_constants, neumann_dense_oracle, replace_level,
+                     rescale, riesz_bounds, separated_sum_check,
+                     suite_mra_oracle)
 
 SETTINGS = dict(deadline=None, max_examples=20)
 
@@ -151,10 +153,8 @@ def test_suite_mra_equals_the_dense_oracle(descriptor, delta):
 
 def _interleaved_gram(rng, sizes):
     """A block-diagonal SPD matrix with components of the given sizes, its
-    indices shuffled so that the components interleave; and its index
-    groups as ``GramLevel.groups`` holds them: one (c, s) array per size s,
-    ascending, each component's indices ascending, components by least
-    index."""
+    indices shuffled so that the components interleave; and its components'
+    indices, each ascending, ordered by size and then by least index."""
     n = sum(sizes)
     label = np.repeat(np.arange(len(sizes)), sizes)
     M = np.zeros((n, n))
@@ -164,18 +164,34 @@ def _interleaved_gram(rng, sizes):
     perm = rng.permutation(n)
     M, label = M[np.ix_(perm, perm)], label[perm]
     members = sorted((np.flatnonzero(label == j) for j in range(len(sizes))),
-                     key=lambda idx: idx[0])
-    groups = tuple(np.array([idx for idx in members if idx.size == s])
-                   for s in sorted(set(sizes)))
-    return M, groups
+                     key=lambda idx: (idx.size, idx[0]))
+    return M, members
+
+
+def test_component_positions_of_interleaved_components():
+    M, members = _interleaved_gram(np.random.default_rng(11), [1, 2, 3, 2, 3, 1])
+    positions = component_positions(M)
+    assert [p.shape for p in positions] == [(2, 1, 1), (2, 2, 2), (2, 3, 3)]
+    n = M.shape[0]
+    got = [idx for p in positions for idx in p[:, 0, :] % n]
+    assert [idx.tolist() for idx in got] == [idx.tolist() for idx in members]
+    assert max(np.diff(idx).max() for idx in members if idx.size > 1) > 1
+
+
+def test_component_positions_of_a_diagonal_matrix():
+    # a zero on the diagonal is still a component of its own
+    assert [p.tolist() for p in component_positions(np.diag([1.0, 0.0, 2.0]))] \
+        == [[[[0]], [[4]], [[8]]]]
+    M = np.diag([1.0, 0.0, 2.0])
+    M[0, 2] = 0.5
+    assert [p.tolist() for p in component_positions(M)] == [
+        [[[4]]], [[[0, 2], [6, 8]]]]
 
 
 def test_series_per_component_equals_the_dense_series():
-    M, groups = _interleaved_gram(np.random.default_rng(11), [1, 2, 3, 2, 3, 1])
-    assert [g.shape for g in groups] == [(2, 1), (2, 2), (2, 3)]
-    assert np.diff(groups[2], axis=1).max() > 1  # interleaved, not contiguous
-    ninv, nsqrt, r, terms = neumann_inverse_and_sqrt(M, groups)
-    dinv, dsqrt, dr, dterms = neumann_inverse_and_sqrt(M)
+    M, _ = _interleaved_gram(np.random.default_rng(11), [1, 2, 3, 2, 3, 1])
+    ninv, nsqrt, r, terms = neumann_inverse_and_sqrt(M)
+    dinv, dsqrt, dr, dterms = neumann_dense_oracle(M)
     # eigvalsh of the whole matrix and of its blocks may round r apart by a
     # few ulps (up to 14 over 200 seeds); the term count is the same
     assert terms == dterms > 10
@@ -188,24 +204,81 @@ def test_series_per_component_equals_the_dense_series():
     np.testing.assert_allclose(nsqrt, isqrt, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("descriptor,delta,k,group,component", [
+def test_series_of_one_component_is_the_dense_series():
+    M = _tridiagonal(64, 0.25)
+    got, want = neumann_inverse_and_sqrt(M), neumann_dense_oracle(M)
+    assert got[2:] == want[2:]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _suite_with(b, k, **entries):
+    """The mra suite's checks, by name, on ``b`` with level k's GramLevel
+    fields replaced by ``entries``."""
+    lv = dataclasses.replace(b.gramsys.at(k), **entries)
+    broken = dataclasses.replace(b, gramsys=replace_level(b.gramsys, k, lv))
+    return {c.name: c for c in _suite_mra(broken, np.random.default_rng(7))}
+
+
+def _only_failing(checks, k, names):
+    failed = {name for name, c in checks.items() if not c.passed}
+    return failed == {f"{name} level {k}" for name in names}
+
+
+@pytest.mark.parametrize("descriptor,delta,k,size,component", [
     ("grid(16,2)", 0.25, -1, 0, 5),       # one of 16 components of size 1
     ("cycle(64, scale=1)", 0.2, -1, 0, 0),  # the one component of size 12
 ])
 def test_suite_mra_fails_on_one_perturbed_component(descriptor, delta, k,
-                                                    group, component):
+                                                    size, component):
     b = build_bundle(generate_space(descriptor), delta)
     lv = b.gramsys.at(k)
-    idx = lv.groups[group][component]
     Minv = lv.Minv.copy()
-    Minv[np.ix_(idx, idx)] += 1e-8
-    broken = dataclasses.replace(b, gramsys=replace_level(
-        b.gramsys, k, dataclasses.replace(lv, Minv=Minv)))
-    checks = {c.name: c for c in _suite_mra(broken, np.random.default_rng(7))}
-    assert not checks[f"gram-inverse level {k}"].passed
-    assert not checks[f"series-vs-eigen level {k}"].passed
-    assert checks[f"gram-inverse-sqrt level {k}"].passed
-    assert all(c.passed for name, c in checks.items() if f"level {k}" not in name)
+    Minv.ravel()[component_positions(lv.M)[size][component]] += 1e-8
+    assert _only_failing(_suite_with(b, k, Minv=Minv), k,
+                         ["gram-inverse", "series-vs-eigen"])
+
+
+@pytest.fixture(scope="module")
+def grid_bundle():
+    return build_bundle(generate_space("grid(16,2)"), 0.25)
+
+
+@pytest.mark.parametrize("field,check", [
+    ("Minv", "gram-inverse"), ("Misqrt", "gram-inverse-sqrt")])
+def test_suite_mra_fails_on_an_entry_between_components(grid_bundle, field,
+                                                         check):
+    # level -1 of grid(16,2) has 16 components of size 1: the Gram is diagonal
+    k = -1
+    lv = grid_bundle.gramsys.at(k)
+    assert [p.shape for p in component_positions(lv.M)] == [(16, 1, 1)]
+    matrix = getattr(lv, field).copy()
+    matrix[3, 9] = matrix[9, 3] = 1e-8
+    assert _only_failing(_suite_with(grid_bundle, k, **{field: matrix}), k,
+                         [check, "series-vs-eigen"])
+
+
+def test_suite_mra_fails_on_a_nan_inside_a_component(grid_bundle):
+    k = -1
+    Minv = grid_bundle.gramsys.at(k).Minv.copy()
+    Minv[4, 4] = np.nan
+    assert _only_failing(_suite_with(grid_bundle, k, Minv=Minv), k,
+                         ["gram-inverse", "series-vs-eigen"])
+
+
+def test_suite_mra_fails_on_a_split_component(monkeypatch):
+    # cycle(64)'s level -1 Gram is one component of size 12; labelled as 12
+    # components of size 1, its entries between them fail both residuals
+    b = build_bundle(generate_space("cycle(64, scale=1)"), 0.2)
+    k = -1
+    n = b.gramsys.at(k).M.shape[0]
+    assert [p.shape for p in component_positions(b.gramsys.at(k).M)] == [
+        (1, n, n)]
+    diagonal = np.arange(n)[:, None, None] * (n + 1)
+    monkeypatch.setattr(pipeline, "component_positions",
+                        lambda M: [diagonal] if M.shape[0] == n
+                        else component_positions(M))
+    checks = {c.name: c for c in _suite_mra(b, np.random.default_rng(7))}
+    assert _only_failing(checks, k, ["gram-inverse", "gram-inverse-sqrt"])
 
 
 def test_nonsymmetric_inverse_route():
