@@ -94,7 +94,8 @@ def dichotomy_holds(space: FiniteSpace, constants: SpaceConstants,
     the first R.  Every (ball, first R) pair is read off the ball table at
     once; the one call goes to the pair of least slack
     V(x, R) - (1 + eps) V(x, r), whose annulus is nonempty, so it raises
-    exactly when some pair fails.
+    exactly when some pair fails.  Every ball size comes from one
+    ``BallTable.sizes`` search per centre.
     """
     a0 = constants.A0
     tab = space.balls
@@ -103,17 +104,7 @@ def dichotomy_holds(space: FiniteSpace, constants: SpaceConstants,
     first_r = np.searchsorted(radii, tab.dist[xs, last], side="right")
     keep = first_r < n_r
     xs, first_r = xs[keep], first_r[keep]
-    # Integer distance ranks offset by row: the points of row x at distance
-    # below t are the keys below x * m + (number of distances below t).
-    levels = np.unique(tab.dist)
-    m = levels.size
-    keys = (np.searchsorted(levels, tab.dist) + m * np.arange(n)[:, None]).reshape(-1)
-
-    def count_below(rows, t):
-        below = np.searchsorted(levels, t, side="left")
-        return np.searchsorted(keys, m * rows + below, side="left") - n * rows
-
-    inner = count_below(xs, 2.0 * a0 * radii[first_r])
+    inner = tab.sizes(xs, 2.0 * a0 * radii[first_r])
     # nearest is itself a radius above r, so every R from here on is > r
     nearest = np.where(inner < n, tab.dist[xs, np.minimum(inner, n - 1)], np.inf)
     first_R = np.searchsorted(radii / (2.0 * a0), nearest, side="right")
@@ -122,8 +113,10 @@ def dichotomy_holds(space: FiniteSpace, constants: SpaceConstants,
     if xs.size == 0:
         return True
     eps = 1.0 / constants.cmu(3.0 * a0**2)
-    v_r = tab.mass[xs, count_below(xs, radii[first_r])]
-    v_R = tab.mass[xs, count_below(xs, radii[first_R])]
+    # V(x, r) and V(x, R) side by side, so each centre takes one search
+    pairs = np.stack([first_r, first_R], axis=1).ravel()
+    counts = tab.sizes(np.repeat(xs, 2), radii[pairs])
+    v_r, v_R = tab.mass[xs, counts[0::2]], tab.mass[xs, counts[1::2]]
     # the exact sign of V(x, R) - (1 + eps) V(x, r) is the call's comparison
     w = int(np.argmin(v_R - (1.0 + eps) * v_r))
     try:
@@ -194,8 +187,8 @@ def sum_large_balls_sup(space: FiniteSpace, h: NetHierarchy,
 def volume_matrix(space: FiniteSpace) -> np.ndarray:
     """V[x, y] = mu(B(x, d(x, y))); the diagonal holds the empty ball, 0."""
     tab = space.balls
-    return np.array([tab.mass[x, tab.size(x, space.dist[x])]
-                     for x in range(space.n)])
+    xs = np.repeat(np.arange(space.n), space.n)
+    return tab.mass[xs, tab.sizes(xs, space.dist.ravel())].reshape(space.n, space.n)
 
 
 @dataclass(frozen=True)
@@ -258,49 +251,24 @@ def modulated_kernel(basis: WaveletBasis, signs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bmo_norm(space: FiniteSpace, b: np.ndarray, center: str = "average") -> float:
-    """Exact max over balls of the mean oscillation around a centre value c.
+def _oscillations(bs: np.ndarray, ws: np.ndarray, xs: np.ndarray, last: np.ndarray,
+                  mass: np.ndarray, c: np.ndarray | None) -> np.ndarray:
+    """Mean oscillation of each ball (xs[i], last[i]), balls sorted by size.
 
-    Every distinct ball is visited once, as a pair (centre x, last point)
-    from ``balls.ball_ends()``: the ball is the points of ``balls.order[x]``
-    up to its last, x itself first.  Every sum runs over a ball's points in
-    that distance order, as a running sum along the row (``np.cumsum``), and
-    the ball's mass mu(B) is the table's ``balls.mass[x, last + 1]``.  The
-    oscillation is sum w |b - c| / mu(B).
-
-    ``center='average'`` takes c = b(x) + S / mu(B), S the running sum of
-    w (b - b(x)): shifted by the centre's own value, a constant input has
-    zero oscillation exactly.  ``center='median'`` takes the exact minimizer
-    of the L1 oscillation, the weighted median: the first value, in a stable
-    sort of the ball's values in distance order, at which the running weight
-    reaches half its total.  The two norms differ by at most a factor 2.
-
-    The pairs go in blocks of n, smallest balls first, and a block reads
-    only the columns up to its largest ball: each temporary holds at most
-    n^2 entries, and a ball's sums are the same in any block.
+    ``bs`` and ``ws`` are b and the weights in each row's distance order;
+    ``c`` holds the centre values, or None for the weighted median.  The
+    balls go in blocks of n, and a block reads only the columns up to its
+    largest ball: no temporary exceeds n^2 entries, and a ball's running
+    sums, hence its value, are the same in any block.
     """
-    if center not in ("average", "median"):
-        raise ValueError("center must be 'average' or 'median'")
-    b = np.asarray(b, dtype=float)
-    tab = space.balls
-    n = space.n
-    xs, last = tab.ball_ends()
-    by_size = np.argsort(last, kind="stable")
-    xs, last = xs[by_size], last[by_size]
-    mass = tab.mass[xs, last + 1]
-    bs = b[tab.order]
-    ws = space.weights[tab.order]
-    if center == "average":
-        c = bs[xs, 0] + np.cumsum(ws * (bs - bs[:, :1]), axis=1)[xs, last] / mass
-    best = 0.0
+    n = bs.shape[0]
+    out = np.empty(xs.size)
     for lo in range(0, xs.size, n):
         block = slice(lo, lo + n)
         ends = last[block]
         rows, cols = np.arange(ends.size), int(ends[-1]) + 1
         vals, wts = bs[xs[block], :cols], ws[xs[block], :cols]
-        if center == "average":
-            cb = c[block]
-        else:
+        if c is None:
             # points outside a ball sort last, after any value inside it
             outside = np.arange(cols) > ends[:, None]
             by_value = np.argsort(np.where(outside, np.inf, vals), axis=1,
@@ -308,9 +276,125 @@ def bmo_norm(space: FiniteSpace, b: np.ndarray, center: str = "average") -> floa
             cum = np.cumsum(np.take_along_axis(wts, by_value, axis=1), axis=1)
             half = 0.5 * cum[rows, ends]
             cb = vals[rows, by_value[rows, np.argmax(cum >= half[:, None], axis=1)]]
+        else:
+            cb = c[block]
         dev = np.cumsum(wts * np.abs(vals - cb[:, None]), axis=1)
-        best = max(best, float((dev[rows, ends] / mass[block]).max()))
-    return best
+        out[block] = dev[rows, ends] / mass[block]
+    return out
+
+
+def _variance_bound(space: FiniteSpace, b: np.ndarray, mass: np.ndarray,
+                    s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """UB of ``bmo_norm``'s docstring for each ball, from its mass and its
+    running sums S1 of w (b - b(x)) and S2 of w (b - b(x))^2."""
+    n = space.n
+    big = float(np.abs(b).max())
+    k = 8.0 * (n + 2) * np.finfo(float).eps
+    tau = k * big + math.sqrt((n / float(space.weights.min()) + 1.0)
+                              * (big + 1.0) * np.finfo(float).tiny)
+    if not math.isfinite(8.0 * big * max(space.total_mass, 1.0)):
+        tau = math.inf
+    with np.errstate(all="ignore"):
+        a, q = s2 / mass, s1 / mass
+        return (1.0 + k) * (np.sqrt(a - q * q + k * a) + tau)
+
+
+def bmo_norm(space: FiniteSpace, b: np.ndarray, center: str = "average") -> float:
+    """Exact max over balls of the mean oscillation around a centre value c.
+
+    Every distinct ball is a pair (centre x, last point) from
+    ``balls.ball_ends()``: the ball is the points of ``balls.order[x]`` up
+    to its last, x itself first.  Every sum runs over a ball's points in
+    that distance order, as a running sum along the row (``np.cumsum``), and
+    the ball's mass mu(B) is the table's ``balls.mass[x, last + 1]``.  The
+    oscillation is sum w |b - c| / mu(B).
+
+    ``center='average'`` takes c = b(x) + S1 / mu(B), S1 the running sum of
+    w (b - b(x)): shifted by the centre's own value, a constant input has
+    zero oscillation exactly.  ``center='median'`` takes the exact minimizer
+    of the L1 oscillation, the weighted median: the first value, in a stable
+    sort of the ball's values in distance order, at which the running weight
+    reaches half its total.  The two norms differ by at most a factor 2.
+
+    Only the balls that can win take that exact pass.  With q = S1 / mu(B),
+    S2 the running sum of w (b - b(x))^2 and a = S2 / mu(B), the variance
+    of b on the ball is Var = a - q^2.  By Cauchy-Schwarz the oscillation
+    around the mean is at most sqrt(Var), and the median's is at most the
+    mean's, so both centres' values are at most
+
+        UB = (1 + k) (sqrt(a - q^2 + k a) + tau),   k = 8 (n + 2) eps,
+        tau = k M + sqrt((n / min w + 1) (M + 1) tiny),   M = max |b|.
+
+    UB evaluated in floats bounds even the float value the pass computes.
+    Proof, with u = eps / 2 and N = n + 2 >= (points of B) + 2.  Each float
+    operation errs by at most u relative, plus eta = tiny 2^-53 absolute
+    for a product or a quotient (gradual underflow); U = (n / min w + 1)
+    (M + 1) eta collects the underflow below.
+    - q is within 2.1 N u sqrt(a) of its exact value, since
+      sum w |b - b(x)| <= mu(B) sqrt(a).  The mean centre c is then within
+      2.2 N u sqrt(a) + u M of the exact mean; u M is c's last addition,
+      which rounds at the size of b(x).
+    - The median centre is the exact weighted median, or a value whose
+      running weight, like every running weight between the two, is within
+      2.1 N u mu(B) of half.  Its L1 sum then exceeds the minimum by at most
+      that times the spread of b, 4.2 N u M mu(B), and the minimum is at
+      most the mean's, mu(B) sqrt(Var).
+    - Summing w |b - c| and dividing by the float mass add a factor
+      1 + 4 N u, so each centre's float value is at most
+      (1 + 4 N u) (sqrt(Var) + 3 N u sqrt(a) + 6 N u M + 7 U).
+    - The float a - q^2 is within 7.2 N u a + 12 U of Var: the subtraction
+      cancels, but neither term exceeds a.  So sqrt(Var) + 3 N u sqrt(a) is
+      at most sqrt(a - q^2 + 14 N u a) + sqrt(12 U) in floats, and
+      k = 16 N u leaves 2 N u a for the roundings of UB itself.  k M covers
+      6 N u M, and the root in tau, sqrt(2^53 U), covers sqrt(12 U) + 7 U
+      wherever it is finite.
+    - While 8 M max(mu(X), 1) is finite, no step of the pass overflows;
+      otherwise tau is inf.  An overflow in the bound, a NaN entry of b and
+      a negative radicand each make UB inf or NaN.
+    A ball is skipped only where UB < best is True, so every ball of
+    infinite or NaN bound is visited.  The pass takes the n balls of largest
+    UB, then every other ball whose UB is not below the best value found; a
+    skipped ball's float value is below that best, so the result is the
+    full pass's, bit for bit.
+    """
+    if center not in ("average", "median"):
+        raise ValueError("center must be 'average' or 'median'")
+    b = np.asarray(b, dtype=float)
+    tab = space.balls
+    n = space.n
+    xs, last = tab.ball_ends()
+    mass = tab.mass[xs, last + 1]
+    bs = b[tab.order]
+    ws = space.weights[tab.order]
+    flat = xs * n + last
+    with np.errstate(all="ignore"):
+        shift = bs - bs[:, :1]
+        wd = ws * shift
+        s1 = np.cumsum(wd, axis=1).ravel()[flat]
+        s2 = np.cumsum(wd * shift, axis=1).ravel()[flat]
+    bound = _variance_bound(space, b, mass, s1, s2)
+    c = bs[xs, 0] + s1 / mass if center == "average" else None
+    val = np.full(xs.size, -np.inf)
+
+    def visit(idx):
+        idx = idx[np.argsort(last[idx], kind="stable")]
+        val[idx] = _oscillations(bs, ws, xs[idx], last[idx], mass[idx],
+                                 None if c is None else c[idx])
+
+    # every centre has a ball, so there are at least n
+    top = np.argpartition(-bound, n - 1)[:n]
+    visit(top)
+    rest = ~(bound < val[top].max())
+    rest[top] = False
+    visit(np.flatnonzero(rest))
+    if np.isnan(val).any():
+        # a NaN value needs a NaN or infinite entry of b or an overflow, each
+        # of which visits every ball.  The norm is then the largest value
+        # over the blocks of n balls, smallest first, that hold no NaN.
+        by_size = np.argsort(last, kind="stable")
+        padded = np.pad(val[by_size], (0, -xs.size % n), constant_values=-np.inf)
+        return max([0.0, *padded.reshape(-1, n).max(axis=1).tolist()])
+    return max(0.0, float(val.max()))
 
 
 def _wavelet_positions(h: NetHierarchy, basis: WaveletBasis) -> np.ndarray:

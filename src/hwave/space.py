@@ -62,6 +62,18 @@ class BallTable:
         """Number of points of B(x, r), for one radius or an array of them."""
         return np.searchsorted(self.dist[x], r, side="left")
 
+    def sizes(self, xs: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """|B(xs[i], r[i])| for every i: ``size`` pair by pair.  Each run of
+        equal centres in ``xs`` takes one ``searchsorted`` into its row, so
+        pairs grouped by centre, as ``ball_ends`` lists them, cost one
+        search per centre."""
+        out = np.empty(xs.size, dtype=np.intp)
+        cuts = (np.flatnonzero(np.diff(xs)) + 1).tolist()
+        starts = [0, *cuts][:xs.size]
+        for x, lo, hi in zip(xs[starts].tolist(), starts, [*cuts, xs.size]):
+            out[lo:hi] = self.dist[x].searchsorted(r[lo:hi])
+        return out
+
     def ball_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Every distinct ball as (centre x, position of its last point in
         ``order[x]``), centre by centre and ascending within a centre: a ball
@@ -195,7 +207,12 @@ class SpaceConstants:
     _cmu_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def cmu(self, t: float) -> float:
-        """Exact sup over balls of mu(B(x, t r)) / mu(B(x, r)), t >= 1."""
+        """Exact sup over balls of mu(B(x, t r)) / mu(B(x, r)), t >= 1.
+
+        Read at each centre's distinct distances, up to the first whose
+        t-fold ball holds every point, with the t-fold ball sizes from one
+        ``BallTable.sizes`` search per centre; cached per t.
+        """
         if t < 1:
             raise ValueError("expansion factor must be >= 1")
         key = float(t)
@@ -254,15 +271,21 @@ def _quasi_triangle_constant(space: FiniteSpace):
 def _cmu_exact(space: FiniteSpace, t: float) -> float:
     # Between consecutive distances from x, mu(B(x, r)) is constant and
     # mu(B(x, tr)) grows with r, so the sup over r > 0 is attained at a
-    # distance from x (beyond the farthest point the ratio is 1).
-    best = 1.0
+    # distance from x (beyond the farthest point the ratio is 1).  Equal
+    # distances give equal ratios, so only each distinct one is read: where
+    # the sorted row steps up at position j, B(x, r) holds the j points
+    # before it.  Once t r passes the farthest point, mu(B(x, t r)) is all
+    # of mu(X) and the ratio only falls, so a radius is read only if the one
+    # before it fell short of the farthest point.
     tab = space.balls
-    for x in range(space.n):
-        radii = tab.dist[x, 1:]  # tab.dist[x, 0] is x itself
-        vol = tab.mass[x, tab.size(x, radii)]
-        vol_t = tab.mass[x, tab.size(x, t * radii)]
-        best = max(best, float((vol_t / vol).max(initial=1.0)))
-    return best
+    radii = tab.dist[:, 1:]
+    read = radii != tab.dist[:, :-1]
+    read[:, 1:] &= t * radii[:, :-1] <= tab.dist[:, -1:]
+    xs = np.repeat(np.arange(space.n), read.sum(axis=1))
+    vol = tab.mass[:, 1:-1][read]
+    inner = tab.sizes(xs, t * radii[read])
+    vol_t = tab.mass.ravel()[xs * (space.n + 1) + inner]
+    return float((vol_t / vol).max(initial=1.0))
 
 
 def _greedy_packing(conflict: np.ndarray) -> int:

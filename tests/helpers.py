@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+import hwave.analysis as an
 from hwave.analysis import _wavelet_ball_volumes, volume_matrix
 from hwave.mra import SERIES_MAX_TERMS, SERIES_TOL, NotSPDError
 from hwave.nets import Levels, ReferenceOrder
@@ -315,3 +316,91 @@ def suite_mra_oracle(b, rng):
                                   f"[{lo:.4g}, {hi:.4g}] on 100 random vectors",
                                   worst, 1e-10))
     return checks
+
+
+def cmu_per_centre_oracle(space: FiniteSpace, t: float) -> float:
+    """``SpaceConstants.cmu`` as it was before it read each centre's distinct
+    radii only: one pass per centre over every distance from it."""
+    best = 1.0
+    tab = space.balls
+    for x in range(space.n):
+        radii = tab.dist[x, 1:]  # tab.dist[x, 0] is x itself
+        vol = tab.mass[x, tab.size(x, radii)]
+        vol_t = tab.mass[x, tab.size(x, t * radii)]
+        best = max(best, float((vol_t / vol).max(initial=1.0)))
+    return best
+
+
+def dichotomy_ranks_oracle(space: FiniteSpace, constants: SpaceConstants,
+                           radii: np.ndarray) -> bool:
+    """``analysis.dichotomy_holds`` as it was before ``BallTable.sizes``: ball
+    sizes counted from integer ranks of every distance, offset by row.  It
+    makes the same single ``empty_annulus_dichotomy`` call."""
+    a0 = constants.A0
+    tab = space.balls
+    n, n_r = space.n, radii.size
+    xs, last = tab.ball_ends()
+    first_r = np.searchsorted(radii, tab.dist[xs, last], side="right")
+    keep = first_r < n_r
+    xs, first_r = xs[keep], first_r[keep]
+    levels = np.unique(tab.dist)
+    m = levels.size
+    keys = (np.searchsorted(levels, tab.dist) + m * np.arange(n)[:, None]).reshape(-1)
+
+    def count_below(rows, t):
+        below = np.searchsorted(levels, t, side="left")
+        return np.searchsorted(keys, m * rows + below, side="left") - n * rows
+
+    inner = count_below(xs, 2.0 * a0 * radii[first_r])
+    nearest = np.where(inner < n, tab.dist[xs, np.minimum(inner, n - 1)], np.inf)
+    first_R = np.searchsorted(radii / (2.0 * a0), nearest, side="right")
+    keep = first_R < n_r
+    xs, first_r, first_R = xs[keep], first_r[keep], first_R[keep]
+    if xs.size == 0:
+        return True
+    eps = 1.0 / constants.cmu(3.0 * a0**2)
+    v_r = tab.mass[xs, count_below(xs, radii[first_r])]
+    v_R = tab.mass[xs, count_below(xs, radii[first_R])]
+    w = int(np.argmin(v_R - (1.0 + eps) * v_r))
+    try:
+        an.empty_annulus_dichotomy(space, constants, int(xs[w]),
+                                   float(radii[first_r[w]]), float(radii[first_R[w]]))
+    except AssertionError:
+        return False
+    return True
+
+
+def bmo_norm_blocks_oracle(space: FiniteSpace, b: np.ndarray,
+                           center: str = "average") -> float:
+    """``analysis.bmo_norm`` as it was before the variance bound pruned it:
+    every distinct ball in blocks of n, smallest balls first.  A block whose
+    largest value is NaN is passed over, as ``max`` passes over NaN."""
+    b = np.asarray(b, dtype=float)
+    tab = space.balls
+    n = space.n
+    xs, last = tab.ball_ends()
+    by_size = np.argsort(last, kind="stable")
+    xs, last = xs[by_size], last[by_size]
+    mass = tab.mass[xs, last + 1]
+    bs = b[tab.order]
+    ws = space.weights[tab.order]
+    if center == "average":
+        c = bs[xs, 0] + np.cumsum(ws * (bs - bs[:, :1]), axis=1)[xs, last] / mass
+    best = 0.0
+    for lo in range(0, xs.size, n):
+        block = slice(lo, lo + n)
+        ends = last[block]
+        rows, cols = np.arange(ends.size), int(ends[-1]) + 1
+        vals, wts = bs[xs[block], :cols], ws[xs[block], :cols]
+        if center == "average":
+            cb = c[block]
+        else:
+            outside = np.arange(cols) > ends[:, None]
+            by_value = np.argsort(np.where(outside, np.inf, vals), axis=1,
+                                  kind="stable")
+            cum = np.cumsum(np.take_along_axis(wts, by_value, axis=1), axis=1)
+            half = 0.5 * cum[rows, ends]
+            cb = vals[rows, by_value[rows, np.argmax(cum >= half[:, None], axis=1)]]
+        dev = np.cumsum(wts * np.abs(vals - cb[:, None]), axis=1)
+        best = max(best, float((dev[rows, ends] / mass[block]).max()))
+    return best

@@ -14,7 +14,8 @@ from hwave.space import (FiniteSpace, SpaceConstants, canonical_radii,
                          compute_constants, generate_space, resolve_space)
 
 from helpers import (almost_diagonal_bound, almost_diagonal_check,
-                     distinct_balls, size_redundancy_check)
+                     bmo_norm_blocks_oracle, dichotomy_ranks_oracle, distinct_balls,
+                     size_redundancy_check)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,30 @@ def test_dichotomy_scan_matches_triple_loop(desc):
         verdicts.append(expected)
     if desc.startswith("random_cloud"):
         assert not verdicts[0] and not verdicts[1]
+
+
+@pytest.mark.parametrize("desc", SCAN_SPACES + ["grid(16, 2)", "random_cloud(64, 2, 3)"])
+def test_dichotomy_scan_equals_ranks_oracle(monkeypatch, desc):
+    """Ball sizes from one search per centre make the one call that integer
+    distance ranks made, with the same verdict, at the true C_mu and at
+    forced ones that make some or only the tightest triples fail."""
+    sp = resolve_space(desc)
+    c = compute_constants(sp)
+    radii = canonical_radii(sp)
+    key = float(3.0 * c.A0**2)
+    forced = [None, 1.0, 1.25]
+    rho = _least_growth(sp, c)
+    if math.isfinite(rho):
+        forced += [1.0 / ((rho - 1.0) * (1.0 - 1e-9)), 1.0 / ((rho - 1.0) * (1.0 + 1e-9))]
+    calls = _counted_calls(monkeypatch)
+    for cmu in forced:
+        cc = c if cmu is None else dataclasses.replace(c, _cmu_cache={key: cmu})
+        holds = an.dichotomy_holds(sp, cc, radii)
+        made = calls[:]
+        calls.clear()
+        assert holds == dichotomy_ranks_oracle(sp, cc, radii)
+        assert made == calls and len(made) <= 1
+        calls.clear()
 
 
 @pytest.mark.parametrize("cmu", [None, 1.0])
@@ -492,7 +517,7 @@ def test_modulated_kernels_obey_product_bound(bundle_b):
 
 
 @pytest.mark.parametrize("desc", ["FIX-B", "cycle(20, weights=uniform)",
-                                  "random_cloud(20, 2, 1)"])
+                                  "random_cloud(20, 2, 1)", "tree(4)"])
 def test_volume_matrix_reads_volume(desc):
     sp = resolve_space(desc)
     vol = an.volume_matrix(sp)
@@ -681,18 +706,96 @@ BMO_ORACLE_SPACES = (["FIX-B", "grid(16, 2)", "cycle(64, scale=1)",
                         for s in range(10)])
 
 
+def _bmo_space(desc, request):
+    if desc == "wide_line":
+        return request.getfixturevalue(desc)
+    if desc == "one_point":
+        return FiniteSpace(dist=np.zeros((1, 1)), weights=np.ones(1))
+    return resolve_space(desc)
+
+
+def _bmo_oracle_inputs(n):
+    rng = np.random.default_rng(17)
+    return rng.normal(size=n), rng.integers(0, 3, size=n).astype(float)
+
+
 @pytest.mark.parametrize("desc", BMO_ORACLE_SPACES)
 def test_bmo_norm_equals_per_centre_oracle(desc, request):
-    if desc == "wide_line":
-        sp = request.getfixturevalue(desc)
-    elif desc == "one_point":
-        sp = FiniteSpace(dist=np.zeros((1, 1)), weights=np.ones(1))
-    else:
-        sp = resolve_space(desc)
-    rng = np.random.default_rng(17)
-    for b in (rng.normal(size=sp.n), rng.integers(0, 3, size=sp.n).astype(float)):
+    sp = _bmo_space(desc, request)
+    for b in _bmo_oracle_inputs(sp.n):
         for center in ("average", "median"):
             assert an.bmo_norm(sp, b, center) == _bmo_norm_per_centre(sp, b, center)
+
+
+def _bmo_edge_inputs(n):
+    rng = np.random.default_rng(5)
+    noise = rng.normal(size=n)
+    nan = noise.copy()
+    nan[n // 2] = np.nan
+    return {
+        # two-point balls of equal weights meet the bound exactly
+        "two-valued": rng.integers(0, 2, size=n).astype(float),
+        # the mean centre rounds at the size of b(x), far above the oscillation
+        "offset": 1e8 + 1e-6 * noise,
+        # S2 overflows: every bound is inf and every ball is visited
+        "overflow": 1e200 * noise,
+        "constant": np.full(n, 3.7),
+        "nan": nan,
+    }
+
+
+@pytest.mark.parametrize("desc", ["FIX-B", "grid(16, 2)", "random_cloud(64, 2, 1)",
+                                  "wide_line"])
+@pytest.mark.parametrize("case", ["two-valued", "offset", "overflow", "constant", "nan"])
+def test_bmo_norm_at_the_edges_of_the_bound(desc, case, request):
+    """Bit for bit the unpruned pass.  A NaN entry gives the unpruned pass's
+    own result, which passes over each block of n balls holding a NaN."""
+    sp = _bmo_space(desc, request)
+    b = _bmo_edge_inputs(sp.n)[case]
+    for center in ("average", "median"):
+        got = an.bmo_norm(sp, b, center)
+        assert got == bmo_norm_blocks_oracle(sp, b, center)
+        if case != "nan":
+            assert got == _bmo_norm_per_centre(sp, b, center)
+    if case == "constant":
+        assert an.bmo_norm(sp, b) == 0.0
+
+
+def test_bmo_oracle_cases_catch_a_halved_bound(monkeypatch, request):
+    """With the bound at half its value the pass skips balls that win, and
+    the oracle cases see it."""
+    real = an._variance_bound
+    monkeypatch.setattr(an, "_variance_bound", lambda *args: 0.5 * real(*args))
+    failed = []
+    for desc in BMO_ORACLE_SPACES:
+        sp = _bmo_space(desc, request)
+        for i, b in enumerate(_bmo_oracle_inputs(sp.n)):
+            for center in ("average", "median"):
+                if an.bmo_norm(sp, b, center) != _bmo_norm_per_centre(sp, b, center):
+                    failed.append((desc, i, center))
+    assert ("random_cloud(20, 2, 2)", 0, "average") in failed
+    assert ("wide_line", 1, "average") in failed
+
+
+@pytest.mark.parametrize("desc", ["grid(16, 2)", "cycle(64, scale=1)",
+                                  "random_cloud(64, 2, 1)", "random_cloud(256, 2, 1)"])
+def test_bmo_exact_pass_takes_n_balls_on_normal_draws(monkeypatch, desc):
+    """The bound prunes: on normal draws only the n balls of largest bound
+    take the exact pass."""
+    sp = resolve_space(desc)
+    taken = []
+    real = an._oscillations
+
+    def counted(bs, ws, xs, *rest):
+        taken.append(xs.size)
+        return real(bs, ws, xs, *rest)
+
+    monkeypatch.setattr(an, "_oscillations", counted)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        an.bmo_norm(sp, rng.normal(size=sp.n))
+        assert sum(taken) == sp.n
+        taken.clear()
 
 
 def test_bmo_average_vs_median_factor_two(fix_b):

@@ -11,7 +11,7 @@ from hwave.space import (FiniteSpace, ValidationError,
                          canonical_radii, compute_constants, generate_space,
                          load_space, resolve_space, save_space)
 
-from helpers import power, rescale
+from helpers import cmu_per_centre_oracle, power, rescale
 
 SETTINGS = dict(deadline=None, max_examples=25)
 
@@ -182,6 +182,44 @@ def _cmu_global_breakpoints(space, t):
 def test_cmu_per_centre_equals_global_breakpoints(descriptor, t):
     sp = resolve_space(descriptor)
     assert compute_constants(sp).cmu(t) == _cmu_global_breakpoints(sp, t)
+
+
+CMU_ORACLE_SPACES = ["FIX-A", "FIX-B", "line(1)", "line(2)", "tree(4)",
+                     "two_cluster(12, 7)", "grid(16, 2)", "random_cloud(20, 2, 1)",
+                     "random_cloud(64, 2, 3)", "random_cloud(256, 2, 5)"]
+
+
+@pytest.mark.parametrize("descriptor", CMU_ORACLE_SPACES)
+def test_cmu_equals_per_centre_oracle(descriptor):
+    """Distinct radii only, and none past the first whose t r clears the
+    farthest point, give the bits of the scan over every distance."""
+    sp = resolve_space(descriptor)
+    c = compute_constants(sp)
+    for t in (1.0, 1.5, 2.0, 3.0 * c.A0**2, 1e9):
+        assert c.cmu(t) == cmu_per_centre_oracle(sp, t)
+
+
+@pytest.mark.parametrize("descriptor", ["FIX-B", "grid(16, 2)", "tree(4)",
+                                        "random_cloud(20, 2, 1)", "line(1)"])
+def test_sizes_equals_size_per_pair(descriptor):
+    """Ties (the grid's and the tree's equal distances, and radii drawn from
+    the distances themselves), r = 0, r = inf and radii unsorted within a
+    centre: every pair counts what ``size`` counts."""
+    sp = resolve_space(descriptor)
+    tab = sp.balls
+    rng = np.random.default_rng(3)
+    xs = np.sort(rng.integers(0, sp.n, size=8 * sp.n))
+    r = np.concatenate([sp.dist[xs[:2 * sp.n], rng.integers(0, sp.n, size=2 * sp.n)],
+                        rng.uniform(0.0, 1.5 * sp.diam + 1.0, size=6 * sp.n)])
+    r[rng.integers(0, r.size, size=sp.n)] = 0.0
+    r[rng.integers(0, r.size, size=sp.n)] = np.inf
+    rng.shuffle(r)
+    want = np.array([tab.size(int(x), float(v)) for x, v in zip(xs, r)])
+    assert np.array_equal(tab.sizes(xs, r), want)
+    # ungrouped centres cost more searches, not other counts
+    mixed = rng.permutation(xs.size)
+    assert np.array_equal(tab.sizes(xs[mixed], r[mixed]), want[mixed])
+    assert tab.sizes(xs[:0], r[:0]).size == 0
 
 
 def _max_packing(space):
