@@ -39,6 +39,10 @@ def _load_function(path: str, n: int) -> np.ndarray:
     values = np.asarray(json.loads(Path(path).read_text()), dtype=float)
     if values.shape != (n,):
         raise SystemExit(f"function file must hold {n} values")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise SystemExit(f"function file value {bad[0]} is {values[bad[0]]}, "
+                         "not a finite number")
     return values
 
 

@@ -59,17 +59,23 @@ def _coord_rng(seed: int, level_offset: int, which: int) -> np.random.Generator:
         np.random.SeedSequence([int(seed), int(level_offset), int(which)]))
 
 
-def _sample_level(order: ReferenceOrder, seed: int, i: int, nsamples: int):
-    """The coordinates (ell, m) of level k_coarse + i for a batch of draws."""
+def _level_draws(order: ReferenceOrder, seed: int, i: int, nsamples: int):
+    """The coordinates (ell, m - 1) of level k_coarse + i for a batch of
+    draws, both 0-based: the one place the streams are read.  numpy adds
+    ``low`` after the same bounded draw, so ``integers(0, M)`` is
+    ``integers(1, M + 1) - 1`` bit for bit, and a range of one value (L = 0
+    or M = 1) takes nothing from its stream."""
     return (_coord_rng(seed, i, 0).integers(0, order.L + 1, size=nsamples),
-            _coord_rng(seed, i, 1).integers(1, order.M + 1, size=nsamples))
+            _coord_rng(seed, i, 1).integers(0, order.M, size=nsamples))
 
 
 def sample_omega(order: ReferenceOrder, seed: int) -> OmegaSample:
-    """One draw: the first coordinates ``_sample_level`` draws per level."""
-    draws = [_sample_level(order, seed, i, 1) for i in range(len(order.parents))]
+    """One draw: the first coordinates ``_level_draws`` draws per level,
+    with m shifted to 1..M."""
+    draws = [_level_draws(order, seed, i, 1) for i in range(len(order.parents))]
     ell, m = np.array(draws, dtype=np.int64).reshape(-1, 2).T
-    return OmegaSample(k_coarse=order.parents.k_coarse, ell=ell, m=m, seed=seed)
+    return OmegaSample(k_coarse=order.parents.k_coarse, ell=ell, m=m + 1,
+                       seed=seed)
 
 
 @dataclass(frozen=True)
@@ -304,13 +310,16 @@ class CubeMachine:
         return ell * self.order.M + (m - 1)
 
     def sample_outcomes(self, seed: int, nsamples: int, k: int) -> np.ndarray:
-        """Table rows of level k for a batch of draws: the outcome index of
-        ``_sample_level``'s coordinates."""
+        """Table rows of level k for a batch of draws, built in place from
+        the two 0-based coordinate draws (``_level_draws``): ell * M, plus
+        m - 1.  Equal to ``outcome_index`` of the 1-based coordinates."""
         if nsamples < 1:
             raise ValueError("nsamples must be >= 1")
         self.order.parents.at(k)  # KeyError naming the range
-        return self.outcome_index(*_sample_level(self.order, seed,
-                                                 k - self.h.k_coarse, nsamples))
+        rows, m0 = _level_draws(self.order, seed, k - self.h.k_coarse, nsamples)
+        rows *= self.order.M
+        rows += m0
+        return rows
 
     def system(self, omega: OmegaSample) -> RandomizedSystem:
         """The sampled system of one omega draw, read off the outcome tables."""
@@ -336,31 +345,41 @@ class CubeMachine:
         each holding the level-``level`` ancestor of every point under class
         c, ``counts[c]`` its number of draws, ``inverse[s]`` the class of draw
         s.  Two draws with one map at a level share it at every coarser level,
-        so there are at most as many classes as outcome histories.  Per
-        level: one count of the (class, outcome) pairs, one table gather over
-        the pairs that occur, and equal rows merged in first-seen order; the
-        draws are never sorted.
+        so there are at most as many classes as outcome histories.  The
+        yielded arrays are never written again, so a caller may keep them.
+
+        Per level, the passes over the draws are the two coordinate draws
+        and the row built from them, the (class, outcome) pair key (the row
+        itself while there is one class), one tally of the keys and one
+        lookup of each draw's new class.  Over the pairs that occur: one
+        table gather, equal rows merged in first-seen order, and the class
+        counts summed from the tally.  The draws are never sorted.
         """
         h = self.h
         h.level(k)  # KeyError naming the range unless k is a level
         n = h.level(h.k_fine).size
+        n_out = self.n_outcomes
         anc = np.arange(n, dtype=np.int32)[None, :]
-        counts = np.array([nsamples])
+        counts = np.array([nsamples], dtype=np.int64)
         inverse = np.zeros(nsamples, dtype=np.intp)
         yield h.k_fine, anc, counts, inverse
         for kk in range(h.k_fine - 1, k - 1, -1):
-            table = self.parent_tables[kk]
-            key = inverse * self.n_outcomes + self.sample_outcomes(seed, nsamples, kk)
-            size = counts.size * self.n_outcomes
-            pairs = np.flatnonzero(np.bincount(key, minlength=size))
-            prev, out = np.divmod(pairs, self.n_outcomes)
-            rows = table[out[:, None], anc[prev]]
+            key = self.sample_outcomes(seed, nsamples, kk)
+            if counts.size > 1:
+                key += inverse * n_out  # never in place: inverse was yielded
+            size = counts.size * n_out
+            tally = np.bincount(key, minlength=size)
+            pairs = np.flatnonzero(tally)
+            prev, out = np.divmod(pairs, n_out)
+            rows = self.parent_tables[kk][out[:, None], anc[prev]]
             first = {}
-            merged = [first.setdefault(row.tobytes(), len(first)) for row in rows]
+            merged = np.array([first.setdefault(row.tobytes(), len(first))
+                               for row in rows], dtype=np.intp)
             lookup = np.zeros(size, dtype=np.intp)
             lookup[pairs] = merged
             inverse = lookup[key]
-            counts = np.bincount(inverse)
+            counts = np.zeros(len(first), dtype=np.int64)
+            np.add.at(counts, merged, tally[pairs])
             anc = rows[np.unique(merged, return_index=True)[1]]
             yield kk, anc, counts, inverse
 

@@ -11,7 +11,6 @@ import hwave.analysis as an
 from hwave.analysis import _wavelet_ball_volumes, volume_matrix
 from hwave.mra import SERIES_MAX_TERMS, SERIES_TOL, NotSPDError
 from hwave.nets import Levels, ReferenceOrder
-from hwave.randomized import _sample_level
 from hwave.report import check_error
 from hwave.space import FiniteSpace, SpaceConstants
 from hwave.wavelets import WaveletBasis
@@ -141,17 +140,29 @@ def separated_sum_check(space: FiniteSpace, constants: SpaceConstants,
     return SeparatedSumReport(eps=float(eps), value=float(values[arg]), argmax=arg)
 
 
+def coordinate_draws(order: ReferenceOrder, seed: int, i: int, nsamples: int):
+    """The 1-based coordinates (ell, m) of level k_coarse + i for a batch of
+    draws, ell from 0..L and m from 1..M, each from its own stream per
+    (seed, level, coordinate): the draws as they were taken before
+    ``randomized._level_draws`` read m - 1 directly."""
+    def stream(which):
+        return np.random.default_rng(
+            np.random.SeedSequence([int(seed), int(i), int(which)]))
+    return (stream(0).integers(0, order.L + 1, size=nsamples),
+            stream(1).integers(1, order.M + 1, size=nsamples))
+
+
 def sample_omega_batch(order: ReferenceOrder, seed: int, nsamples: int):
     """Vectorized draws: arrays of shape (num_levels, nsamples).  The oracle
-    of ``CubeMachine.sample_outcomes`` and of ``sample_omega``, whose draw
-    heads every batch."""
+    of ``CubeMachine.sample_outcomes`` (through ``outcome_index``) and of
+    ``sample_omega``, whose draw heads every batch."""
     if nsamples < 1:
         raise ValueError("nsamples must be >= 1")
     nlev = len(order.parents)
     ell = np.zeros((nlev, nsamples), dtype=np.int64)
     m = np.zeros((nlev, nsamples), dtype=np.int64)
     for i in range(nlev):
-        ell[i], m[i] = _sample_level(order, seed, i, nsamples)
+        ell[i], m[i] = coordinate_draws(order, seed, i, nsamples)
     return ell, m
 
 

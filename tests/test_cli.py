@@ -165,6 +165,32 @@ def test_analyze_bmo_prints_both_centred_norms(tmp_path, capsys):
     assert med <= avg <= 2 * med
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "bmo"], ["analyze", "carleson"], ["wavelets", "transform"],
+])
+@pytest.mark.parametrize("value, at", [
+    (float("nan"), 3), (float("inf"), 0), (float("-inf"), 15),
+])
+def test_non_finite_function_values_are_refused(tmp_path, command, value, at):
+    # a NaN used to give "bmo: 0" and exit status 0
+    f = np.arange(16.0)
+    f[at] = value
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps(f.tolist()))
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--space", "FIX-B", "--function", str(fn)])
+    assert exit_.value.code == (f"function file value {at} is {value}, "
+                                "not a finite number")
+
+
+def test_function_of_the_wrong_length_is_refused(tmp_path):
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps([0.0] * 15))
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", "bmo", "--space", "FIX-B", "--function", str(fn)])
+    assert exit_.value.code == "function file must hold 16 values"
+
+
 def test_run_selected_suite(capsys):
     rc = main(["run", "--space", "FIX-A", "--suite", "nets",
                "--suite", "splines"])

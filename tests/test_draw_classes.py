@@ -9,17 +9,19 @@ the results must be equal bit for bit, not merely close.
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hwave.pipeline import (PipelineConfig, _suite_splines, build_bundle,
                             run_pipeline)
-from hwave.randomized import CubeMachine, boundary_layer_probability
+from hwave.randomized import (CubeMachine, _level_draws,
+                              boundary_layer_probability, sample_omega)
 from hwave.space import FIXTURES, generate_space
 from hwave.splines import compute_splines_mc
 
-from helpers import replace_level, sample_omega_batch
+from helpers import coordinate_draws, replace_level, sample_omega_batch
 
 SPACES = [
     (FIXTURES["FIX-A"], 0.25),
@@ -143,14 +145,76 @@ def test_class_counts_pinned(desc, delta, nsamples, want):
     assert got == want
 
 
-@pytest.mark.parametrize("nsamples", [1, 7, 1000])
-def test_sample_outcomes_equal_coordinate_draws(bundle, nsamples):
-    machine, h = bundle.machine, bundle.hierarchy
-    want = machine.outcome_index(*sample_omega_batch(bundle.order, 9, nsamples))
+def _assert_rows_equal_coordinate_draws(machine, order, nsamples):
+    h = machine.h
+    want = machine.outcome_index(*sample_omega_batch(order, 9, nsamples))
     for i, k in enumerate(range(h.k_coarse, h.k_fine)):
         got = machine.sample_outcomes(9, nsamples, k)
         assert got.shape == want[i].shape
+        assert got.dtype == np.int64
         assert np.array_equal(got, want[i]), k
+
+
+@pytest.mark.parametrize("nsamples", [1, 7, 1000])
+def test_sample_outcomes_equal_coordinate_draws(bundle, nsamples):
+    _assert_rows_equal_coordinate_draws(bundle.machine, bundle.order, nsamples)
+
+
+# L = 0: ell has one value and takes nothing from its stream
+L_ZERO = [("line(64)", 0.99), ("line(16)", 0.5)]
+
+
+@pytest.fixture(scope="module", params=L_ZERO, ids=[d for d, _ in L_ZERO])
+def bundle_l0(request):
+    desc, delta = request.param
+    b = build_bundle(generate_space(desc), delta)
+    assert b.order.L == 0
+    return b
+
+
+@pytest.mark.parametrize("nsamples", [1, 7, 1000])
+def test_sample_outcomes_equal_coordinate_draws_at_l_zero(bundle_l0, nsamples):
+    _assert_rows_equal_coordinate_draws(bundle_l0.machine, bundle_l0.order,
+                                        nsamples)
+    omega = sample_omega(bundle_l0.order, 9)
+    ell, m = sample_omega_batch(bundle_l0.order, 9, nsamples)
+    assert np.array_equal(omega.ell, ell[:, 0])
+    assert np.array_equal(omega.m, m[:, 0])
+
+
+@pytest.mark.parametrize("L, M", [(0, 1), (3, 1), (0, 2), (2, 7)])
+@pytest.mark.parametrize("nsamples", [1, 7, 1000])
+def test_level_draws_are_the_coordinates_less_their_lows(L, M, nsamples):
+    """Every space with two or more levels has a cell with two children, so
+    M = 1 is reached through a bare order: a range of one value is all
+    zeros, as the 1-based draw less one."""
+    order = SimpleNamespace(L=L, M=M)
+    ell, m0 = _level_draws(order, 9, 2, nsamples)
+    want_ell, want_m = coordinate_draws(order, 9, 2, nsamples)
+    assert np.array_equal(ell, want_ell)
+    assert np.array_equal(m0, want_m - 1)
+
+
+ALIASING = [("cycle(64, scale=1)", 0.2), (FIXTURES["FIX-B"], 0.25),
+            ("line(16)", 0.5)]
+
+
+@pytest.mark.parametrize("desc,delta", ALIASING, ids=[d for d, _ in ALIASING])
+def test_kept_classes_survive_the_walk(desc, delta):
+    """Every level's (anc, counts, inverse), collected first and read after
+    the generator is spent, still equals the per-draw walk: the walk writes
+    no array it has yielded."""
+    machine = build_bundle(generate_space(desc), delta).machine
+    h = machine.h
+    nsamples = 2000
+    walked = list(machine.draw_classes(6, nsamples, h.k_coarse))
+    assert [lev for lev, *_ in walked] == list(range(h.k_fine, h.k_coarse - 1, -1))
+    for k, anc, counts, inverse in walked:
+        assert (anc.dtype, counts.dtype, inverse.dtype) == (
+            np.int32, np.int64, np.intp)
+        assert np.array_equal(anc[inverse],
+                              _ancestors_per_draw(machine, 6, nsamples, k)), k
+        assert np.array_equal(counts, np.bincount(inverse)), k
 
 
 def test_outcomes_drawn_one_level_at_a_time(monkeypatch):
