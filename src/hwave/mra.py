@@ -5,8 +5,10 @@ delta^k)); their extreme eigenvalues are exactly the optimal Riesz constants.
 One eigendecomposition per connected component of a Gram-type matrix's
 nonzero pattern gives its SPD check, Riesz bounds, inverse and inverse
 square root; entries between components are exactly 0.0, as the theory has
-them, so ``basis.json`` is exactly zero off the blocks.  An optional
-Neumann-series route is kept for decay experiments.
+them, so ``basis.json`` is exactly zero off the blocks.  The duals and the
+orthonormal scaling functions are formed, and their identities checked, per
+component too (``build_gram_system``).  An optional Neumann-series route is
+kept for decay experiments.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ __all__ = [
     "neumann_inverse_and_sqrt",
     "decay_fit",
     "fit_decay_exponent",
-    "biorthogonal_and_orthonormal",
     "build_gram_system",
     "decay_exponent_s",
     "save_matrix_csv",
@@ -114,15 +115,12 @@ def _eigh_blocks(M: np.ndarray, name: str):
     return blocks, (float(lo), float(hi))
 
 
-def _block_inverse(n: int, blocks, root: bool = False) -> np.ndarray:
-    """M^-1 (M^-1/2 with ``root``) from ``_eigh_blocks``: U diag(w)^-1 U^T
-    (diag(w)^-1/2) per block, symmetrized and scattered back; 0.0 between
-    blocks."""
-    out = np.zeros(n * n)
-    for flat, w, U in blocks:
-        B = (U / (np.sqrt(w) if root else w)[:, None, :]) @ U.swapaxes(1, 2)
-        out[flat] = 0.5 * (B + B.swapaxes(1, 2))
-    return out.reshape(n, n)
+def _block_inverse(w: np.ndarray, U: np.ndarray, root: bool = False) -> np.ndarray:
+    """The blocks of M^-1 (M^-1/2 with ``root``) for one size group of
+    ``_eigh_blocks``: U diag(w)^-1 U^T (diag(w)^-1/2) per block, symmetrized,
+    as a (c, s, s) stack."""
+    B = (U / (np.sqrt(w) if root else w)[:, None, :]) @ U.swapaxes(1, 2)
+    return 0.5 * (B + B.swapaxes(1, 2))
 
 
 def _gram_level(space: FiniteSpace, constants: SpaceConstants, h: NetHierarchy,
@@ -153,7 +151,11 @@ def inverse_and_sqrt(M: np.ndarray):
         raise NotSPDError("matrix is not symmetric")
     blocks, _ = _eigh_blocks(M, "matrix")
     n = M.shape[0]
-    return _block_inverse(n, blocks), _block_inverse(n, blocks, root=True)
+    inverse, isqrt = np.zeros(n * n), np.zeros(n * n)
+    for flat, w, U in blocks:
+        inverse[flat] = _block_inverse(w, U)
+        isqrt[flat] = _block_inverse(w, U, root=True)
+    return inverse.reshape(n, n), isqrt.reshape(n, n)
 
 
 def neumann_inverse_and_sqrt(M: np.ndarray):
@@ -251,16 +253,6 @@ def fit_decay_exponent(matrix: np.ndarray, dists: np.ndarray) -> float:
     return float(slope)
 
 
-def biorthogonal_and_orthonormal(space: FiniteSpace, table_values: np.ndarray,
-                                 Minv: np.ndarray, Misqrt: np.ndarray,
-                                 volumes: np.ndarray):
-    """Dual splines and orthonormal scaling functions from the Gram algebra."""
-    sqrt_vol = np.sqrt(volumes)
-    stilde = (Minv / np.outer(sqrt_vol, sqrt_vol)) @ table_values
-    phi = (Misqrt / sqrt_vol[None, :]) @ table_values
-    return stilde, phi
-
-
 @dataclass(frozen=True)
 class GramLevel:
     M: np.ndarray
@@ -275,27 +267,60 @@ class GramLevel:
 def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
                       h: NetHierarchy, table: Levels) -> Levels:
     """Gram, dual and orthonormal data per level (a ``GramLevel`` each), with
-    identities asserted."""
+    identities asserted.
+
+    The duals stilde = (M^-1 / sqrt(vol vol^T)) s and the scaling functions
+    phi = (M^-1/2 / sqrt(vol)^T) s are one batched product of each component's
+    blocks (``_eigh_blocks``) with its spline rows: the full product summed
+    the same terms in the same order, plus exact 0.0 terms, so the rows are
+    the same bit for bit.  <s_i, stilde_j> = <phi_i, phi_j> = delta_ij is
+    checked per component, and one pass over the spline values counts the
+    components whose splines are nonzero at each point: no point may lie in
+    the supports of two components.  So stilde_j and phi_j, made of the
+    splines of j's component, are 0.0 where any other component's splines
+    are nonzero, and each skipped entry is a sum of 0.0 terms: exactly 0.0,
+    as the identity has it.  (Splines are nonnegative, so M_ij = 0.0 means
+    disjoint supports unless the products underflow.)  A NaN in a block
+    reaches its own component's residual, which fails.  The mass check
+    <stilde_i, 1> = 1 stays on every row.  A failure names the level and
+    M's condition number hi/lo.
+    """
     out = []
     for k in range(h.k_coarse, h.k_fine + 1):
         M, vol, blocks, riesz = _gram_level(space, constants, h, table, k)
         n = M.shape[0]
-        Minv = _block_inverse(n, blocks)
-        Misqrt = _block_inverse(n, blocks, root=True)
-        values = table.at(k)
-        stilde, phi = biorthogonal_and_orthonormal(space, values, Minv, Misqrt, vol)
-        eye = np.eye(n)
-        err_bio = float(np.abs(space.gram(values, stilde) - eye).max())
-        err_ortho = float(np.abs(space.gram(phi, phi) - eye).max())
-        mass = stilde @ space.weights
-        err_mass = float(np.abs(mass - 1.0).max())
-        if max(err_bio, err_ortho, err_mass) > DUAL_TOL:
+        values, sqrt_vol = table.at(k), np.sqrt(vol)
+        Minv, Misqrt = np.zeros(n * n), np.zeros(n * n)
+        stilde, phi = np.empty_like(values), np.empty_like(values)
+        holders, bio, ortho = np.zeros(values.shape[1], dtype=np.intp), [], []
+        for flat, w, U in blocks:
+            idx = flat[:, :, 0] // n
+            Minv[flat] = inv = _block_inverse(w, U)
+            Misqrt[flat] = isqrt = _block_inverse(w, U, root=True)
+            sv, rows = sqrt_vol[idx], values[idx]
+            # count the components whose splines hold each point
+            holders += rows.any(axis=1).sum(axis=0)
+            eye = np.eye(idx.shape[1])
+            stilde[idx] = dual = (inv / (sv[:, :, None] * sv[:, None, :])) @ rows
+            dual *= space.weights
+            bio.append(np.abs(rows @ dual.swapaxes(1, 2) - eye).max())
+            phi[idx] = dual = (isqrt / sv[:, None, :]) @ rows
+            ortho.append(np.abs(dual @ (dual * space.weights).swapaxes(1, 2)
+                                - eye).max())
+        if holders.max() > 1:
+            raise NotSPDError(f"level {k}: point {np.argmax(holders > 1)} lies in "
+                              "the supports of splines from two Gram components")
+        err_mass = np.abs(stilde @ space.weights - 1.0).max()
+        # a NaN residual compares False, so it fails
+        if not all(err <= DUAL_TOL for err in (*bio, *ortho, err_mass)):
             raise NotSPDError(
-                f"level {k} dual-system identities failed "
-                f"(bio {err_bio:.2e}, ortho {err_ortho:.2e}, mass {err_mass:.2e})"
+                f"level {k} dual-system identities failed (bio {np.max(bio):.2e}, "
+                f"ortho {np.max(ortho):.2e}, mass {err_mass:.2e}; "
+                f"Gram condition number {riesz[1] / riesz[0]:.3g})"
             )
-        out.append(GramLevel(M=M, volumes=vol, Minv=Minv, Misqrt=Misqrt,
-                             stilde=stilde, phi=phi, riesz=riesz))
+        out.append(GramLevel(M=M, volumes=vol, Minv=Minv.reshape(n, n),
+                             Misqrt=Misqrt.reshape(n, n), stilde=stilde,
+                             phi=phi, riesz=riesz))
     return Levels(h.k_coarse, tuple(out))
 
 

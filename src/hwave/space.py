@@ -119,10 +119,12 @@ class FiniteSpace:
         if zeros.size:
             i, j = zeros[0]
             raise ValidationError(f"distinct points at distance zero: ({i},{j})")
-        bad_w = np.argwhere(~(weights > 0))
+        bad_w = np.flatnonzero(~(weights > 0))
         if bad_w.size:
-            i = int(bad_w[0, 0])
-            raise ValidationError(f"weight must be positive at index {i}")
+            raise ValidationError(f"weight must be positive at index {bad_w[0]}")
+        bad_w = np.flatnonzero(~np.isfinite(weights))
+        if bad_w.size:
+            raise ValidationError(f"weight must be finite at index {bad_w[0]}")
         object.__setattr__(self, "dist", _freeze(dist))
         object.__setattr__(self, "weights", _freeze(weights))
 

@@ -70,20 +70,30 @@ def orthonormalize_level(space: FiniteSpace, tilde_psi: np.ndarray,
     """Symmetric orthonormalization of one level family.
 
     ``volumes`` are the ball masses of the new points at the next-level scale;
-    they normalize the Gram before the inverse square root is applied.
+    they normalize the Gram before the inverse square root is applied.  The
+    root and its product with the pre-wavelets are formed per connected
+    component of that Gram (``_eigh_blocks``), as ``build_gram_system`` forms
+    phi.  The residual <psi_i, psi_j> - delta_ij stays dense: pre-wavelets
+    change sign, so a 0.0 entry of their Gram does not mean disjoint
+    supports.  A refusal gives the Gram's condition number hi/lo, and
+    ``assemble_basis`` adds the level.
     """
     if tilde_psi.shape[0] == 0:
         return tilde_psi
     sqrt_vol = np.sqrt(volumes)
     gram = space.gram(tilde_psi, tilde_psi) / np.outer(sqrt_vol, sqrt_vol)
     gram = 0.5 * (gram + gram.T)
-    blocks, _ = _eigh_blocks(gram, "pre-wavelet Gram")
-    isqrt = _block_inverse(gram.shape[0], blocks, root=True)
-    psi = (isqrt / sqrt_vol[None, :]) @ tilde_psi
-    check = space.gram(psi, psi)
-    err = np.abs(check - np.eye(psi.shape[0])).max()
-    if err > ORTHO_TOL:
-        raise NotSPDError(f"orthonormalization residual {err:.2e}")
+    blocks, (lo, hi) = _eigh_blocks(gram, "pre-wavelet Gram")
+    n = gram.shape[0]
+    psi = np.empty_like(tilde_psi)
+    for flat, w, U in blocks:
+        idx = flat[:, :, 0] // n
+        psi[idx] = ((_block_inverse(w, U, root=True) / sqrt_vol[idx][:, None, :])
+                    @ tilde_psi[idx])
+    err = np.abs(space.gram(psi, psi) - np.eye(n)).max()
+    if not err <= ORTHO_TOL:
+        raise NotSPDError(f"orthonormalization residual {err:.2e}, pre-wavelet "
+                          f"Gram condition number {hi / lo:.3g}")
     return psi
 
 
@@ -133,7 +143,10 @@ def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: Levels,
             continue
         ypos = h.position(k + 1, ys)
         volumes = gramsys.at(k + 1).volumes[ypos]
-        rows.append(orthonormalize_level(space, tilde_psi, volumes))
+        try:
+            rows.append(orthonormalize_level(space, tilde_psi, volumes))
+        except NotSPDError as err:
+            raise NotSPDError(f"level {k} {err}") from err
         levels += [k] * ys.size
         centers += ys.tolist()
     values = np.vstack(rows)

@@ -9,7 +9,8 @@ import numpy as np
 
 import hwave.analysis as an
 from hwave.analysis import _wavelet_ball_volumes, volume_matrix
-from hwave.mra import SERIES_MAX_TERMS, SERIES_TOL, NotSPDError
+from hwave.mra import (SERIES_MAX_TERMS, SERIES_TOL, NotSPDError,
+                       inverse_and_sqrt)
 from hwave.nets import Levels, ReferenceOrder
 from hwave.report import check_error
 from hwave.space import FiniteSpace, SpaceConstants
@@ -291,6 +292,27 @@ def neumann_dense_oracle(M):
         if terms > SERIES_MAX_TERMS:
             raise NotSPDError("series did not converge within the term budget")
     return inv_sum / hconst, sqrt_sum / math.sqrt(hconst), r, terms
+
+
+def duals_dense_oracle(lv, values: np.ndarray):
+    """(stilde, phi) of one ``GramLevel`` as ``mra.build_gram_system`` formed
+    them before it worked per Gram component: products of the whole n x n
+    M^-1 and M^-1/2 with the spline table."""
+    sqrt_vol = np.sqrt(lv.volumes)
+    stilde = (lv.Minv / np.outer(sqrt_vol, sqrt_vol)) @ values
+    phi = (lv.Misqrt / sqrt_vol[None, :]) @ values
+    return stilde, phi
+
+
+def orthonormalize_dense_oracle(space: FiniteSpace, tilde_psi: np.ndarray,
+                                volumes: np.ndarray) -> np.ndarray:
+    """``wavelets.orthonormalize_level`` as it was before it worked per
+    component of the pre-wavelet Gram: the whole n x n inverse square root
+    times the pre-wavelets."""
+    sqrt_vol = np.sqrt(volumes)
+    gram = space.gram(tilde_psi, tilde_psi) / np.outer(sqrt_vol, sqrt_vol)
+    _, isqrt = inverse_and_sqrt(0.5 * (gram + gram.T))
+    return (isqrt / sqrt_vol[None, :]) @ tilde_psi
 
 
 def suite_mra_oracle(b, rng):

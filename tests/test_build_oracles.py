@@ -7,7 +7,8 @@ kept as oracles: on every space here the structures must be ``==``, dtypes
 included, and on constructed failing inputs each ``GeometryViolation`` must
 carry the oracle's exact message.  The Gram inverses are taken per connected
 component; the one full-matrix ``eigh`` they replaced is the oracle at the
-end of this file.
+end of this file, and the duals, scaling functions and wavelets formed per
+component equal the full-matrix products they replaced bit for bit.
 """
 from dataclasses import replace
 from functools import lru_cache
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 from hwave import nets, space as space_module
 from hwave.mra import NotSPDError, _eigh_blocks, inverse_and_sqrt
 from hwave.nets import GeometryViolation, build_nets, build_reference_order
+from hwave.pipeline import build_bundle
 from hwave.randomized import CubeMachine
+from hwave.wavelets import pre_wavelets
 from hwave.space import FiniteSpace, compute_constants, minplus, resolve_space
 
 import helpers
@@ -538,3 +541,30 @@ def test_indefinite_block_is_refused():
         inverse_and_sqrt(M)
     with pytest.raises(NotSPDError, match="eigenvalue 0.000e\\+00 <= 0"):
         inverse_and_sqrt(np.diag([1.0, 0.0, 2.0]))
+
+
+def _assert_bits_equal(got, want):
+    # int64 view: a signed zero or a NaN payload counts
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("descriptor,delta", [
+    ("FIX-B", 0.25), ("grid(16,2)", 0.25), ("cycle(256, scale=1)", 0.2),
+    ("random_cloud(64,2,3)", 0.1), ("power_line(33,2)", 0.05)])
+def test_duals_and_wavelets_equal_the_full_matrix_products(descriptor, delta):
+    b = build_bundle(resolve_space(descriptor), delta)
+    h = b.hierarchy
+    for k in range(h.k_coarse, h.k_fine + 1):
+        lv = b.gramsys.at(k)
+        stilde, phi = helpers.duals_dense_oracle(lv, b.splines.at(k))
+        _assert_bits_equal(lv.stilde, stilde)
+        _assert_bits_equal(lv.phi, phi)
+    for k in range(h.k_coarse, h.k_fine):
+        tilde_psi, ys = pre_wavelets(b.space, h, b.splines, b.gramsys, k)
+        if ys.size == 0:
+            continue
+        volumes = b.gramsys.at(k + 1).volumes[h.position(k + 1, ys)]
+        sel = b.basis.is_wavelet & (b.basis.levels == k)
+        _assert_bits_equal(b.basis.values[sel], helpers.orthonormalize_dense_oracle(
+            b.space, tilde_psi, volumes))

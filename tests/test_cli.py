@@ -183,6 +183,17 @@ def test_non_finite_function_values_are_refused(tmp_path, command, value, at):
                                 "not a finite number")
 
 
+def test_a_space_file_with_an_infinite_weight_is_refused(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({
+        "metric": "explicit",
+        "distances": [[abs(i - j) for j in range(6)] for i in range(6)],
+        "weights": [float("inf"), 1, 1, 1, 1, 1]}))
+    assert "Infinity" in path.read_text()
+    assert main(["run", "--space", str(path)]) == 2
+    assert capsys.readouterr().err == "error: weight must be finite at index 0\n"
+
+
 def test_function_of_the_wrong_length_is_refused(tmp_path):
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps([0.0] * 15))

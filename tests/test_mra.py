@@ -1,15 +1,16 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwave import pipeline
-from hwave.mra import (NotSPDError, component_positions, decay_exponent_s,
-                       decay_fit, fit_decay_exponent, inverse_and_sqrt,
-                       neumann_inverse_and_sqrt)
+from hwave import mra, pipeline
+from hwave.mra import (NotSPDError, build_gram_system, component_positions,
+                       decay_exponent_s, decay_fit, fit_decay_exponent,
+                       inverse_and_sqrt, neumann_inverse_and_sqrt)
 from hwave.space import (FIXTURES, FiniteSpace, compute_constants,
                          generate_space, resolve_space)
 from hwave.pipeline import _suite_mra, build_bundle
@@ -412,6 +413,87 @@ def test_biorthogonality_and_mass(bundle_b, bundle_random):
             np.testing.assert_allclose(ortho, np.eye(values.shape[0]), atol=1e-10)
             np.testing.assert_allclose(lv.stilde @ b.space.weights, 1.0,
                                        atol=1e-10)
+
+
+def _first_level_of_several_components(b):
+    h = b.hierarchy
+    return next(k for k in range(h.k_coarse, h.k_fine + 1)
+                if any(flat.shape[0] > 1
+                       for flat in component_positions(b.gramsys.at(k).M)))
+
+
+ROUNDING = r"(0\.00e\+00|\d\.\d\de-1\d)"  # a residual of rounding alone
+
+
+@pytest.mark.parametrize("in_root,damage,reading", [
+    # M^-1 off by 1e-8 relative: only stilde and its identities move
+    (False, lambda B: B.__imul__(1 + 1e-8),
+     rf"bio 1\.00e-08, ortho {ROUNDING}, mass 1\.00e-08"),
+    # a NaN in M^-1/2 reaches phi alone, so a NaN-blind maximum would miss it
+    (True, lambda B: B.__setitem__((0, 0), np.nan),
+     rf"bio {ROUNDING}, ortho nan, mass {ROUNDING}"),
+])
+def test_one_damaged_block_fails_the_dual_checks(monkeypatch, bundle_b, in_root,
+                                                 damage, reading):
+    # the last block of every stack of more than one component: the checks
+    # per component must see one block among many
+    block_inverse = mra._block_inverse
+
+    def damaged(w, U, root=False):
+        B = block_inverse(w, U, root)
+        if root == in_root and B.shape[0] > 1:
+            damage(B[-1])
+        return B
+
+    monkeypatch.setattr(mra, "_block_inverse", damaged)
+    b = bundle_b
+    k = _first_level_of_several_components(b)
+    lo, hi = b.gramsys.at(k).riesz
+    with pytest.raises(NotSPDError) as err:
+        build_gram_system(b.space, b.constants, b.hierarchy, b.splines)
+    message = str(err.value)
+    head = f"level {k} dual-system identities failed ("
+    tail = f"; Gram condition number {hi / lo:.3g})"
+    assert message.startswith(head) and message.endswith(tail)
+    assert re.fullmatch(reading, message[len(head):-len(tail)])
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_splines_of_two_components_sharing_a_point_are_refused(bundle_b, pair):
+    # the least subnormal at a point of another component's support: every
+    # product with it underflows to 0.0 (FIX-B's weights are 1/16), so M and
+    # its components are unchanged, and only the support count can see it.
+    # With ``pair``, splines 0 and 1 overlap, so that the two components
+    # sharing the point lie in different size groups
+    b = bundle_b
+    k = _first_level_of_several_components(b)
+    values = b.splines.at(k).copy()
+    point = int(np.flatnonzero(values[1])[0])
+    if pair:
+        values[0, point] = 0.5
+    assert values[2, point] == 0.0
+    values[2, point] = np.nextafter(0.0, 1.0)
+    groups = component_positions(b.space.gram(values, values))
+    assert len(groups) == 1 + pair
+    with pytest.raises(NotSPDError, match=(
+            rf"^level {k}: point {point} lies in the supports of splines "
+            "from two Gram components$")):
+        build_gram_system(b.space, b.constants, b.hierarchy,
+                          replace_level(b.splines, k, values))
+
+
+def test_a_refused_orthonormalization_names_its_level_and_conditioning():
+    # weights over nine decades: the pre-wavelet Gram's condition number
+    # puts the orthonormalization residual just over its tolerance
+    space = resolve_space("random_cloud(128,2,1)")
+    weights = 10 ** np.random.default_rng(0).uniform(0, 9, space.n)
+    space = FiniteSpace(dist=space.dist, weights=weights / weights.sum())
+    with pytest.raises(NotSPDError, match=(
+            r"^level -?\d+ orthonormalization residual \d\.\d\de-\d\d, "
+            r"pre-wavelet Gram condition number \d\.\d\de\+\d\d$")) as err:
+        build_bundle(space, 0.25)
+    kappa = float(str(err.value).rsplit(" ", 1)[1])
+    assert kappa > 1e6
 
 
 def test_scaling_projector_idempotent(bundle_b):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,24 @@ def test_load_rejects_zero_weight(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValidationError, match="weight must be positive"):
+        load_space(path)
+
+
+@pytest.mark.parametrize("value,at,reading", [
+    (math.inf, 0, "finite"), (math.inf, 4, "finite"), (-math.inf, 2, "positive"),
+    (math.nan, 3, "positive")])
+def test_non_finite_weights_are_refused(tmp_path, value, at, reading):
+    # +inf used to pass and fail later with "Eigenvalues did not converge"
+    dist = np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0)))
+    weights = np.ones(6)
+    weights[at] = value
+    message = f"^weight must be {reading} at index {at}$"
+    with pytest.raises(ValidationError, match=message):
+        FiniteSpace(dist=dist, weights=weights)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"metric": "explicit", "distances": dist.tolist(),
+                                "weights": weights.tolist()}))
+    with pytest.raises(ValidationError, match=message):
         load_space(path)
 
 
