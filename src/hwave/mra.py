@@ -282,8 +282,8 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
     as the identity has it.  (Splines are nonnegative, so M_ij = 0.0 means
     disjoint supports unless the products underflow.)  A NaN in a block
     reaches its own component's residual, which fails.  The mass check
-    <stilde_i, 1> = 1 stays on every row.  A failure names the level and
-    M's condition number hi/lo.
+    <stilde_i, 1> = 1 stays on every row.  A failure names the level,
+    M's condition number hi/lo and the space's C_mu(2).
     """
     out = []
     for k in range(h.k_coarse, h.k_fine + 1):
@@ -316,7 +316,8 @@ def build_gram_system(space: FiniteSpace, constants: SpaceConstants,
             raise NotSPDError(
                 f"level {k} dual-system identities failed (bio {np.max(bio):.2e}, "
                 f"ortho {np.max(ortho):.2e}, mass {err_mass:.2e}; "
-                f"Gram condition number {riesz[1] / riesz[0]:.3g})"
+                f"Gram condition number {riesz[1] / riesz[0]:.3g}, "
+                f"C_mu(2) {constants.cmu(2.0):.3g})"
             )
         out.append(GramLevel(M=M, volumes=vol, Minv=Minv.reshape(n, n),
                              Misqrt=Misqrt.reshape(n, n), stilde=stilde,

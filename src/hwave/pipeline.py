@@ -12,8 +12,9 @@ from .mra import (build_gram_system, component_positions,
                   neumann_inverse_and_sqrt, save_gram_system)
 from .nets import (Levels, NetHierarchy, ReferenceOrder, build_nets,
                    build_reference_order, save_nets)
-from .randomized import (CubeMachine, sample_omega, save_system,
-                         theoretical_eta, verify_center_sandwich, verify_system)
+from .randomized import (CubeMachine, _check_nsamples, sample_omega,
+                         save_system, theoretical_eta, verify_center_sandwich,
+                         verify_system)
 from .report import (check_error, check_flag, format_report, write_json,
                      write_report)
 from .space import (FiniteSpace, SpaceConstants, compute_constants,
@@ -42,8 +43,7 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.nsamples < 1:
-            raise ValueError("nsamples must be >= 1")
+        _check_nsamples(self.nsamples)
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -73,7 +73,7 @@ def build_bundle(space: FiniteSpace, delta: float, mode: str = "relaxed") -> Bun
     transitions = build_transitions(machine)
     splines = compute_splines_exact(hierarchy, transitions)
     gramsys = build_gram_system(space, constants, hierarchy, splines)
-    basis = assemble_basis(space, hierarchy, splines, gramsys)
+    basis = assemble_basis(space, constants, hierarchy, splines, gramsys)
     return Bundle(space=space, constants=constants, hierarchy=hierarchy,
                   order=order, machine=machine, transitions=transitions,
                   splines=splines, gramsys=gramsys, basis=basis,

@@ -61,12 +61,38 @@ def _coord_rng(seed: int, level_offset: int, which: int) -> np.random.Generator:
 
 def _level_draws(order: ReferenceOrder, seed: int, i: int, nsamples: int):
     """The coordinates (ell, m - 1) of level k_coarse + i for a batch of
-    draws, both 0-based: the one place the streams are read.  numpy adds
-    ``low`` after the same bounded draw, so ``integers(0, M)`` is
-    ``integers(1, M + 1) - 1`` bit for bit, and a range of one value (L = 0
-    or M = 1) takes nothing from its stream."""
+    draws, both 0-based: the one place the streams are read one draw at a
+    time.  numpy adds ``low`` after the same bounded draw, so
+    ``integers(0, M)`` is ``integers(1, M + 1) - 1`` bit for bit, and a
+    range of one value (L = 0 or M = 1) takes nothing from its stream."""
     return (_coord_rng(seed, i, 0).integers(0, order.L + 1, size=nsamples),
             _coord_rng(seed, i, 1).integers(0, order.M, size=nsamples))
+
+
+def _level_split(order: ReferenceOrder, seed: int, i: int, counts: np.ndarray):
+    """How classes of ``counts`` draws split over the (L+1) M outcomes of
+    level k_coarse + i, as (classes, outcomes) counts with column
+    ell * M + m - 1: the streams of ``_level_draws``, read as counts.
+
+    Each draw's ell and m are independent and uniform, so a class's ell
+    counts are Multinomial(c, 1/(L+1)) from stream 0, and each ell bucket's
+    m counts Multinomial(c_ell, 1/M) from stream 1: the law of the draws
+    taken one by one, up to the rounding of 1/(L+1) and 1/M in numpy's
+    binomial sampler.  The cost is one binomial per class and outcome,
+    whatever the counts; a range of one value takes nothing from its
+    stream.
+    """
+    L1, M = order.L + 1, order.M
+    ell = _coord_rng(seed, i, 0).multinomial(counts, np.full(L1, 1.0 / L1))
+    split = _coord_rng(seed, i, 1).multinomial(ell, np.full(M, 1.0 / M))
+    return split.reshape(counts.size, L1 * M)
+
+
+def _check_nsamples(nsamples: int) -> None:
+    """Draw counts are held as int64: refuse what they cannot hold."""
+    if not 1 <= nsamples < 2**63:
+        raise ValueError(f"nsamples must lie in [1, 2**63), as draw counts "
+                         f"are int64; got {nsamples}")
 
 
 def sample_omega(order: ReferenceOrder, seed: int) -> OmegaSample:
@@ -289,7 +315,10 @@ class CubeMachine:
     The parent relation between levels k+1 and k depends only on the level-k
     coordinate, so every randomized quantity is a composition of per-level
     tables.  Enumerating the outcomes once makes exact transition
-    probabilities and large Monte Carlo runs cheap.
+    probabilities cheap, and a Monte Carlo run of any size costs its draw
+    classes (``draw_classes``): each level splits a class's draws over the
+    outcomes by multinomial counts, one per coordinate stream, and never
+    draws them one by one.
     """
 
     def __init__(self, space: FiniteSpace, constants: SpaceConstants,
@@ -310,9 +339,11 @@ class CubeMachine:
         return ell * self.order.M + (m - 1)
 
     def sample_outcomes(self, seed: int, nsamples: int, k: int) -> np.ndarray:
-        """Table rows of level k for a batch of draws, built in place from
-        the two 0-based coordinate draws (``_level_draws``): ell * M, plus
-        m - 1.  Equal to ``outcome_index`` of the 1-based coordinates."""
+        """Table rows of level k for a batch of draws taken one by one, built
+        in place from the two 0-based coordinate draws (``_level_draws``):
+        ell * M, plus m - 1.  Equal to ``outcome_index`` of the 1-based
+        coordinates.  The Monte Carlo readers split classes of draws
+        instead (``draw_classes``)."""
         if nsamples < 1:
             raise ValueError("nsamples must be >= 1")
         self.order.parents.at(k)  # KeyError naming the range
@@ -336,64 +367,56 @@ class CubeMachine:
                                 cubes=ancestors(self.h, parents))
 
     def draw_classes(self, seed: int, nsamples: int, k: int):
-        """Walk a batch of draws once, from level k_fine down to level k,
-        drawing each level's outcomes (``sample_outcomes``) as it is reached.
+        """Walk a batch of ``nsamples`` draws once, from level k_fine down to
+        level k, splitting each class's draws over the level's outcomes as
+        it is reached (``_level_split``).
 
-        Yields ``(level, anc, counts, inverse)``, finest level first.  Draws
-        whose outcomes at levels ``level`` .. k_fine - 1 compose to the same
+        Yields ``(level, anc, counts)``, finest level first.  Draws whose
+        outcomes at levels ``level`` .. k_fine - 1 compose to the same
         ancestor map form one class: the rows ``anc[c]`` are distinct maps,
         each holding the level-``level`` ancestor of every point under class
-        c, ``counts[c]`` its number of draws, ``inverse[s]`` the class of draw
-        s.  Two draws with one map at a level share it at every coarser level,
-        so there are at most as many classes as outcome histories.  The
-        yielded arrays are never written again, so a caller may keep them.
+        c, and ``counts[c]`` is its number of draws.  Two draws with one map
+        at a level share it at every coarser level, so there are at most as
+        many classes as outcome histories.  The yielded arrays are never
+        written again, so a caller may keep them.
 
-        Per level, the passes over the draws are the two coordinate draws
-        and the row built from them, the (class, outcome) pair key (the row
-        itself while there is one class), one tally of the keys and one
-        lookup of each draw's new class.  Over the pairs that occur: one
-        table gather, equal rows merged in first-seen order, and the class
-        counts summed from the tally.  The draws are never sorted.
+        Per level, the split gives each class's draws per outcome: two
+        multinomial draws, one per coordinate stream, with the law of the
+        draws taken one by one.  Over the (class, outcome) pairs that occur,
+        in row-major order: one table gather, equal rows merged in
+        first-seen order, and the class counts summed from the split.  The
+        cost is levels x classes x outcomes, whatever ``nsamples``.
         """
+        _check_nsamples(nsamples)
         h = self.h
         h.level(k)  # KeyError naming the range unless k is a level
         n = h.level(h.k_fine).size
-        n_out = self.n_outcomes
         anc = np.arange(n, dtype=np.int32)[None, :]
         counts = np.array([nsamples], dtype=np.int64)
-        inverse = np.zeros(nsamples, dtype=np.intp)
-        yield h.k_fine, anc, counts, inverse
+        yield h.k_fine, anc, counts
         for kk in range(h.k_fine - 1, k - 1, -1):
-            key = self.sample_outcomes(seed, nsamples, kk)
-            if counts.size > 1:
-                key += inverse * n_out  # never in place: inverse was yielded
-            size = counts.size * n_out
-            tally = np.bincount(key, minlength=size)
-            pairs = np.flatnonzero(tally)
-            prev, out = np.divmod(pairs, n_out)
+            split = _level_split(self.order, seed, kk - h.k_coarse, counts)
+            prev, out = np.nonzero(split)
             rows = self.parent_tables[kk][out[:, None], anc[prev]]
             first = {}
             merged = np.array([first.setdefault(row.tobytes(), len(first))
                                for row in rows], dtype=np.intp)
-            lookup = np.zeros(size, dtype=np.intp)
-            lookup[pairs] = merged
-            inverse = lookup[key]
             counts = np.zeros(len(first), dtype=np.int64)
-            np.add.at(counts, merged, tally[pairs])
+            np.add.at(counts, merged, split[prev, out])
             anc = rows[np.unique(merged, return_index=True)[1]]
-            yield kk, anc, counts, inverse
+            yield kk, anc, counts
 
     def _classes_down_to(self, seed: int, nsamples: int, k: int):
-        for _, anc, counts, inverse in self.draw_classes(seed, nsamples, k):
+        for _, anc, counts in self.draw_classes(seed, nsamples, k):
             pass
-        return anc, counts, inverse
+        return anc, counts
 
     def ancestors_batch(self, seed: int, nsamples: int, k: int) -> np.ndarray:
-        """Level-k ancestor positions of every point, one row per sample:
-        the per-draw view ``anc[inverse]`` of ``draw_classes``, whose rows
-        are the distinct level-k maps of the batch."""
-        anc, _, inverse = self._classes_down_to(seed, nsamples, k)
-        return anc[inverse]
+        """Level-k ancestor positions of every point, one row per draw in
+        class order: ``draw_classes``'s distinct level-k maps, each repeated
+        by its count."""
+        anc, counts = self._classes_down_to(seed, nsamples, k)
+        return np.repeat(anc, counts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -435,11 +458,9 @@ def boundary_layer_probability(machine: CubeMachine, x: int, k: int, eps: float,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if nsamples < 1:
-        raise ValueError("nsamples must be >= 1")
     if not 0 <= x < machine.space.n:
         raise ValueError(f"x={x} outside 0..{machine.space.n - 1}")
-    anc, counts, _ = machine._classes_down_to(seed, nsamples, k)
+    anc, counts = machine._classes_down_to(seed, nsamples, k)
     member = anc == anc[:, x][:, None]
     dx = machine.space.dist[x]
     masked = np.where(member, math.inf, dx[None, :])

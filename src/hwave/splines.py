@@ -68,18 +68,20 @@ def compute_splines_exact(h: NetHierarchy, transitions: Levels) -> Levels:
 def compute_splines_mc(machine: CubeMachine, nsamples: int, seed: int):
     """Empirical cube-membership frequencies plus per-entry binomial stderr.
 
-    One walk over the draw classes (``CubeMachine.draw_classes``); per level,
-    one bincount of the (cell, point) pairs weighted by class size gives the
-    exact whole-number counts, divided once by ``nsamples``.
+    One walk over the draw classes (``CubeMachine.draw_classes``), which
+    splits each class's draws over a level's outcomes by multinomial counts;
+    per level, one bincount of the (cell, point) pairs weighted by class
+    size gives the whole-number counts (exact below 2**53), divided once by
+    ``nsamples``.
+    The cost does not grow with ``nsamples``, which the walk refuses
+    outside [1, 2**63).
     """
-    if nsamples < 1:
-        raise ValueError("nsamples must be >= 1")
     h = machine.h
     n = h.level(h.k_fine).size
     cols = np.arange(n)
     freq = []
     errs = []
-    for k, anc, counts, _ in machine.draw_classes(seed, nsamples, h.k_coarse):
+    for k, anc, counts in machine.draw_classes(seed, nsamples, h.k_coarse):
         n_cells = h.level(k).size
         draws = np.bincount((anc * n + cols).ravel(),
                             weights=np.repeat(counts, n), minlength=n_cells * n)

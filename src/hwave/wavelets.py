@@ -56,12 +56,15 @@ def pre_wavelets(space: FiniteSpace, h: NetHierarchy, table: Levels,
     stilde = gramsys.at(k).stilde
     coef = space.gram(s_next, stilde)
     tilde_psi = s_next - coef @ s_cur
-    ortho = space.gram(tilde_psi, s_cur)
-    if np.abs(ortho).max() > ORTHO_TOL:
-        raise NotSPDError(f"pre-wavelets at level {k} not orthogonal to the span")
-    means = tilde_psi @ space.weights
-    if np.abs(means).max() > ORTHO_TOL:
-        raise NotSPDError(f"pre-wavelets at level {k} have nonzero mean")
+    # a NaN residual compares False, so it fails
+    err = np.abs(space.gram(tilde_psi, s_cur)).max()
+    if not err <= ORTHO_TOL:
+        raise NotSPDError(f"pre-wavelets at level {k} not orthogonal to the "
+                          f"span (residual {err:.2e})")
+    err = np.abs(tilde_psi @ space.weights).max()
+    if not err <= ORTHO_TOL:
+        raise NotSPDError(f"pre-wavelets at level {k} have nonzero mean "
+                          f"(residual {err:.2e})")
     return tilde_psi, ys
 
 
@@ -76,7 +79,7 @@ def orthonormalize_level(space: FiniteSpace, tilde_psi: np.ndarray,
     phi.  The residual <psi_i, psi_j> - delta_ij stays dense: pre-wavelets
     change sign, so a 0.0 entry of their Gram does not mean disjoint
     supports.  A refusal gives the Gram's condition number hi/lo, and
-    ``assemble_basis`` adds the level.
+    ``assemble_basis`` adds the level and C_mu(2).
     """
     if tilde_psi.shape[0] == 0:
         return tilde_psi
@@ -131,9 +134,11 @@ class WaveletBasis:
         return self.values.T @ np.asarray(coeffs)
 
 
-def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: Levels,
+def assemble_basis(space: FiniteSpace, constants: SpaceConstants,
+                   h: NetHierarchy, table: Levels,
                    gramsys: Levels) -> WaveletBasis:
-    """Constant plus all level wavelets; verifies the family is orthonormal."""
+    """Constant plus all level wavelets; verifies the family is orthonormal.
+    A refused orthonormalization names the level and C_mu(2)."""
     rows = [np.full((1, space.n), 1.0 / math.sqrt(space.total_mass))]
     levels = [h.k_coarse]
     centers = [int(h.level(h.k_coarse)[0])]
@@ -146,7 +151,8 @@ def assemble_basis(space: FiniteSpace, h: NetHierarchy, table: Levels,
         try:
             rows.append(orthonormalize_level(space, tilde_psi, volumes))
         except NotSPDError as err:
-            raise NotSPDError(f"level {k} {err}") from err
+            raise NotSPDError(f"level {k} {err}, C_mu(2) "
+                              f"{constants.cmu(2.0):.3g}") from err
         levels += [k] * ys.size
         centers += ys.tolist()
     values = np.vstack(rows)

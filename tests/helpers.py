@@ -12,6 +12,7 @@ from hwave.analysis import _wavelet_ball_volumes, volume_matrix
 from hwave.mra import (SERIES_MAX_TERMS, SERIES_TOL, NotSPDError,
                        inverse_and_sqrt)
 from hwave.nets import Levels, ReferenceOrder
+from hwave.randomized import _level_split
 from hwave.report import check_error
 from hwave.space import FiniteSpace, SpaceConstants
 from hwave.wavelets import WaveletBasis
@@ -165,6 +166,49 @@ def sample_omega_batch(order: ReferenceOrder, seed: int, nsamples: int):
     for i in range(nlev):
         ell[i], m[i] = coordinate_draws(order, seed, i, nsamples)
     return ell, m
+
+
+def first_seen_classes(rows: np.ndarray) -> np.ndarray:
+    """Per row, the index of its distinct value in first-seen order."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse.ravel()]
+
+
+def per_draw_walk(machine, seed: int, nsamples: int, k: int):
+    """Yield ``(level, anc)`` from k_fine down to k, one row of ``anc`` per
+    draw: the level's ancestor of every point under that draw.  The oracle
+    of ``CubeMachine.draw_classes``.
+
+    The classes are the distinct rows in first-seen order, and the draws
+    are kept in class order.  Each level's split (``_level_split``) of the
+    class counts is expanded into one outcome per draw, class by class and
+    ascending outcomes within a class, and every draw is then walked on its
+    own through the level's parent table.
+    """
+    h = machine.h
+    n = h.level(h.k_fine).size
+    n_out = machine.n_outcomes
+    anc = np.tile(np.arange(n, dtype=np.int32), (nsamples, 1))
+    yield h.k_fine, anc
+    for kk in range(h.k_fine - 1, k - 1, -1):
+        counts = np.bincount(first_seen_classes(anc))
+        split = _level_split(machine.order, seed, kk - h.k_coarse, counts)
+        outcomes = np.repeat(np.tile(np.arange(n_out), counts.size),
+                             split.ravel())
+        anc = machine.parent_tables[kk][outcomes[:, None], anc]
+        anc = anc[np.argsort(first_seen_classes(anc), kind="stable")]
+        yield kk, anc
+
+
+def ancestors_per_draw(machine, seed: int, nsamples: int, k: int) -> np.ndarray:
+    """Level-k ancestors of every point, one row per draw in class order
+    (``per_draw_walk``)."""
+    for _, anc in per_draw_walk(machine, seed, nsamples, k):
+        pass
+    return anc
 
 
 def almost_diagonal_bound(space: FiniteSpace, basis: WaveletBasis,

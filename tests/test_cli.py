@@ -153,6 +153,16 @@ def test_levels_outside_the_hierarchy_are_refused(capsys, command, k):
     assert capsys.readouterr().err == f"error: 'level {k} outside [0, 2]'\n"
 
 
+@pytest.mark.parametrize("command", [["run"], ["cubes", "boundary"]])
+@pytest.mark.parametrize("nsamples", [2**63, 10**20, 0])
+def test_draw_counts_outside_int64_are_refused(capsys, command, nsamples):
+    # draw counts are int64: 2**63 - 1 is the most one run can hold
+    assert main([*command, "--space", "FIX-B", "--nsamples", str(nsamples)]) == 2
+    assert capsys.readouterr().err == (
+        "error: nsamples must lie in [1, 2**63), as draw counts are int64; "
+        f"got {nsamples}\n")
+
+
 def test_analyze_bmo_prints_both_centred_norms(tmp_path, capsys):
     desc = "cycle(20, weights=uniform)"
     sp = resolve_space(desc)

@@ -1,10 +1,13 @@
 """The Monte Carlo readers against per-draw oracles.
 
 ``CubeMachine.draw_classes`` walks a batch of draws once, grouped by the
-ancestor map they compose to.  The oracles below are the direct
-computations: every draw walked on its own from the finest level, and one
-frequency per cell.  The draws are the same, so the counts are the same and
-the results must be equal bit for bit, not merely close.
+ancestor map they compose to, and splits each class's draws over a level's
+outcomes by multinomial counts.  The oracles below are the direct
+computations: each level's split expanded into one outcome per draw, every
+draw walked on its own from the finest level (``helpers.per_draw_walk``),
+and one frequency per cell.  The counts are the same, so the results must
+be equal bit for bit, not merely close.  The split's law is tested on its
+own against the uniform coordinates.
 """
 import dataclasses
 import math
@@ -16,12 +19,13 @@ import pytest
 
 from hwave.pipeline import (PipelineConfig, _suite_splines, build_bundle,
                             run_pipeline)
-from hwave.randomized import (CubeMachine, _level_draws,
+from hwave.randomized import (CubeMachine, _level_draws, _level_split,
                               boundary_layer_probability, sample_omega)
 from hwave.space import FIXTURES, generate_space
 from hwave.splines import compute_splines_mc
 
-from helpers import coordinate_draws, replace_level, sample_omega_batch
+from helpers import (ancestors_per_draw, coordinate_draws, per_draw_walk,
+                     replace_level, sample_omega_batch)
 
 SPACES = [
     (FIXTURES["FIX-A"], 0.25),
@@ -44,24 +48,13 @@ def bundle_c16():
     return build_bundle(generate_space("cycle(16, scale=1)"), 0.2)
 
 
-def _ancestors_per_draw(machine, seed, nsamples, k):
-    """Level-k ancestors of every point, each draw walked from the finest level."""
-    h = machine.h
-    n = h.level(h.k_fine).size
-    anc = np.broadcast_to(np.arange(n, dtype=np.int32), (nsamples, n)).copy()
-    for kk in range(h.k_fine - 1, k - 1, -1):
-        outcomes = machine.sample_outcomes(seed, nsamples, kk)
-        anc = machine.parent_tables[kk][outcomes[:, None], anc]
-    return anc
-
-
 def _splines_per_cell(machine, nsamples, seed):
     """Membership frequency of every cell, one mean over the draws per cell."""
     h = machine.h
     n = h.level(h.k_fine).size
     freq, errs = [], []
     for k in range(h.k_coarse, h.k_fine + 1):
-        anc = _ancestors_per_draw(machine, seed, nsamples, k)
+        anc = ancestors_per_draw(machine, seed, nsamples, k)
         table = np.zeros((h.level(k).size, n))
         for alpha in range(table.shape[0]):
             table[alpha] = (anc == alpha).mean(axis=0)
@@ -72,7 +65,7 @@ def _splines_per_cell(machine, nsamples, seed):
 
 def _boundary_per_draw(machine, x, k, eps, nsamples, seed):
     """Share of draws whose level-k cube of x has a foreign point within eps delta^k."""
-    anc = _ancestors_per_draw(machine, seed, nsamples, k)
+    anc = ancestors_per_draw(machine, seed, nsamples, k)
     member = anc == anc[:, x][:, None]
     masked = np.where(member, math.inf, machine.space.dist[x][None, :])
     return float((masked.min(axis=1) < eps * machine.h.scale(k)).mean())
@@ -92,7 +85,7 @@ def test_ancestors_batch_equals_per_draw_walk(bundle):
     h, machine = bundle.hierarchy, bundle.machine
     for k in range(h.k_coarse, h.k_fine + 1):
         got = machine.ancestors_batch(3, 500, k)
-        want = _ancestors_per_draw(machine, 3, 500, k)
+        want = ancestors_per_draw(machine, 3, 500, k)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), k
 
@@ -117,17 +110,19 @@ def test_draw_classes_partition_the_draws(bundle):
     h, machine = bundle.hierarchy, bundle.machine
     nsamples = 3000
     levels = []
-    for k, anc, counts, inverse in machine.draw_classes(1, nsamples, h.k_coarse):
+    walk = per_draw_walk(machine, 1, nsamples, h.k_coarse)
+    for (k, anc, counts), (kk, oracle) in zip(
+            machine.draw_classes(1, nsamples, h.k_coarse), walk):
+        assert k == kk
         levels.append(k)
         read = h.k_fine - k
         assert counts.sum() == nsamples
+        assert counts.min() >= 1
         assert counts.size <= min(nsamples, machine.n_outcomes ** read)
-        assert np.array_equal(np.bincount(inverse), counts)
         assert anc.shape == (counts.size, h.level(h.k_fine).size)
         # one class per distinct map: rows pairwise distinct, as many as the
         # per-draw walk has distinct rows
         assert np.unique(anc, axis=0).shape[0] == counts.size
-        oracle = _ancestors_per_draw(machine, 1, nsamples, k)
         assert np.unique(oracle, axis=0).shape[0] == counts.size
     assert levels == list(range(h.k_fine, h.k_coarse - 1, -1))
 
@@ -140,7 +135,7 @@ def test_class_counts_pinned(desc, delta, nsamples, want):
     """Haar-type cubes at delta 1/4 leave one map per level; on cycle(64) at
     0.2 the 9,261 outcome histories of three levels give 23 maps."""
     machine = build_bundle(generate_space(desc), delta).machine
-    got = [counts.size for _, _, counts, _ in
+    got = [counts.size for _, _, counts in
            machine.draw_classes(1, nsamples, machine.h.k_coarse)]
     assert got == want
 
@@ -195,47 +190,98 @@ def test_level_draws_are_the_coordinates_less_their_lows(L, M, nsamples):
     assert np.array_equal(m0, want_m - 1)
 
 
+def _chi2_exceeds(observed, total):
+    """Whether the chi-square statistic of ``observed`` against the uniform
+    law over its cells exceeds the 0.999 quantile (Wilson-Hilferty)."""
+    cells = observed.size
+    expected = total / cells
+    stat = float(((observed - expected) ** 2).sum() / expected)
+    df = cells - 1
+    q = df * (1 - 2 / (9 * df) + 3.0902 * math.sqrt(2 / (9 * df))) ** 3
+    return stat > q
+
+
+@pytest.mark.parametrize("L, M", [(2, 7), (0, 2), (3, 1), (1, 3)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_split_law_is_uniform(L, M, seed):
+    """One class of 10^7 draws: the ell and m marginals of the split and
+    its joint outcome counts pass a chi-square against uniform, and the
+    same statistic refuses the joint counts with 1% of one cell's expected
+    draws moved to another cell."""
+    total = 10**7
+    split = _level_split(SimpleNamespace(L=L, M=M), seed, 3,
+                         np.array([total], dtype=np.int64))
+    assert split.shape == (1, (L + 1) * M) and split.dtype == np.int64
+    assert split.sum() == total
+    joint = split.reshape(L + 1, M)
+    for observed in (joint.sum(axis=1), joint.sum(axis=0), joint.ravel()):
+        if observed.size > 1:
+            assert not _chi2_exceeds(observed, total)
+    moved = joint.ravel().copy()
+    moved[0] -= total // moved.size // 100
+    moved[-1] += total // moved.size // 100
+    assert moved.size == 1 or _chi2_exceeds(moved, total)
+
+
+def test_split_reads_each_coordinate_from_its_stream():
+    """Column ell * M + m - 1: the ell counts are stream 0's multinomial of
+    the class counts, the m counts stream 1's of the ell counts, per
+    (seed, level, coordinate) as ``_level_draws`` reads them."""
+    order = SimpleNamespace(L=2, M=3)
+    counts = np.array([5, 1, 1000, 10**15], dtype=np.int64)
+    split = _level_split(order, 4, 1, counts).reshape(4, 3, 3)
+
+    def stream(which):
+        return np.random.default_rng(np.random.SeedSequence([4, 1, which]))
+
+    ell = stream(0).multinomial(counts, [1 / 3] * 3)
+    assert np.array_equal(split.sum(axis=2), ell)
+    assert np.array_equal(split, stream(1).multinomial(ell, [1 / 3] * 3))
+
+
 ALIASING = [("cycle(64, scale=1)", 0.2), (FIXTURES["FIX-B"], 0.25),
             ("line(16)", 0.5)]
 
 
 @pytest.mark.parametrize("desc,delta", ALIASING, ids=[d for d, _ in ALIASING])
 def test_kept_classes_survive_the_walk(desc, delta):
-    """Every level's (anc, counts, inverse), collected first and read after
-    the generator is spent, still equals the per-draw walk: the walk writes
-    no array it has yielded."""
+    """Every level's (anc, counts), collected first and read after the
+    generator is spent, still equals the per-draw walk: the walk writes no
+    array it has yielded."""
     machine = build_bundle(generate_space(desc), delta).machine
     h = machine.h
     nsamples = 2000
     walked = list(machine.draw_classes(6, nsamples, h.k_coarse))
     assert [lev for lev, *_ in walked] == list(range(h.k_fine, h.k_coarse - 1, -1))
-    for k, anc, counts, inverse in walked:
-        assert (anc.dtype, counts.dtype, inverse.dtype) == (
-            np.int32, np.int64, np.intp)
-        assert np.array_equal(anc[inverse],
-                              _ancestors_per_draw(machine, 6, nsamples, k)), k
-        assert np.array_equal(counts, np.bincount(inverse)), k
+    oracle = per_draw_walk(machine, 6, nsamples, h.k_coarse)
+    for (k, anc, counts), (_, want) in zip(walked, oracle):
+        assert (anc.dtype, counts.dtype) == (np.int32, np.int64)
+        assert np.array_equal(np.repeat(anc, counts, axis=0), want), k
 
 
-def test_outcomes_drawn_one_level_at_a_time(monkeypatch):
-    """The walk draws each level's row of outcomes when it reaches the level:
-    no call returns the (levels x draws) matrix, 2.6 GiB at 3,466 levels."""
-    shapes = []
-    draw = CubeMachine.sample_outcomes
+def test_walk_memory_independent_of_draw_count(monkeypatch):
+    """The walk splits classes, never draws: a run draws no outcome one by
+    one, and the traced peak of the Monte Carlo readers is the same at
+    10^3 and 10^12 draws (one int64 per draw and level would take 8 TB)."""
+    def refused(*args):
+        raise AssertionError("an outcome drawn one by one")
 
-    def recorded(self, *args):
-        rows = draw(self, *args)
-        shapes.append(rows.shape)
-        return rows
-
-    monkeypatch.setattr(CubeMachine, "sample_outcomes", recorded)
-    config = PipelineConfig(space="line(64)", delta=0.9, nsamples=500)
+    monkeypatch.setattr(CubeMachine, "sample_outcomes", refused)
+    config = PipelineConfig(space="line(64)", delta=0.9, nsamples=10**12)
     machine = run_pipeline(config).bundle.machine
     h = machine.h
-    boundary_layer_probability(machine, 0, h.k_coarse, 0.5, 500, 1)
-    machine.ancestors_batch(1, 500, h.k_coarse)
-    assert len(shapes) == 3 * (h.num_levels - 1)
-    assert set(shapes) == {(500,)}
+
+    def peak(nsamples):
+        tracemalloc.start()
+        try:
+            compute_splines_mc(machine, nsamples, seed=1)
+            boundary_layer_probability(machine, 0, h.k_coarse, 0.5, nsamples, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10**3)  # warm-up: first-call allocations are not the walk's
+    assert peak(10**12) <= peak(10**3)
 
 
 @pytest.mark.parametrize("desc,delta,limit_mb", [
@@ -244,7 +290,9 @@ def test_outcomes_drawn_one_level_at_a_time(monkeypatch):
 ])
 def test_splines_mc_memory_bounded(desc, delta, limit_mb):
     """100,000 draws: the walk holds one row per distinct map, not one per
-    outcome history (grouping by history peaked at 270 MB and 21 MB here)."""
+    outcome history (grouping by history peaked at 270 MB and 21 MB here),
+    nor one outcome per draw (drawing them peaked at 5.3 MB and 3.4 MB;
+    splitting the classes peaks at 2.9 MB and 0.5 MB)."""
     machine = build_bundle(generate_space(desc), delta).machine
     tracemalloc.start()
     try:
@@ -309,3 +357,18 @@ def test_default_sample_size_catches_a_moved_entry(bundle_c16):
     rec = _agreement(_move_one_entry(bundle_c16), config.seed, config.nsamples)
     assert not rec.passed
     assert rec.tolerance == 0.01
+
+
+def test_draw_counts_up_to_the_int64_bound(bundle_c16):
+    """2**63 - 1 draws are counted exactly; one more is refused by name."""
+    machine = bundle_c16.machine
+    h = machine.h
+    most = 2**63 - 1
+    for _, _, counts in machine.draw_classes(1, most, h.k_coarse):
+        assert int(counts.sum()) == most
+    mc, _ = compute_splines_mc(machine, most, seed=1)
+    assert all(np.isfinite(mc.at(k)).all() for k in range(h.k_coarse, h.k_fine + 1))
+    for refuse in (lambda: compute_splines_mc(machine, most + 1, seed=1),
+                   lambda: PipelineConfig(space="FIX-B", nsamples=most + 1)):
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*63\)"):
+            refuse()

@@ -453,7 +453,8 @@ def test_one_damaged_block_fails_the_dual_checks(monkeypatch, bundle_b, in_root,
         build_gram_system(b.space, b.constants, b.hierarchy, b.splines)
     message = str(err.value)
     head = f"level {k} dual-system identities failed ("
-    tail = f"; Gram condition number {hi / lo:.3g})"
+    tail = (f"; Gram condition number {hi / lo:.3g}, "
+            f"C_mu(2) {b.constants.cmu(2.0):.3g})")
     assert message.startswith(head) and message.endswith(tail)
     assert re.fullmatch(reading, message[len(head):-len(tail)])
 
@@ -488,11 +489,13 @@ def test_a_refused_orthonormalization_names_its_level_and_conditioning():
     space = resolve_space("random_cloud(128,2,1)")
     weights = 10 ** np.random.default_rng(0).uniform(0, 9, space.n)
     space = FiniteSpace(dist=space.dist, weights=weights / weights.sum())
+    cmu = compute_constants(space).cmu(2.0)
     with pytest.raises(NotSPDError, match=(
             r"^level -?\d+ orthonormalization residual \d\.\d\de-\d\d, "
-            r"pre-wavelet Gram condition number \d\.\d\de\+\d\d$")) as err:
+            r"pre-wavelet Gram condition number \d\.\d\de\+\d\d, "
+            rf"C_mu\(2\) {re.escape(f'{cmu:.3g}')}$")) as err:
         build_bundle(space, 0.25)
-    kappa = float(str(err.value).rsplit(" ", 1)[1])
+    kappa = float(str(err.value).split(", ")[1].rsplit(" ", 1)[1])
     assert kappa > 1e6
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,13 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hwave.mra import NotSPDError
 from hwave.pipeline import build_bundle
 from hwave.randomized import sample_omega
 from hwave.space import (FiniteSpace, compute_constants, generate_space,
                          resolve_space)
-from hwave.wavelets import (WaveletBasis, decay_and_regularity_report,
+from hwave.wavelets import (WaveletBasis, assemble_basis,
+                            decay_and_regularity_report,
                             kernel_of_projection, orthonormalize_level,
                             pre_wavelets, save_basis, wavelet_decay_a)
+
+from helpers import replace_level
 
 
 def test_pre_wavelets_fix_a_closed_form(bundle_a):
@@ -38,6 +43,21 @@ def test_pre_wavelets_orthogonal_to_level_span(bundle_b):
                                 bundle_b.splines, bundle_b.gramsys, k)
         inner = bundle_b.space.gram(tilde, bundle_b.splines.at(k))
         np.testing.assert_allclose(inner, 0.0, atol=1e-12)
+
+
+def test_a_nan_dual_fails_the_pre_wavelet_checks(bundle_b):
+    # one NaN in level 1's duals makes every pre-wavelet NaN; a NaN-blind
+    # maximum let them through to the orthonormalization's eigh
+    b = bundle_b
+    lv = b.gramsys.at(1)
+    stilde = lv.stilde.copy()
+    stilde[0, 0] = np.nan
+    gramsys = replace_level(b.gramsys, 1,
+                            dataclasses.replace(lv, stilde=stilde))
+    with pytest.raises(NotSPDError, match=(
+            r"^pre-wavelets at level 1 not orthogonal to the span "
+            r"\(residual nan\)$")):
+        assemble_basis(b.space, b.constants, b.hierarchy, b.splines, gramsys)
 
 
 @pytest.fixture(scope="module")
