@@ -72,9 +72,8 @@ def compute_splines_mc(machine: CubeMachine, nsamples: int, seed: int):
     splits each class's draws over a level's outcomes by multinomial counts;
     per level, one bincount of the (cell, point) pairs weighted by class
     size gives the whole-number counts (exact below 2**53), divided once by
-    ``nsamples``.
-    The cost does not grow with ``nsamples``, which the walk refuses
-    outside [1, 2**63).
+    ``nsamples``.  The cost does not grow with ``nsamples``, which the walk
+    refuses outside [1, 2**63).
     """
     h = machine.h
     n = h.level(h.k_fine).size
