@@ -14,7 +14,6 @@ from .nets import build_nets, build_reference_order, load_nets, save_nets
 from .pipeline import SUITES, PipelineConfig, build_bundle, run_pipeline
 from .randomized import (CubeMachine, boundary_layer_probability, sample_omega,
                          save_system)
-from .report import format_report
 from .space import compute_constants, resolve_space, save_space
 from .splines import holder_profile, save_splines
 from .wavelets import decay_and_regularity_report, save_basis, wavelet_decay_a
@@ -115,12 +114,6 @@ def _cmd_splines(args) -> int:
             save_splines(h, bundle.splines, _outdir(args) / "splines.tsv")
         print(f"splines built for levels {h.k_coarse}..{h.k_fine}")
         return 0
-    if args.action == "check":
-        from .splines import verify_spline_table
-        checks = verify_spline_table(space, bundle.constants, h,
-                                     bundle.transitions, bundle.splines)
-        print(format_report(checks))
-        return 0 if all(c.passed for c in checks) else 1
     # holder
     k = args.level if args.level is not None else max(h.k_fine - 1, h.k_coarse)
     prof = holder_profile(space, h, bundle.splines, k, bundle.eta)
@@ -137,11 +130,6 @@ def _cmd_mra(args) -> int:
         if args.out:
             save_gram_system(h, bundle.gramsys, _outdir(args))
         print("gram system built")
-        return 0
-    if args.action == "riesz":
-        for k in range(h.k_coarse, h.k_fine + 1):
-            lo, hi = bundle.gramsys.at(k).riesz
-            print(f"level {k}: riesz bounds [{lo:.6g}, {hi:.6g}]")
         return 0
     # decay
     s = decay_exponent_s(bundle.constants)
@@ -168,13 +156,8 @@ def _cmd_wavelets(args) -> int:
         save_basis(bundle.hierarchy, basis, target)
         print(f"{basis.n_members}-member basis written to {target}")
         return 0
-    if args.action == "verify":
-        # assemble_basis raised unless its records (Gram, count) passed
-        print(format_report(basis.checks))
-        means = basis.wavelet_values @ space.weights
-        mean_err = float(np.abs(means).max()) if means.size else 0.0
-        a = wavelet_decay_a(bundle.constants)
-        print(f"vanishing-mean error {mean_err:.3g}, decay exponent a={a:g}")
+    if args.action == "decay":
+        print(f"decay exponent a={wavelet_decay_a(bundle.constants):g}")
         for rep in decay_and_regularity_report(space, bundle.constants,
                                                bundle.hierarchy, basis,
                                                bundle.eta):
@@ -283,19 +266,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nsamples", type=int, default=10000)
     p.set_defaults(func=_cmd_cubes)
 
-    p = sub.add_parser("splines", help="build, check or profile the splines")
-    p.add_argument("action", choices=("build", "check", "holder"))
+    p = sub.add_parser("splines", help="build or profile the splines")
+    p.add_argument("action", choices=("build", "holder"))
     _common(p)
     p.add_argument("--level", type=int, default=None)
     p.set_defaults(func=_cmd_splines)
 
-    p = sub.add_parser("mra", help="gram system, riesz bounds, decay fits")
-    p.add_argument("action", choices=("build", "riesz", "decay"))
+    p = sub.add_parser("mra", help="gram system, decay fits")
+    p.add_argument("action", choices=("build", "decay"))
     _common(p)
     p.set_defaults(func=_cmd_mra)
 
-    p = sub.add_parser("wavelets", help="build, verify or apply the basis")
-    p.add_argument("action", choices=("build", "verify", "transform"))
+    p = sub.add_parser("wavelets", help="build, fit or apply the basis")
+    p.add_argument("action", choices=("build", "decay", "transform"))
     _common(p)
     p.add_argument("--function", default=None,
                    help="JSON file with one value per point")

@@ -225,19 +225,23 @@ def decay_fit(matrix: np.ndarray, center_ids, space: FiniteSpace, scale: float,
     live = np.abs(matrix) > DECAY_FLOOR
     if live.sum() < 2:
         raise ValueError("fewer than 2 entries above the floor")
-    u = (dists[live] / scale) ** exponent
-    v = np.log(np.abs(matrix[live]))
+    C, gamma, resid, degenerate = _log_linear_fit(
+        (dists[live] / scale) ** exponent, np.log(np.abs(matrix[live])))
+    return DecayProfile(exponent=exponent, C=C, gamma=gamma,
+                        max_residual=resid, n_entries=int(live.sum()),
+                        degenerate=degenerate)
+
+
+def _log_linear_fit(u: np.ndarray, v: np.ndarray):
+    """Least squares of v against ln C - gamma u: (C, gamma, the largest
+    residual v - fit, degenerate).  Fewer than two distinct u carry no
+    slope: then gamma = 0 and C = exp(max v), or 1 with no entries."""
     if np.unique(u).size < 2:
-        return DecayProfile(exponent=exponent, C=float(np.exp(v.max())),
-                            gamma=0.0, max_residual=0.0,
-                            n_entries=int(live.sum()), degenerate=True)
+        return math.exp(float(v.max())) if v.size else 1.0, 0.0, 0.0, True
     design = np.stack([np.ones_like(u), -u], axis=1)
     coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    lnC, gamma = float(coef[0]), float(coef[1])
-    resid = v - design @ coef
-    return DecayProfile(exponent=exponent, C=math.exp(lnC), gamma=gamma,
-                        max_residual=float(resid.max()),
-                        n_entries=int(live.sum()), degenerate=False)
+    return (math.exp(float(coef[0])), float(coef[1]),
+            float((v - design @ coef).max()), False)
 
 
 def fit_decay_exponent(matrix: np.ndarray, dists: np.ndarray) -> float:

@@ -44,9 +44,14 @@ class PipelineConfig:
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         _check_nsamples(self.nsamples)
+        if not self.suites:
+            raise ValueError(f"no suite named; the suites are {', '.join(SUITES)}")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
+        repeated = [s for i, s in enumerate(self.suites) if s in self.suites[:i]]
+        if repeated:
+            raise ValueError(f"suite {repeated[0]!r} named more than once")
 
 
 @dataclass
@@ -279,8 +284,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     bundle = build_bundle(space, config.delta, config.mode)
     result = PipelineResult(config=config, bundle=bundle)
     system = bundle.machine.system(sample_omega(bundle.order, config.seed))
-    rng = np.random.default_rng(config.seed)
     for suite in config.suites:
+        # one stream per suite, so no record depends on the other suites; no
+        # coordinate stream _coord_rng(seed, level, 0 | 1) has third word 2
+        # (SeedSequence drops trailing zeros, so default_rng(seed) is one)
+        rng = np.random.default_rng([config.seed, SUITES.index(suite), 2])
         if suite == "nets":
             result.checks += _suite_nets(bundle)
         elif suite == "cubes":

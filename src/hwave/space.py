@@ -6,6 +6,7 @@ B(x, r) = {y : d(x, y) < r}.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -516,7 +517,15 @@ def generate_space(descriptor: str) -> FiniteSpace:
                 kwargs[key.strip()] = _parse_value(val)
             else:
                 args.append(_parse_value(part))
-    return _GENERATORS[name](*args, **kwargs)
+    generator = _GENERATORS[name]
+    # counts and seeds (the ``int`` parameters) take integers only, so that
+    # grid(2.5,2) or random_cloud(20,2,1.5) names no other space
+    bound = inspect.signature(generator).bind(*args, **kwargs).arguments
+    for arg, value in bound.items():
+        if generator.__annotations__.get(arg) == "int" and type(value) is not int:
+            raise ValidationError(
+                f"{name} {arg} must be an integer, got {value!r}")
+    return generator(*args, **kwargs)
 
 
 def resolve_space(text: str) -> FiniteSpace:
@@ -551,8 +560,6 @@ def load_space(path) -> FiniteSpace:
         if "distances" not in data:
             raise ValidationError("explicit metric requires a distances matrix")
         dist = np.asarray(data["distances"], dtype=float) * scale
-        if n is not None and dist.shape != (n, n):
-            raise ValidationError("distances shape disagrees with n")
     elif metric == "euclidean":
         if "coords" not in data:
             raise ValidationError("euclidean metric requires coords")
@@ -567,10 +574,12 @@ def load_space(path) -> FiniteSpace:
         dist = _from_coords_1d(coords, power=float(data["r"])) * scale
     else:
         raise ValidationError(f"unknown metric kind {metric!r}")
-    m = dist.shape[0]
+    if n is not None and dist.shape != (n, n):
+        raise ValidationError(f"space file has n = {n}, its {metric} "
+                              f"distances have shape {dist.shape}")
     weights = data.get("weights")
     if weights is None:
-        weights = np.ones(m)
+        weights = np.ones(dist.shape[0])
     return FiniteSpace(dist=dist, weights=np.asarray(weights, dtype=float),
                        name=str(data.get("name", "")))
 

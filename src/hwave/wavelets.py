@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mra import DECAY_FLOOR, NotSPDError, _block_inverse, _eigh_blocks
+from .mra import (DECAY_FLOOR, NotSPDError, _block_inverse, _eigh_blocks,
+                  _log_linear_fit)
 from .nets import Levels, NetHierarchy
 from .report import check_error, check_flag, json_rows, write_json
 from .space import FiniteSpace, SpaceConstants
@@ -222,15 +223,8 @@ def decay_and_regularity_report(space: FiniteSpace, constants: SpaceConstants,
         normalized = np.abs(psi) * root_vol[:, None]
         u_all = (space.dist[ys] / dk) ** a
         live = normalized > DECAY_FLOOR
-        u = u_all[live]
-        v = np.log(normalized[live])
-        if u.size >= 2 and np.unique(u).size >= 2:
-            design = np.stack([np.ones_like(u), -u], axis=1)
-            coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-            lnC, gamma = float(coef[0]), float(coef[1])
-            resid = float((v - design @ coef).max())
-        else:
-            lnC, gamma, resid = float(v.max()) if v.size else 0.0, 0.0, 0.0
+        C, gamma, resid, _ = _log_linear_fit(u_all[live],
+                                             np.log(normalized[live]))
         holder_sup = 0.0
         iu, ju = np.triu_indices(space.n, 1)
         close = space.dist[iu, ju] <= dk
@@ -242,7 +236,7 @@ def decay_and_regularity_report(space: FiniteSpace, constants: SpaceConstants,
             if stats.size:
                 holder_sup = max(holder_sup, float(stats.max()))
         reports.append(WaveletDecayReport(
-            level=k, a=a, gamma=gamma, C=math.exp(lnC),
+            level=k, a=a, gamma=gamma, C=C,
             max_residual=resid, holder_sup=holder_sup, n_entries=int(live.sum()),
         ))
     return reports

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -80,12 +81,23 @@ def test_cubes_sample_and_boundary(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_splines_check_command(capsys):
-    assert main(["splines", "check", "--space", "FIX-A"]) == 0
+def test_run_splines_suite_prints_the_spline_records(capsys):
+    assert main(["run", "--space", "FIX-A", "--suite", "splines",
+                 "--nsamples", "1000"]) == 0
     out = capsys.readouterr().out
-    assert "[PASS]" in out
     assert ("[PASS] partition-of-unity level -1: err 0.00e+00 "
             "(tolerance 0, margin 0)") in out
+    assert "spline-sampling-agreement" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["splines", "check"], ["mra", "riesz"], ["wavelets", "verify"]])
+def test_actions_that_restated_a_suite_are_refused(capsys, command):
+    # their records are `hwave run --suite splines|mra|wavelets`'s
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--space", "FIX-B"])
+    assert exit_.value.code == 2
+    assert f"invalid choice: '{command[1]}'" in capsys.readouterr().err
 
 
 def test_splines_build_writes_tsv(tmp_path):
@@ -99,8 +111,6 @@ def test_splines_build_writes_tsv(tmp_path):
 
 
 def test_mra_commands(tmp_path, capsys):
-    assert main(["mra", "riesz", "--space", "FIX-B"]) == 0
-    assert "riesz bounds" in capsys.readouterr().out
     assert main(["mra", "build", "--space", "FIX-B", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "gram_level_1.csv").exists()
     assert main(["mra", "decay", "--space", "FIX-B"]) == 0
@@ -111,7 +121,11 @@ def test_wavelets_commands(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     basis = json.loads((tmp_path / "basis.json").read_text())
     assert len(basis["members"]) == 16
-    assert main(["wavelets", "verify", "--space", "FIX-B"]) == 0
+    capsys.readouterr()
+    assert main(["wavelets", "decay", "--space", "FIX-B"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "decay exponent a=1"
+    assert [line.split(":")[0] for line in out[1:]] == ["level 0", "level 1"]
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps(list(np.arange(16.0))))
     assert main(["wavelets", "transform", "--space", "FIX-B",
@@ -282,13 +296,14 @@ def _run_script(name, *args):
     return proc.stdout
 
 
-def test_fixture_script_runs(tmp_path):
-    out = _run_script("run_fixture_pipeline.py", "--nsamples", 200,
-                      "--out", tmp_path)
+def test_run_passes_every_check_on_the_fixtures(tmp_path, capsys):
     for name in ("FIX-A", "FIX-B"):
-        assert re.search(rf"^{name}: (\d+)/\1 checks passed", out,
-                         re.MULTILINE), out
-        assert (tmp_path / name / "report.json").exists()
+        assert main(["run", "--space", name, "--nsamples", "200",
+                     "-o", str(tmp_path / name)]) == 0
+        assert re.search(r"^(\d+)/\1 checks passed$",
+                         capsys.readouterr().out, re.MULTILINE)
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report and all(entry["passed"] for entry in report)
 
 
 def test_decay_study_script_runs():
@@ -507,9 +522,10 @@ def test_net_file_keeps_the_runs_mode_and_delta(tmp_path, capsys, extra,
 
 @pytest.mark.parametrize("command", [
     ["space"], ["nets"], ["cubes", "sample"], ["cubes", "boundary"],
-    ["splines", "build"], ["splines", "check"], ["splines", "holder"],
-    ["mra", "build"], ["mra", "riesz"], ["mra", "decay"],
-    ["wavelets", "build"], ["wavelets", "verify"], ["wavelets", "transform"],
+    ["splines", "build"], ["run", "--nsamples", "100", "--suite", "splines"],
+    ["splines", "holder"],
+    ["mra", "build"], ["run", "--suite", "mra"], ["mra", "decay"],
+    ["wavelets", "build"], ["wavelets", "decay"], ["wavelets", "transform"],
     ["analyze", "sums"], ["analyze", "bmo"], ["analyze", "carleson"],
     ["analyze", "paraproduct"], ["analyze", "operator"],
     ["run", "--nsamples", "100"],
@@ -599,6 +615,22 @@ def test_pipeline_config_validation():
         PipelineConfig(space="FIX-A", suites=("nope",))
 
 
+def test_a_repeated_suite_is_refused(capsys):
+    with pytest.raises(ValueError, match="suite 'nets' named more than once"):
+        PipelineConfig(space="FIX-B", suites=("nets", "mra", "nets"))
+    # the CLI used to print 14/14 checks for FIX-B's 7 net records
+    assert main(["run", "--space", "FIX-B", "--suite", "nets",
+                 "--suite", "nets"]) == 2
+    assert capsys.readouterr().err == (
+        "error: suite 'nets' named more than once\n")
+
+
+def test_an_empty_suite_list_is_refused():
+    # no suite, no check: an "ok" run would have verified nothing
+    with pytest.raises(ValueError, match="no suite named"):
+        PipelineConfig(space="FIX-B", suites=())
+
+
 def test_single_point_space_short_circuits(tmp_path):
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"metric": "explicit", "distances": [[0.0]],
@@ -617,3 +649,28 @@ def test_point_mass_weights_pipeline(tmp_path):
                                 "weights": [100.0, 1, 1, 1, 1, 1]}))
     result = run_pipeline(PipelineConfig(space=str(path), nsamples=200))
     assert result.ok, [c.name for c in result.checks if not c.passed]
+
+
+def _readme_commands():
+    """{subcommand: actions} as README's command-line block lists them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    listed = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words and words[0] == "hwave":
+            actions = words[2].split("|") if not words[2].startswith("-") else []
+            listed.setdefault(words[1], set()).update(actions)
+    return listed
+
+
+def test_readme_lists_exactly_the_parsers_commands():
+    from hwave.cli import build_parser
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    parsed = {}
+    for name, sub in subparsers.choices.items():
+        actions = [a.choices for a in sub._actions if a.dest == "action"]
+        parsed[name] = set(actions[0]) if actions else set()
+    assert _readme_commands() == parsed

@@ -66,7 +66,7 @@ REPORT_DIGEST = "689647b8634986b08e2695b39bf53d482a2867fc08640223c836ece7baeb10e
 @pytest.mark.parametrize("space,delta", sorted(GOLDEN))
 def test_artifact_bytes_pinned(tmp_path, space, delta):
     run_pipeline(PipelineConfig(space=space, delta=delta, out=str(tmp_path),
-                                suites=()))
+                                suites=("nets",)))
     for name, digest in GOLDEN[(space, delta)].items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == digest, (

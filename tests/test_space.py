@@ -371,6 +371,27 @@ def test_generator_rejects_bad_parameters():
         generate_space("mystery(4)")
 
 
+@pytest.mark.parametrize("descriptor, generator, arg, value", [
+    ("grid(2.5, 2)", "grid", "m", "2.5"),
+    ("grid(3, 1.5)", "grid", "dim", "1.5"),
+    ("random_cloud(20, 2, 1.5)", "random_cloud", "seed", "1.5"),
+    ("random_cloud(5, 1.5, 1)", "random_cloud", "dim", "1.5"),
+    ("random_cloud(5.5, 2, 1)", "random_cloud", "n", "5.5"),
+    ("line(3.5)", "line", "n", "3.5"),
+    ("cycle(3.5)", "cycle", "n", "3.5"),
+    ("cycle(16.0)", "cycle", "n", "16.0"),
+    ("tree(2.5)", "tree", "depth", "2.5"),
+    ("power_line(4.5, 2)", "power_line", "n", "4.5"),
+    ("two_cluster(4.5, 100)", "two_cluster", "n", "4.5"),
+])
+def test_generator_counts_must_be_integers(descriptor, generator, arg, value):
+    # grid(2.5, 2) built 9 points and random_cloud(20, 2, 1.5) seed 1's
+    # cloud; the others failed inside numpy, naming no argument
+    with pytest.raises(ValidationError) as err:
+        generate_space(descriptor)
+    assert str(err.value) == f"{generator} {arg} must be an integer, got {value}"
+
+
 def test_two_cluster_gap():
     sp = generate_space("two_cluster(4, 100)")
     assert sp.dist[1, 2] == 99.0
@@ -462,6 +483,25 @@ def test_load_euclidean_and_power_metrics(tmp_path):
                                 "coords": [0, 1, 2], "weights": [1, 1, 1]}))
     sp = load_space(path)
     assert sp.dist[0, 2] == 4.0
+
+
+@pytest.mark.parametrize("entry", [
+    {"metric": "explicit",
+     "distances": [[abs(i - j) for j in range(4)] for i in range(4)]},
+    {"metric": "euclidean", "coords": [[0, 0], [1, 0], [0, 2], [3, 3]]},
+    {"metric": "power", "r": 2, "coords": [0, 1, 2, 3]},
+])
+def test_load_checks_n_for_every_metric(tmp_path, entry):
+    # four points where the file says three: refused for every kind, not
+    # only for explicit distances
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"n": 4, **entry}))
+    assert load_space(path).n == 4
+    path.write_text(json.dumps({"n": 3, **entry}))
+    with pytest.raises(ValidationError, match=(
+            rf"space file has n = 3, its {entry['metric']} distances have "
+            r"shape \(4, 4\)")):
+        load_space(path)
 
 
 def test_load_scale_field(tmp_path):

@@ -317,5 +317,5 @@ def test_parseval_record_equals_the_per_function_loop(descriptor, delta):
     rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
     record = next(c for c in _suite_wavelets(b, rng) if c.name == "parseval")
     assert record.margin == 1e-8 - _parseval_loop(b, oracle_rng)
-    # the same stream: later suites draw the same numbers
+    # and leaves the stream where the loop leaves it
     assert rng.normal() == oracle_rng.normal()
