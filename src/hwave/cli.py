@@ -11,9 +11,11 @@ import numpy as np
 from . import analysis as an
 from .mra import decay_exponent_s, decay_fit, save_gram_system, save_matrix_csv
 from .nets import build_nets, build_reference_order, load_nets, save_nets
-from .pipeline import SUITES, PipelineConfig, build_bundle, run_pipeline
+from .pipeline import (SUITES, PipelineConfig, build_bundle, run_pipeline,
+                       suite_rng)
 from .randomized import (CubeMachine, boundary_layer_probability, sample_omega,
                          save_system)
+from .report import json_rows
 from .space import compute_constants, resolve_space, save_space
 from .splines import holder_profile, save_splines
 from .wavelets import decay_and_regularity_report, save_basis, wavelet_decay_a
@@ -171,8 +173,7 @@ def _cmd_wavelets(args) -> int:
     print(f"round trip residual {float(np.abs(back - f).max()):.3g}")
     if args.out:
         out = _outdir(args)
-        (out / "coefficients.json").write_text(
-            json.dumps(coeffs.tolist()) + "\n")
+        (out / "coefficients.json").write_text(next(json_rows(coeffs[None])) + "\n")
     return 0
 
 
@@ -180,7 +181,8 @@ def _cmd_analyze(args) -> int:
     space = resolve_space(args.space)
     bundle = build_bundle(space, args.delta, args.mode)
     h, order, basis = bundle.hierarchy, bundle.order, bundle.basis
-    rng = np.random.default_rng(args.seed)
+    # the analysis suite's stream: its first draw is the roundtrip's first f
+    rng = suite_rng(args.seed, "analysis")
     if args.action == "dichotomy":
         r = args.r if args.r is not None else space.min_sep
         R = args.R if args.R is not None else space.diam
@@ -303,8 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the actions that read a --function file; of them, only transform needs one
+_READS_FUNCTION = ("transform", "bmo", "carleson", "paraproduct")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    function = getattr(args, "function", None)
+    if function is not None and args.action not in _READS_FUNCTION:
+        parser.error(f"{args.command} {args.action} reads no --function")
+    if function is None and getattr(args, "action", None) == "transform":
+        parser.error("wavelets transform needs --function")
     try:
         return args.func(args)
     except Exception as exc:  # surface module errors with a nonzero status

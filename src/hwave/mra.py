@@ -7,12 +7,13 @@ nonzero pattern gives its SPD check, Riesz bounds, inverse and inverse
 square root; entries between components are exactly 0.0, as the theory has
 them, so ``basis.json`` is exactly zero off the blocks.  The duals and the
 orthonormal scaling functions are formed, and their identities checked, per
-component too (``build_gram_system``).  An optional Neumann-series route is
-kept for decay experiments.
+component too (``build_gram_system``).  The Neumann-series route
+(``neumann_inverse_and_sqrt``) computes the inverse and inverse square root
+a second way in every run of the mra suite, whose ``series-vs-eigen level
+k`` records compare them with the eigendecomposition's.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .nets import Levels, NetHierarchy
-from .report import nonzero_entries
+from .report import write_nonzeros
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -335,12 +336,10 @@ def save_matrix_csv(matrix: np.ndarray, path, labels=None) -> None:
     ``labels`` names the rows and columns (default: their indices).
     """
     labels = np.arange(matrix.shape[0]) if labels is None else np.asarray(labels)
+    keys = [f"{label}," for label in labels.tolist()]
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for rows, cols, texts in nonzero_entries(matrix):
-            writer.writerows(zip(labels[rows].tolist(), labels[cols].tolist(),
-                                 texts))
+        fh.write("row,col,value\r\n")
+        write_nonzeros(fh, matrix, keys, keys, "\r\n")
 
 
 def save_gram_system(h: NetHierarchy, gramsys: Levels, out) -> None:

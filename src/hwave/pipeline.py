@@ -25,9 +25,16 @@ from .wavelets import (WaveletBasis, assemble_basis, kernel_of_projection,
                        save_basis)
 
 __all__ = ["PipelineConfig", "Bundle", "PipelineResult", "build_bundle",
-           "run_pipeline", "SUITES"]
+           "run_pipeline", "suite_rng", "SUITES"]
 
 SUITES = ("nets", "cubes", "splines", "mra", "wavelets", "analysis")
+
+
+def suite_rng(seed: int, suite: str) -> np.random.Generator:
+    """One suite's stream, so no record depends on the other suites; no
+    coordinate stream ``_coord_rng(seed, level, 0 | 1)`` has third word 2
+    (SeedSequence drops trailing zeros, so ``default_rng(seed)`` is one)."""
+    return np.random.default_rng([seed, SUITES.index(suite), 2])
 
 
 @dataclass(frozen=True)
@@ -285,10 +292,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     result = PipelineResult(config=config, bundle=bundle)
     system = bundle.machine.system(sample_omega(bundle.order, config.seed))
     for suite in config.suites:
-        # one stream per suite, so no record depends on the other suites; no
-        # coordinate stream _coord_rng(seed, level, 0 | 1) has third word 2
-        # (SeedSequence drops trailing zeros, so default_rng(seed) is one)
-        rng = np.random.default_rng([config.seed, SUITES.index(suite), 2])
+        rng = suite_rng(config.seed, suite)
         if suite == "nets":
             result.checks += _suite_nets(bundle)
         elif suite == "cubes":

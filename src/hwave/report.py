@@ -63,35 +63,30 @@ def _texts(block: np.ndarray, for_json: bool) -> list:
 
 
 def _blocks(a: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, block) over the rows of the 2-D float array ``a``, at
-    most BLOCK_ENTRIES entries a block."""
+    """(first row, block) over the rows of the 2-D float array ``a``, as
+    contiguous float64, at most BLOCK_ENTRIES entries a block."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
     step = max(1, BLOCK_ENTRIES // max(1, a.shape[1]))
     for start in range(0, a.shape[0], step):
         yield start, a[start:start + step]
 
 
-def float_rows(a: np.ndarray, for_json: bool = False) -> Iterator[list]:
-    """The text of every entry of the 2-D float array ``a``, one row at a
-    time as a list of str (``_texts``).
-
-    Every float an artifact table holds is formatted here or by
-    ``nonzero_entries``, one block of at most BLOCK_ENTRIES entries at a time.
-    """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    for _, block in _blocks(a):
-        yield from _texts(block, for_json)
-
-
-def nonzero_entries(a: np.ndarray) -> Iterator[tuple]:
-    """The entries of the 2-D float array ``a`` that are ``!= 0.0`` (NaN is
-    one, -0.0 is not), in row-major order, one block of at most
-    BLOCK_ENTRIES entries of ``a`` at a time: (row indices, column indices,
-    the ``repr`` texts of their values) per block.
-    """
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def write_nonzeros(fh, a: np.ndarray, row_keys, col_keys, end: str) -> None:
+    """Write ``row_keys[row] + col_keys[col] + repr(value) + end`` for every
+    entry of the 2-D float array ``a`` that is ``!= 0.0`` (NaN is one, -0.0
+    is not), in row-major order.  Every sparse artifact table is written
+    here, one block of at most BLOCK_ENTRIES entries at a time, its lines
+    joined once from their pieces, so no string is made per line."""
+    row_keys = np.asarray(row_keys, dtype=object)
+    col_keys = np.asarray(col_keys, dtype=object)
     for start, block in _blocks(a):
         rows, cols = np.nonzero(block)
-        yield rows + start, cols, _texts(block[rows, cols][None], False)[0]
+        pieces = np.empty((rows.size, 4), dtype=object)
+        pieces[:, 0] = row_keys[rows + start]
+        pieces[:, 1] = col_keys[cols]
+        pieces[:, 2] = _texts(block[rows, cols][None], False)[0]
+        pieces[:, 3] = end
+        fh.write("".join(pieces.ravel().tolist()))
 
 
 class JsonText(str):
@@ -99,9 +94,11 @@ class JsonText(str):
 
 
 def json_rows(a: np.ndarray) -> Iterator[JsonText]:
-    """``json.dumps(row.tolist())`` for every row of the 2-D float array ``a``."""
-    for texts in float_rows(a, for_json=True):
-        yield JsonText(f"[{', '.join(texts)}]")
+    """``json.dumps(row.tolist())`` for every row of the 2-D float array ``a``:
+    every dense artifact table's floats, one block at a time (``_texts``)."""
+    for _, block in _blocks(a):
+        for texts in _texts(block, True):
+            yield JsonText(f"[{', '.join(texts)}]")
 
 
 def _json_text(value) -> str:

@@ -347,17 +347,6 @@ FIXTURES = {
 }
 
 
-def _weights_for(rule, n: int) -> np.ndarray:
-    if rule is None or rule == "counting":
-        return np.ones(n)
-    if rule == "uniform":
-        return np.full(n, 1.0 / n)
-    arr = np.asarray(rule, dtype=float)
-    if arr.shape != (n,):
-        raise ValidationError("per-point weight list has wrong length")
-    return arr
-
-
 def _from_coords_1d(coords: np.ndarray, power: float = 1.0) -> np.ndarray:
     diff = np.abs(coords[:, None] - coords[None, :])
     return diff**power
@@ -373,32 +362,23 @@ def _euclidean(pts: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _gen_line(n: int, scale: float = 1.0, weights=None) -> FiniteSpace:
+def _gen_line(n: int, scale: float = 1.0) -> np.ndarray:
     if n < 1:
         raise ValidationError("line needs n >= 1")
-    return FiniteSpace(
-        dist=_from_coords_1d(np.arange(n, dtype=float)) * scale,
-        weights=_weights_for(weights, n),
-        name=f"line({n})",
-    )
+    return _from_coords_1d(np.arange(n, dtype=float)) * scale
 
 
-def _gen_cycle(n: int, scale=None, weights=None) -> FiniteSpace:
+def _gen_cycle(n: int, scale: float = None) -> np.ndarray:
     if n < 1:
         raise ValidationError("cycle needs n >= 1")
     if scale is None:
         scale = 1.0 / n
     idx = np.arange(n)
     diff = np.abs(idx[:, None] - idx[None, :])
-    circ = np.minimum(diff, n - diff).astype(float)
-    return FiniteSpace(
-        dist=circ * scale,
-        weights=_weights_for(weights, n),
-        name=f"cycle({n})",
-    )
+    return np.minimum(diff, n - diff).astype(float) * scale
 
 
-def _gen_grid(m: int, dim: int, metric: str = "linf", weights=None) -> FiniteSpace:
+def _gen_grid(m: int, dim: int, metric: str = "linf") -> np.ndarray:
     if m < 1 or dim < 1:
         raise ValidationError("grid needs m >= 1 and dim >= 1")
     axes = [np.arange(m, dtype=float)] * dim
@@ -406,29 +386,22 @@ def _gen_grid(m: int, dim: int, metric: str = "linf", weights=None) -> FiniteSpa
     if metric == "linf":
         # one coordinate at a time: no (n, n, dim) array of differences,
         # and max is exact, so the same distances as a reduction over it
-        dist = reduce(np.maximum, (np.abs(pts[:, None, j] - pts[None, :, j])
+        return reduce(np.maximum, (np.abs(pts[:, None, j] - pts[None, :, j])
                                    for j in range(dim)))
-    elif metric == "l2":
-        dist = _euclidean(pts)
-    else:
-        raise ValidationError(f"unknown grid metric {metric!r}")
-    return FiniteSpace(dist=dist, weights=_weights_for(weights, len(pts)),
-                       name=f"grid({m},{dim})")
+    if metric == "l2":
+        return _euclidean(pts)
+    raise ValidationError(f"unknown grid metric {metric!r}")
 
 
-def _gen_power_line(n: int, r: float, weights=None) -> FiniteSpace:
+def _gen_power_line(n: int, r: float) -> np.ndarray:
     if n < 1:
         raise ValidationError("power_line needs n >= 1")
     if r < 1:
         raise ValidationError("power_line exponent must satisfy r >= 1")
-    return FiniteSpace(
-        dist=_from_coords_1d(np.arange(n, dtype=float), power=r),
-        weights=_weights_for(weights, n),
-        name=f"power_line({n},{r:g})",
-    )
+    return _from_coords_1d(np.arange(n, dtype=float), power=r)
 
 
-def _gen_two_cluster(n: int, gap: float, weights=None) -> FiniteSpace:
+def _gen_two_cluster(n: int, gap: float) -> np.ndarray:
     if n < 2:
         raise ValidationError("two_cluster needs n >= 2")
     if gap <= 0:
@@ -437,40 +410,32 @@ def _gen_two_cluster(n: int, gap: float, weights=None) -> FiniteSpace:
     if gap <= h - 1:
         raise ValidationError(
             f"two_cluster gap {gap:g} must exceed the first cluster's width {h - 1}")
-    coords = np.concatenate([np.arange(h, dtype=float),
-                             gap + np.arange(n - h, dtype=float)])
-    return FiniteSpace(
-        dist=_from_coords_1d(coords),
-        weights=_weights_for(weights, n),
-        name=f"two_cluster({n},{gap:g})",
-    )
+    return _from_coords_1d(np.concatenate([np.arange(h, dtype=float),
+                                           gap + np.arange(n - h, dtype=float)]))
 
 
-def _gen_tree(depth: int, weights=None) -> FiniteSpace:
+def _gen_tree(depth: int) -> np.ndarray:
     """Complete binary tree of the given depth with shortest-path edge metric."""
     if depth < 0:
         raise ValidationError("tree depth must be >= 0")
-    n = 2 ** (depth + 1) - 1
     # node i has the 1-based heap label i + 1: its parent's label is the label
     # halved and its depth the label's bit length less one.  Halving the
     # deeper label of a pair to the other's depth leaves two labels whose
     # common leading bits are the label of their lowest common ancestor
-    label = np.arange(1, n + 1)
+    label = np.arange(1, 2 ** (depth + 1))
     level = np.frexp(label)[1] - 1
     up = np.minimum(level[:, None], level[None, :])
     a = label[:, None] >> (level[:, None] - up)
     b = label[None, :] >> (level[None, :] - up)
-    dist = level[:, None] + level[None, :] - 2 * (up - np.frexp(a ^ b)[1])
-    return FiniteSpace(dist=dist.astype(float), weights=_weights_for(weights, n),
-                       name=f"tree({depth})")
+    return level[:, None] + level[None, :] - 2 * (up - np.frexp(a ^ b)[1])
 
 
-def _gen_random_cloud(n: int, dim: int, seed: int, weights=None) -> FiniteSpace:
+def _gen_random_cloud(n: int, dim: int, seed: int) -> np.ndarray:
     if n < 1 or dim < 1:
         raise ValidationError("random_cloud needs n >= 1 and dim >= 1")
-    pts = np.random.default_rng(int(seed)).uniform(size=(n, dim))
-    return FiniteSpace(dist=_euclidean(pts), weights=_weights_for(weights, n),
-                       name=f"random_cloud({n},{dim},{seed})")
+    if seed < 0:
+        raise ValidationError(f"random_cloud seed must be non-negative, got {seed}")
+    return _euclidean(np.random.default_rng(seed).uniform(size=(n, dim)))
 
 
 _GENERATORS = {
@@ -499,8 +464,20 @@ def _parse_value(text: str):
         return text
 
 
+def _weights_for(generator: str, rule, n: int) -> np.ndarray:
+    if rule == "counting":
+        return np.ones(n)
+    if rule == "uniform":
+        return np.full(n, 1.0 / n)
+    raise ValidationError(
+        f"{generator} weights must be counting or uniform, got {rule!r}")
+
+
 def generate_space(descriptor: str) -> FiniteSpace:
-    """Build a space from a descriptor such as ``cycle(16, weights=uniform)``."""
+    """Build a space from a descriptor such as ``cycle(16, weights=uniform)``:
+    the generator's distances, the weight rule's masses, and as name the
+    generator with its arguments that have no default (ints by ``str``, the
+    others by ``format(v, "g")``)."""
     descriptor = descriptor.strip()
     if "(" not in descriptor or not descriptor.endswith(")"):
         raise ValidationError(f"malformed generator descriptor {descriptor!r}")
@@ -517,15 +494,26 @@ def generate_space(descriptor: str) -> FiniteSpace:
                 kwargs[key.strip()] = _parse_value(val)
             else:
                 args.append(_parse_value(part))
+    rule = kwargs.pop("weights", "counting")
     generator = _GENERATORS[name]
-    # counts and seeds (the ``int`` parameters) take integers only, so that
-    # grid(2.5,2) or random_cloud(20,2,1.5) names no other space
+    params = inspect.signature(generator).parameters
     bound = inspect.signature(generator).bind(*args, **kwargs).arguments
+    # counts and seeds (the ``int`` parameters) take integers only, so that
+    # grid(2.5,2) or random_cloud(20,2,1.5) names no other space; the
+    # ``float`` ones take numbers, so that no text reaches numpy
     for arg, value in bound.items():
-        if generator.__annotations__.get(arg) == "int" and type(value) is not int:
-            raise ValidationError(
-                f"{name} {arg} must be an integer, got {value!r}")
-    return generator(*args, **kwargs)
+        kind = params[arg].annotation
+        if kind == "int" and type(value) is not int:
+            raise ValidationError(f"{name} {arg} must be an integer, got {value!r}")
+        if kind == "float" and type(value) not in (int, float):
+            raise ValidationError(f"{name} {arg} must be a number, got {value!r}")
+    dist = generator(*args, **kwargs)
+    label = ",".join(str(bound[arg]) if param.annotation == "int"
+                     else format(bound[arg], "g")
+                     for arg, param in params.items()
+                     if param.default is inspect.Parameter.empty)
+    return FiniteSpace(dist=dist, weights=_weights_for(name, rule, dist.shape[0]),
+                       name=f"{name}({label})")
 
 
 def resolve_space(text: str) -> FiniteSpace:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .nets import Levels, NetHierarchy
 from .randomized import CubeMachine
-from .report import CheckResult, check_flag, nonzero_entries
+from .report import CheckResult, check_flag, write_nonzeros
 from .space import FiniteSpace, SpaceConstants
 
 __all__ = [
@@ -180,18 +180,7 @@ def save_splines(h: NetHierarchy, table: Levels, path) -> None:
     ``!= 0.0``; an absent row reads 0.0."""
     with Path(path).open("w") as fh:
         fh.write("level\talpha_id\tpoint_id\tvalue\n")
+        points = [f"{x}\t" for x in range(table.at(h.k_fine).shape[1])]
         for k in range(h.k_coarse, h.k_fine + 1):
-            vals = table.at(k)
-            heads = np.array([f"{k}\t{center}\t"
-                              for center in h.level(k).tolist()], dtype=object)
-            points = np.array([f"{x}\t" for x in range(vals.shape[1])],
-                              dtype=object)
-            # a block's rows from (head, point, value, newline) pieces,
-            # joined once: no string is made per row
-            for rows, cols, texts in nonzero_entries(vals):
-                pieces = np.empty((len(texts), 4), dtype=object)
-                pieces[:, 0] = heads[rows]
-                pieces[:, 1] = points[cols]
-                pieces[:, 2] = texts
-                pieces[:, 3] = "\n"
-                fh.write("".join(pieces.ravel().tolist()))
+            heads = [f"{k}\t{center}\t" for center in h.level(k).tolist()]
+            write_nonzeros(fh, table.at(k), heads, points, "\n")

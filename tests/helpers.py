@@ -262,8 +262,8 @@ def size_redundancy_check(space: FiniteSpace, basis: WaveletBasis,
 
 
 # The artifact writers as they were before every float of a table went
-# through ``report.float_rows``: each entry formatted on its own by ``repr``
-# or ``json.dumps``.  The writers must reproduce these bytes.
+# through ``report.json_rows`` or ``report.write_nonzeros``: each entry
+# formatted on its own by ``repr`` or ``json.dumps``.  The writers must reproduce these bytes.
 
 def save_space_oracle(space: FiniteSpace, path) -> None:
     Path(path).write_text(json.dumps({

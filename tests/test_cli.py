@@ -226,6 +226,44 @@ def test_function_of_the_wrong_length_is_refused(tmp_path):
     assert exit_.value.code == "function file must hold 16 values"
 
 
+@pytest.mark.parametrize("command, message", [
+    (["wavelets", "build", "--function", "f.json"], "wavelets build reads no --function"),
+    (["wavelets", "decay", "--function", "f.json"], "wavelets decay reads no --function"),
+    (["analyze", "dichotomy", "--function", "f.json"],
+     "analyze dichotomy reads no --function"),
+    (["analyze", "sums", "--function", "f.json"], "analyze sums reads no --function"),
+    (["analyze", "operator", "--function", "f.json"],
+     "analyze operator reads no --function"),
+    (["wavelets", "transform"], "wavelets transform needs --function"),
+])
+def test_function_is_refused_where_the_action_reads_none(capsys, command, message):
+    # the first five ignored the file, which need not exist, and exited 0;
+    # transform without one died on a None path
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--space", "FIX-B"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_analyze_draws_the_analysis_suites_stream(monkeypatch, capsys):
+    # it drew from default_rng(seed), the random cubes' level-0 coordinate
+    # stream; now its first function is the analysis suite's first roundtrip f
+    drawn = []
+    roundtrip = an.bmo_carleson_roundtrip
+
+    def recorded(space, h, order, basis, f):
+        drawn.append(f)
+        return roundtrip(space, h, order, basis, f)
+    monkeypatch.setattr(an, "bmo_carleson_roundtrip", recorded)
+    run_pipeline(PipelineConfig(space="FIX-B", seed=5, suites=("analysis",)))
+    assert len(drawn) == 3
+    assert main(["analyze", "bmo", "--space", "FIX-B", "--seed", "5"]) == 0
+    sp, f = resolve_space("FIX-B"), drawn[0]
+    assert capsys.readouterr().out == (
+        f"bmo: {an.bmo_norm(sp, f):g} "
+        f"(median-centred {an.bmo_norm(sp, f, 'median'):g})\n")
+
+
 def test_run_selected_suite(capsys):
     rc = main(["run", "--space", "FIX-A", "--suite", "nets",
                "--suite", "splines"])

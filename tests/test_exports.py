@@ -75,3 +75,30 @@ def test_every_export_has_a_caller_outside_the_tests():
                                       "__all__", ())
                 if export not in loaded]
     assert uncalled == []
+
+
+def _format_decisions(tree: ast.AST) -> list:
+    """The places a module decides an artifact's bytes itself: an import of
+    ``csv`` and a call of ``json.dumps`` (or ``dumps`` from ``json``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name == "csv"]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+            found += [f"from {node.module} import {a.name}" for a in node.names
+                      if node.module == "csv" or a.name == "dumps"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "dumps"
+              and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append("json.dumps")
+    return found
+
+
+def test_report_is_the_one_artifact_writer():
+    """Only ``report.py`` formats artifact text: one writer per format."""
+    modules = sorted((ROOT / "src" / "hwave").glob("*.py"))
+    assert any(path.name == "report.py" for path in modules)
+    assert _format_decisions(ast.parse("import csv\nimport json\njson.dumps(1)")) \
+        == ["import csv", "json.dumps"]
+    found = {path.name: _format_decisions(ast.parse(path.read_text()))
+             for path in modules if path.name != "report.py"}
+    assert {name: places for name, places in found.items() if places} == {}

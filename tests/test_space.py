@@ -383,13 +383,44 @@ def test_generator_rejects_bad_parameters():
     ("tree(2.5)", "tree", "depth", "2.5"),
     ("power_line(4.5, 2)", "power_line", "n", "4.5"),
     ("two_cluster(4.5, 100)", "two_cluster", "n", "4.5"),
+    ("cycle(16,)", "cycle", "scale", "''"),
+    ("cycle(4, scale=abc)", "cycle", "scale", "'abc'"),
+    ("line(4, weights=)", "line", "weights", "''"),
+    ("cycle(16, weights=uniforn)", "cycle", "weights", "'uniforn'"),
+    ("cycle(16, weights=2)", "cycle", "weights", "2"),
+    ("random_cloud(20,2,-1)", "random_cloud", "seed", "-1"),
 ])
 def test_generator_counts_must_be_integers(descriptor, generator, arg, value):
     # grid(2.5, 2) built 9 points and random_cloud(20, 2, 1.5) seed 1's
-    # cloud; the others failed inside numpy, naming no argument
+    # cloud; the others failed inside numpy, naming no argument, or (weights=2)
+    # as a per-point list of the wrong length
     with pytest.raises(ValidationError) as err:
         generate_space(descriptor)
-    assert str(err.value) == f"{generator} {arg} must be an integer, got {value}"
+    must = "non-negative" if value == "-1" else {
+        "scale": "a number", "weights": "counting or uniform"}.get(arg, "an integer")
+    assert str(err.value) == f"{generator} {arg} must be {must}, got {value}"
+
+
+# the names the generators gave their spaces, which generate_space keeps:
+# the arguments without a default, ints by str, others by "g"
+@pytest.mark.parametrize("descriptor, name", [
+    ("line(4)", "line(4)"),
+    ("line(5, scale=2.5)", "line(5)"),
+    ("line(4, weights=counting)", "line(4)"),
+    ("cycle(16, scale=1)", "cycle(16)"),
+    ("cycle(16, weights=uniform, scale=0.5)", "cycle(16)"),
+    ("grid(4,2)", "grid(4,2)"),
+    ("grid(3,2,metric=l2)", "grid(3,2)"),
+    ("power_line(9,2)", "power_line(9,2)"),
+    ("power_line(9,2.5)", "power_line(9,2.5)"),
+    ("power_line(9, 3/2)", "power_line(9,1.5)"),
+    ("two_cluster(12,7)", "two_cluster(12,7)"),
+    ("two_cluster(14,9.5)", "two_cluster(14,9.5)"),
+    ("tree(3)", "tree(3)"),
+    ("random_cloud(20,2,1)", "random_cloud(20,2,1)"),
+])
+def test_generator_names_are_pinned(descriptor, name):
+    assert generate_space(descriptor).name == name
 
 
 def test_two_cluster_gap():
